@@ -22,7 +22,6 @@ __all__ = [
     "QuadratureRule",
     "ReferenceOperators",
     "legendre_eval",
-    "legendre_deriv",
     "legendre_table",
     "legendre_deriv_table",
     "gauss_rule",
@@ -69,11 +68,6 @@ def legendre_deriv_table(k: int, x) -> np.ndarray:
 def legendre_eval(k: int, x):
     """Evaluate the single Legendre polynomial L_k at x."""
     return legendre_table(k, x)[k]
-
-
-def legendre_deriv(k: int, x):
-    """Evaluate L_k' at x."""
-    return legendre_deriv_table(k, x)[k]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -135,9 +129,9 @@ def default_rule(k: int) -> QuadratureRule:
     return gauss_rule(k + 4)
 
 
-def error_rule(k: int) -> QuadratureRule:
-    """(k+6)-point rule used by error norms (per direction in 2D)."""
-    return gauss_rule(k + 6)
+def error_rule(k: int, extra_order: int = 0) -> QuadratureRule:
+    """(k+6+extra_order)-point rule used by error norms (per direction in 2D)."""
+    return gauss_rule(k + 6 + extra_order)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import gauss_rule, legendre_table, reference_operators
+from .basis import error_rule, legendre_table, reference_operators
 from .fields import ModalField, _cell_points_1d, _eval_1d, _eval_2d
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 
 def _error_tables(k: int, extra_order: int = 0):
-    rule = gauss_rule(k + 6 + extra_order)
+    rule = error_rule(k, extra_order)
     return rule, legendre_table(k, rule.nodes)
 
 

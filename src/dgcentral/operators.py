@@ -11,16 +11,20 @@ integrals) with (u_t, v) = +b_{i,j}(u, v).
 The RHS maps fold the diagonal inverse mass matrix into constant reference
 stencil matrices: on any mesh the modal time derivative of a cell is a fixed
 linear combination of its own and neighbor coefficients scaled by 1/h (per
-axis in 2D), so one matrix triple per axis serves every cell.  Bilinear
+axis in 2D), so one matrix triple per axis serves every cell.  In 1D those
+blocks are assembled once into the sparse matrix L of u' = L u
+(`SpatialOperator.matrix`), which is both the RHS map and what the time
+integrator steps with; 2D applies the per-axis stencils directly.  Bilinear
 forms are evaluated independently by quadrature, which gives the test suite
 two routes to the same numbers.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .basis import (
     default_rule,
@@ -93,8 +97,6 @@ class SpatialOperator:
         if space.dimension == 1:
             if not isinstance(mesh, Mesh1D):
                 raise TypeError("P1D operator requires a Mesh1D")
-            self._own, self._right, self._left = _stencil_1d(k)
-            self._inv_w = 1.0 / mesh.widths
         else:
             if not isinstance(mesh, TensorMesh2D):
                 raise TypeError("2D operator requires a TensorMesh2D")
@@ -131,17 +133,38 @@ class SpatialOperator:
 
     # -- RHS maps ----------------------------------------------------------
 
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The 1D operator L as a CSR matrix on the flattened (cell, mode) coefficients.
+
+        Block-circulant: cell j couples to itself and its two periodic
+        neighbours through the `_stencil_1d` blocks, with block row j scaled
+        by 1/h_j.  Structural zeros of the blocks are dropped.
+        """
+        if self.space.dimension != 1:
+            raise ValueError("the assembled matrix is built for 1D operators only")
+        n = self.mesh.num_cells
+        d = self.space.dof
+        cells = np.arange(n)
+        modes = np.arange(d)
+        blocks = np.stack(_stencil_1d(self.space.degree))  # (own, right, left), each (d, d)
+        nbrs = np.stack([cells, (cells + 1) % n, (cells - 1) % n])  # (3, n)
+        rows = cells[None, :, None, None] * d + modes[None, None, :, None]
+        cols = nbrs[:, :, None, None] * d + modes[None, None, None, :]
+        vals = blocks[:, None, :, :] / self.mesh.widths[None, :, None, None]
+        rows, cols = np.broadcast_arrays(rows, cols)
+        # duplicate (row, col) pairs, which N <= 2 produces, are summed
+        mat = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n * d, n * d))
+        mat.eliminate_zeros()
+        return mat
+
     def apply_rhs(self, u: ModalField) -> ModalField:
         """Modal image of the time derivative: (du/dt, v) tested over the basis."""
         if u.space != self.space:
             raise ValueError("field space does not match operator space")
         c = u.coeffs
         if self.space.dimension == 1:
-            out = c @ self._own.T
-            out += np.roll(c, -1, axis=0) @ self._right.T
-            out += np.roll(c, 1, axis=0) @ self._left.T
-            out *= self._inv_w[:, None]
-            return u.like(out)
+            return u.like((self.matrix @ c.ravel()).reshape(c.shape))
         tx = c @ self._x0.T
         tx += np.roll(c, -1, axis=0) @ self._xp.T
         tx += np.roll(c, 1, axis=0) @ self._xm.T

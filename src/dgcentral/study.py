@@ -29,6 +29,7 @@ error.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -212,6 +213,8 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         if not 0.0 <= fraction < 1.0:
             raise ConfigError("mesh.fraction: must lie in [0, 1)")
         seed = _as_int("mesh.seed", seed_s)
+        if seed < 0:
+            raise ConfigError("mesh.seed: must be a non-negative integer")
 
     ns_s = _take(pairs, "study.ns")
     if ns_s is None:
@@ -222,15 +225,17 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         raise ConfigError(f"study.ns: expected comma-separated integers, got {ns_s!r}") from None
     if not ns or any(n < 1 for n in ns):
         raise ConfigError("study.ns: needs at least one positive cell count")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"study.ns: cell counts must be strictly increasing, got {ns_s!r}")
     if family == "alpha" and any(n < 2 for n in ns):
         raise ConfigError("study.ns: alpha meshes need N >= 2")
 
     t_final = _as_float("time.T", _take(pairs, "time.T", "1.0"))
-    if t_final <= 0:
-        raise ConfigError("time.T: must be positive")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ConfigError("time.T: must be positive and finite")
     time_c = _as_float("time.c", _take(pairs, "time.c", "0.01"))
-    if time_c <= 0:
-        raise ConfigError("time.c: must be positive")
+    if not (math.isfinite(time_c) and time_c > 0):
+        raise ConfigError("time.c: must be positive and finite")
     scheme = _take(pairs, "time.scheme", "rk4")
     if scheme not in SCHEMES:
         raise ConfigError(f"time.scheme: unknown scheme {scheme!r}; registered: {sorted(SCHEMES)}")
@@ -241,6 +246,8 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         raise ConfigError("domain.lo/domain.hi: provide both or neither")
     if lo_s is not None:
         domain = (_as_float("domain.lo", lo_s), _as_float("domain.hi", hi_s))
+        if not all(math.isfinite(x) for x in domain):
+            raise ConfigError("domain.lo/domain.hi: must be finite")
         if domain[1] <= domain[0]:
             raise ConfigError("domain.hi: must exceed domain.lo")
 
@@ -374,7 +381,8 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         u0 = l2_project(prob.initial, mesh, space)
         op = SpatialOperator(mesh, space)
         tcfg = IntegrationConfig(t_final=cfg.t_final, c=cfg.time_c, scheme=cfg.scheme)
-        u = integrate(op.apply_rhs, u0, tcfg)
+        # 1D steps with the assembled L; a 2D P(hL) would fill in a (2s+1)^2 cell patch
+        u = integrate(op.matrix if space.dimension == 1 else op.apply_rhs, u0, tcfg)
         e2 = error_l2(prob.exact, u, cfg.t_final)
         e2_hi = error_l2(prob.exact, u, cfg.t_final, extra_order=2)
         ea = error_cell_average(prob.exact, u, cfg.t_final)

@@ -9,6 +9,7 @@ from dgcentral.fields import ModalField, SpaceKind, _mass_vector, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
+    _stencil_1d,
     flux_cancellation_residual_2d,
     superconvergence_residual_1d,
     superconvergence_residual_2d,
@@ -189,3 +190,60 @@ def test_stencil_reproduces_dense_assembly():
             v[m] = 1.0
             expect = -op.bilinear_a(j, u, v) / (0.5 * mesh.widths[j] * ref.mass_diag[m])
             assert w.coeffs[j, m] == pytest.approx(expect, abs=1e-12)
+
+
+# -- the assembled 1D matrix ---------------------------------------------------
+
+_MESHES_1D = {
+    "uniform": lambda: uniform_mesh(9, (0.0, TWO_PI)),
+    "alpha": lambda: alpha_mesh(10, 0.1, (0.0, TWO_PI)),
+    "random": lambda: random_mesh(11, 0.3, 5, (0.0, TWO_PI)),
+}
+
+
+def _stencil_rhs(op, c):
+    """The per-cell stencil form: own, right- and left-neighbour blocks, rows scaled by 1/h."""
+    own, right, left = _stencil_1d(op.space.degree)
+    out = c @ own.T + np.roll(c, -1, axis=0) @ right.T + np.roll(c, 1, axis=0) @ left.T
+    return out / op.mesh.widths[:, None]
+
+
+@pytest.mark.parametrize("family", sorted(_MESHES_1D))
+@pytest.mark.parametrize("k", range(5))
+def test_matrix_matches_stencil_rhs(family, k):
+    mesh = _MESHES_1D[family]()
+    space = SpaceKind("P1D", k)
+    op = SpatialOperator(mesh, space)
+    c = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1))
+    expected = _stencil_rhs(op, c)
+    got = (op.matrix @ c.ravel()).reshape(c.shape)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+    np.testing.assert_array_equal(op.apply_rhs(ModalField(space, mesh, c)).coeffs, got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_on_tiny_periodic_meshes(n):
+    # with N <= 2 the left and right neighbours coincide and their blocks add
+    mesh = uniform_mesh(n, (0.0, 1.0))
+    op = SpatialOperator(mesh, SpaceKind("P1D", 2))
+    c = np.random.default_rng(n).standard_normal((n, 3))
+    np.testing.assert_allclose((op.matrix @ c.ravel()).reshape(c.shape), _stencil_rhs(op, c), rtol=0, atol=1e-13)
+
+
+def test_matrix_is_1d_only():
+    mesh = tensor_mesh(uniform_mesh(3, (0.0, 1.0)), uniform_mesh(3, (0.0, 1.0)))
+    with pytest.raises(ValueError, match="1D"):
+        SpatialOperator(mesh, SpaceKind("Q2D", 1)).matrix
+
+
+@pytest.mark.parametrize("family", sorted(_MESHES_1D))
+@pytest.mark.parametrize("k", range(5))
+def test_mass_times_matrix_is_exactly_skew(family, k):
+    # d/dt ||u||^2 = u^T (M L + (M L)^T) u vanishes for every u, not only sampled ones
+    mesh = _MESHES_1D[family]()
+    op = SpatialOperator(mesh, SpaceKind("P1D", k))
+    mass = np.outer(0.5 * mesh.widths, _mass_vector("P1D", k)).ravel()
+    ml = op.matrix.multiply(mass[:, None]).toarray()
+    # each entry is a product of a few rounded factors: allow 16 ulps of its size
+    bound = 16 * np.finfo(float).eps * np.maximum(np.abs(ml), np.abs(ml.T))
+    assert np.all(np.abs(ml + ml.T) <= bound)

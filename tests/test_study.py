@@ -182,7 +182,8 @@ class TestSerializeRoundTrip:
         alpha=st.floats(min_value=-0.9, max_value=0.9, allow_nan=False),
         fraction=st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
         seed=st.integers(min_value=0, max_value=2**31),
-        ns=st.lists(st.integers(min_value=2, max_value=5000), min_size=1, max_size=6),
+        # study.ns must be strictly increasing
+        ns=st.lists(st.integers(min_value=2, max_value=5000), min_size=1, max_size=6, unique=True).map(sorted),
         t_final=st.floats(min_value=1e-3, max_value=50.0, allow_nan=False),
         time_c=st.floats(min_value=1e-4, max_value=2.0, allow_nan=False),
         with_domain=st.booleans(),
@@ -302,7 +303,7 @@ class TestRunStudy:
         mesh = build_mesh(cfg, 8)
         op = SpatialOperator(mesh, cfg.space)
         u = integrate(
-            op.apply_rhs,
+            op.matrix,
             l2_project(prob.initial, mesh, cfg.space),
             IntegrationConfig(t_final=0.5, c=0.2),
         )
@@ -500,3 +501,50 @@ class TestCli:
         path = self._write(tmp_path, BASE_1D)
         assert cli.main(["dump-field", str(path), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.strip().endswith("_field_N8.csv")
+
+
+class TestInputHoles:
+    """Inputs that used to crash with a traceback or write a meaningless table."""
+
+    RANDOM_1D = _with(BASE_1D.replace("uniform", "random"), **{"mesh.fraction": "0.3", "mesh.seed": "42"})
+
+    @pytest.mark.parametrize(
+        ("override", "key"),
+        [
+            ("mesh.seed=-1", "mesh.seed"),  # PCG64 rejects negative seeds
+            ("time.T=nan", "time.T"),  # slipped past the <= 0 check into math.ceil(nan)
+            ("time.T=inf", "time.T"),
+            ("time.c=nan", "time.c"),
+            ("study.ns=10,10", "study.ns"),  # wrote nan rates
+            ("study.ns=20,10", "study.ns"),
+        ],
+    )
+    def test_rejected_naming_the_key(self, tmp_path, capsys, override, key):
+        out = tmp_path / "res"
+        path = tmp_path / "study.cfg"
+        path.write_text(_with(self.RANDOM_1D, **{"output.dir": str(out)}))
+        assert cli.main(["run", str(path), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_2d_random_mesh_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="mesh.seed"):
+            parse_config(_with(BASE_2D.replace("uniform", "random"), **{"mesh.fraction": "0.3", "mesh.seed": "-1"}))
+
+    def test_non_finite_domain_is_rejected(self):
+        with pytest.raises(ConfigError, match="domain"):
+            parse_config(_with(BASE_1D, **{"domain.lo": "nan", "domain.hi": "1.0"}))
+
+    def test_unstable_step_exits_2_without_a_table(self, tmp_path, capsys):
+        # rk4 is stable up to c ~ 0.35 for P2 on a uniform mesh; c = 0.5 raises
+        # the discrete energy long before the state overflows
+        out = tmp_path / "res"
+        path = tmp_path / "study.cfg"
+        text = BASE_1D.replace("space.degree = 1", "space.degree = 2").replace("study.ns = 8", "study.ns = 10,20")
+        path.write_text(_with(text.replace("time.T = 0.5", "time.T = 1.0"), **{"output.dir": str(out)}))
+        assert cli.main(["run", str(path), "--set", "time.c=0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "energy grew" in err
+        assert not out.exists()

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from dgcentral.fields import SpaceKind, l2_project
-from dgcentral.mesh import uniform_mesh
+from dgcentral.mesh import alpha_mesh, uniform_mesh
 from dgcentral.operators import SpatialOperator
 from dgcentral.timestepping import (
     SCHEMES,
@@ -12,6 +14,8 @@ from dgcentral.timestepping import (
     energy_drift,
     integrate,
     register_scheme,
+    stability_coefficients,
+    step_increment,
 )
 
 
@@ -153,3 +157,107 @@ class TestConfig:
             IntegrationConfig(t_final=1.0, dt=-0.1)
         with pytest.raises(ValueError):
             IntegrationConfig(t_final=1.0, scheme="nope")
+
+
+# -- the linear route: u <- P(hL) u with an assembled sparse L ----------------
+
+
+def _alpha_operator(k=2, n=12):
+    mesh = alpha_mesh(n, 0.1, (0.0, 2.0 * np.pi))
+    space = SpaceKind("P1D", k)
+    return SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_stability_coefficients_match_the_tableau(name):
+    scheme = SCHEMES[name]
+    gammas = stability_coefficients(scheme)
+    assert gammas.size == scheme.stages + 1
+    # order p matches exp(z) through z^p
+    for j in range(scheme.order + 1):
+        assert gammas[j] == pytest.approx(1.0 / math.factorial(j), rel=1e-15)
+    # P(z) is the stage loop's amplification factor on u' = z u
+    for z in (-0.7, 0.3, 1.1):
+        u = integrate(lambda v: z * v, np.array([1.0]), IntegrationConfig(t_final=1.0, scheme=name, dt=1.0))
+        assert u[0] == pytest.approx(np.polyval(gammas[::-1], z), rel=1e-14)
+
+
+def test_rk4_stability_coefficients():
+    np.testing.assert_allclose(stability_coefficients(SCHEMES["rk4"]), [1, 1, 1 / 2, 1 / 6, 1 / 24], rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_matrix_step_equals_one_stage_loop_step(name):
+    op, u0 = _alpha_operator()
+    mat = op.matrix
+    v0 = u0.coeffs.ravel()
+    dt = 0.01 * u0.mesh.min_width
+    # a full step, then a full step followed by a shortened last one
+    for t_final in (dt, 1.37 * dt):
+        cfg = IntegrationConfig(t_final=t_final, scheme=name, dt=dt)
+        fast = integrate(mat, v0, cfg)
+        stages = integrate(lambda v: mat @ v, v0, cfg)
+        assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
+
+
+def test_step_increment_is_the_polynomial_in_hl_minus_identity():
+    op, _ = _alpha_operator(k=1, n=5)
+    hl = 0.3 * op.matrix.toarray()
+    expected = hl + hl @ hl / 2 + hl @ hl @ hl / 6 + hl @ hl @ hl @ hl / 24
+    np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["rk4"]).toarray(), expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["euler"]).toarray(), hl, rtol=0, atol=1e-15)
+
+
+def test_matrix_path_conserves_mass_to_roundoff():
+    # the cell averages are conserved exactly by L; P(hL) stored with its
+    # identity drifted them by ~5e-13 over a P4 run
+    mesh = uniform_mesh(80, (0.0, 2.0 * np.pi))
+    space = SpaceKind("P1D", 4)
+    u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
+    u = integrate(SpatialOperator(mesh, space).matrix, u0, IntegrationConfig(t_final=1.0))
+    drift = abs(mesh.widths @ u.coeffs[:, 0] - mesh.widths @ u0.coeffs[:, 0])
+    assert drift <= 1e-13  # the mass itself is about 8
+
+
+def test_matrix_path_is_bitwise_deterministic():
+    op, u0 = _alpha_operator()
+    cfg = IntegrationConfig(t_final=0.5)
+    a = integrate(op.matrix, u0, cfg)
+    b = integrate(SpatialOperator(u0.mesh, u0.space).matrix, u0, cfg)
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_matrix_path_keeps_field_and_energy_log_semantics():
+    op, u0 = _alpha_operator()
+    log = []
+    u = integrate(op.matrix, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
+    assert u.space == u0.space and u.mesh is u0.mesh
+    assert len(log) == 21  # t = 0 plus twenty steps
+    assert energy_drift(log) < 1e-8
+
+
+def test_matrix_path_divergence_reports_step_and_time():
+    op, u0 = _alpha_operator()
+    with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
+        integrate(1e155 * op.matrix, u0, IntegrationConfig(t_final=1.0, dt=0.1))
+    assert err.value.step >= 1
+    assert err.value.time == pytest.approx(0.1 * err.value.step)
+
+
+@pytest.mark.parametrize("use_matrix", [True, False], ids=["matrix", "stages"])
+def test_energy_growth_raises(use_matrix):
+    # euler amplifies every nonzero mode of a skew operator: |1 + iy|^2 = 1 + y^2
+    op, u0 = _alpha_operator()
+    rhs = op.matrix if use_matrix else op.apply_rhs
+    with pytest.raises(IntegrationDivergedError, match="energy grew") as err:
+        integrate(rhs, u0, IntegrationConfig(t_final=0.5, scheme="euler"))
+    assert err.value.time == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"t_final": float("nan")}, {"t_final": float("inf")}, {"t_final": 1.0, "c": float("nan")}, {"t_final": 1.0, "dt": float("nan")}],
+)
+def test_non_finite_terminal_time_and_step_are_rejected(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        IntegrationConfig(**kwargs)
