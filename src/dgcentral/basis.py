@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "ReferenceOperators",
-    "legendre_eval",
     "legendre_table",
     "legendre_deriv_table",
     "gauss_rule",
@@ -65,11 +64,6 @@ def legendre_deriv_table(k: int, x) -> np.ndarray:
     return out
 
 
-def legendre_eval(k: int, x):
-    """Evaluate the single Legendre polynomial L_k at x."""
-    return legendre_table(k, x)[k]
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -82,14 +76,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def npoints(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Contract the last axis of `values` (samples at the nodes) with the weights."""
-        return np.asarray(values) @ self.weights
 
 
 @lru_cache(maxsize=None)

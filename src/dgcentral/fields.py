@@ -149,24 +149,6 @@ class ModalField:
         """Mean value over a cell; the constant mode's coefficient by orthogonality."""
         return float(self.coeffs[tuple(index)][0])
 
-    def interface_central_value(self, node_index: int) -> float:
-        """Average of the two one-sided limits at a node (1D, periodic wrap).
-
-        Node i separates cell i-1 (its right end) from cell i (its left end);
-        indices 0 and N refer to the same periodic interface.
-        """
-        if self.space.dimension != 1:
-            raise ValueError("interface values are defined for 1D fields only")
-        n = self.mesh.num_cells
-        if not 0 <= node_index <= n:
-            raise ValueError(f"node index {node_index} out of range 0..{n}")
-        ref = reference_operators(self.space.degree)
-        left_cell = (node_index - 1) % n
-        right_cell = node_index % n
-        left_limit = self.coeffs[left_cell] @ ref.edge_right
-        right_limit = self.coeffs[right_cell] @ ref.edge_left
-        return float(0.5 * (left_limit + right_limit))
-
     def norm_l2(self) -> float:
         """Global L2 norm, exact via orthogonality."""
         return float(np.sqrt(self.norm_l2_squared()))

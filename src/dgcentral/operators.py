@@ -8,20 +8,24 @@ with the central flux {u} = (u^- + u^+)/2, and the scheme (u_t, v)_j = -a_j(u, v
 2D uses the analogous form b_{i,j} (volume term minus four edge-flux
 integrals) with (u_t, v) = +b_{i,j}(u, v).
 
-The RHS maps fold the diagonal inverse mass matrix into constant reference
-stencil matrices: on any mesh the modal time derivative of a cell is a fixed
-linear combination of its own and neighbor coefficients scaled by 1/h (per
-axis in 2D), so one matrix triple per axis serves every cell.  In 1D those
-blocks are assembled once into the sparse matrix L of u' = L u
-(`SpatialOperator.matrix`), which is both the RHS map and what the time
-integrator steps with; 2D applies the per-axis stencils directly.  Bilinear
-forms are evaluated independently by quadrature, which gives the test suite
-two routes to the same numbers.
+The form is written twice.  The RHS maps fold the diagonal inverse mass
+matrix into constant reference stencil matrices: on any mesh the modal time
+derivative of a cell is a fixed linear combination of its own and neighbor
+coefficients scaled by 1/h (per axis in 2D), so one matrix triple per axis
+serves every cell.  In 1D those blocks are assembled once into the sparse
+matrix L of u' = L u (`SpatialOperator.matrix`), which is both the RHS map
+and what the time integrator steps with; 2D applies the per-axis stencils
+directly.  The reference form `cell_form` evaluates (u_t, v) on one cell by
+quadrature from the tables of `_form_tables`; `field_form` applies it to a
+field with the field's own central fluxes.  The superconvergence probes
+compare the reference form of a projected and of an exact solution, and the
+tests hold the stencil route to the reference form.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +42,8 @@ from .mesh import Mesh1D, TensorMesh2D, tensor_mesh, uniform_mesh
 
 __all__ = [
     "SpatialOperator",
+    "cell_form",
+    "field_form",
     "superconvergence_residual_1d",
     "superconvergence_residual_2d",
     "flux_cancellation_residual_2d",
@@ -63,28 +69,18 @@ def _stencil_1d(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _stencil_2d(kind: str, k: int):
-    """Per-axis stencil matrices over the 2D basis index set.
+    """Per-axis stencil matrices (x own/right/left, then y) over the 2D basis index set.
 
     The x-direction terms act on the x-degree with the y-degree as a
-    bystander (orthogonality collapses the transverse integral), so the 2D
-    matrices are the 1D ones spread over matching transverse indices.
+    bystander (orthogonality collapses the transverse integral), so on the
+    lexicographic tensor index a*(k+1) + b they are the 1D blocks kron'd with
+    the identity, restricted to the space's index set.
     """
-    own1, right1, left1 = _stencil_1d(k)
-    degs = _space_degrees(kind, k)
-    d = len(degs)
-    mats = [np.zeros((d, d)) for _ in range(6)]
-    x0, xp, xm, y0, yp, ym = mats
-    for i, (m, n) in enumerate(degs):
-        for ip, (a, b) in enumerate(degs):
-            if n == b:
-                x0[i, ip] = own1[m, a]
-                xp[i, ip] = right1[m, a]
-                xm[i, ip] = left1[m, a]
-            if m == a:
-                y0[i, ip] = own1[n, b]
-                yp[i, ip] = right1[n, b]
-                ym[i, ip] = left1[n, b]
-    return tuple(mats)
+    eye = np.eye(k + 1)
+    idx = [a * (k + 1) + b for a, b in _space_degrees(kind, k)]
+    sub = np.ix_(idx, idx)
+    blocks = _stencil_1d(k)
+    return tuple(np.kron(m, eye)[sub] for m in blocks) + tuple(np.kron(eye, m)[sub] for m in blocks)
 
 
 class SpatialOperator:
@@ -93,43 +89,15 @@ class SpatialOperator:
     def __init__(self, mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
         self.mesh = mesh
         self.space = space
-        k = space.degree
         if space.dimension == 1:
             if not isinstance(mesh, Mesh1D):
                 raise TypeError("P1D operator requires a Mesh1D")
         else:
             if not isinstance(mesh, TensorMesh2D):
                 raise TypeError("2D operator requires a TensorMesh2D")
-            self._x0, self._xp, self._xm, self._y0, self._yp, self._ym = _stencil_2d(space.kind, k)
+            self._x0, self._xp, self._xm, self._y0, self._yp, self._ym = _stencil_2d(space.kind, space.degree)
             self._inv_wx = 1.0 / mesh.mesh_x.widths
             self._inv_wy = 1.0 / mesh.mesh_y.widths
-        # quadrature tables for the bilinear evaluations
-        self._rule = default_rule(k)
-        self._vals = legendre_table(k, self._rule.nodes)
-        self._derivs = legendre_deriv_table(k, self._rule.nodes)
-        self._ref = reference_operators(k)
-        if space.dimension == 2:
-            degs = _space_degrees(space.kind, k)
-            q = self._rule.npoints
-            self._vol_basis = np.empty((len(degs), q, q))
-            self._vol_dx = np.empty_like(self._vol_basis)
-            self._vol_dy = np.empty_like(self._vol_basis)
-            for i, (a, b) in enumerate(degs):
-                self._vol_basis[i] = np.outer(self._vals[a], self._vals[b])
-                self._vol_dx[i] = np.outer(self._derivs[a], self._vals[b])
-                self._vol_dy[i] = np.outer(self._vals[a], self._derivs[b])
-            self._w2 = np.outer(self._rule.weights, self._rule.weights)
-            self._edge_rule = gauss_rule(k + 2)
-            evals = legendre_table(k, self._edge_rule.nodes)
-            e_r, e_l = self._ref.edge_right, self._ref.edge_left
-            # trace matrices (dof, q_edge): value along an edge as a function of
-            # the transverse reference coordinate
-            self._trace = {
-                "x+": np.array([e_r[a] * evals[b] for a, b in degs]),
-                "x-": np.array([e_l[a] * evals[b] for a, b in degs]),
-                "y+": np.array([evals[a] * e_r[b] for a, b in degs]),
-                "y-": np.array([evals[a] * e_l[b] for a, b in degs]),
-            }
 
     # -- RHS maps ----------------------------------------------------------
 
@@ -174,60 +142,126 @@ class SpatialOperator:
         out = tx * self._inv_wx[:, None, None] + ty * self._inv_wy[None, :, None]
         return u.like(out)
 
-    # -- bilinear forms ----------------------------------------------------
 
-    def bilinear_a(self, j: int, u: ModalField, v: np.ndarray) -> float:
-        """a_j(u, v) for a 1D field u and polynomial v given modally on cell j."""
-        if self.space.dimension != 1:
-            raise ValueError("bilinear_a applies to 1D operators")
-        n = self.mesh.num_cells
-        if not 0 <= j < n:
-            raise IndexError(f"cell index {j} out of range 0..{n - 1}")
-        v = np.asarray(v, dtype=float)
-        u_q = u.coeffs[j] @ self._vals
-        v_dq = v @ self._derivs
-        volume = -((u_q * v_dq) @ self._rule.weights)
-        flux_r = u.interface_central_value(j + 1)
-        flux_l = u.interface_central_value(j)
-        return float(volume + flux_r * (v @ self._ref.edge_right) - flux_l * (v @ self._ref.edge_left))
+# ---------------------------------------------------------------------------
+# Reference form by quadrature
 
-    def bilinear_b(self, i: int, j: int, u: ModalField, v: np.ndarray) -> float:
-        """b_{i,j}(u, v): volume transport terms minus the four edge-flux integrals."""
-        if self.space.dimension != 2:
-            raise ValueError("bilinear_b applies to 2D operators")
-        nx, ny = self.mesh.num_cells
-        if not (0 <= i < nx and 0 <= j < ny):
-            raise IndexError(f"cell index ({i}, {j}) out of range for {nx}x{ny} mesh")
-        v = np.asarray(v, dtype=float)
-        c = u.coeffs
-        hx = self.mesh.mesh_x.widths[i]
-        hy = self.mesh.mesh_y.widths[j]
-        u_qq = np.einsum("i,iqr->qr", c[i, j], self._vol_basis)
-        v_dx = np.einsum("i,iqr->qr", v, self._vol_dx)
-        v_dy = np.einsum("i,iqr->qr", v, self._vol_dy)
-        volume = 0.5 * hy * np.sum(self._w2 * u_qq * v_dx) + 0.5 * hx * np.sum(self._w2 * u_qq * v_dy)
-        tr = self._trace
-        ew = self._edge_rule.weights
-        flux_xr = 0.5 * (c[i, j] @ tr["x+"] + c[(i + 1) % nx, j] @ tr["x-"])
-        flux_xl = 0.5 * (c[(i - 1) % nx, j] @ tr["x+"] + c[i, j] @ tr["x-"])
-        flux_yt = 0.5 * (c[i, j] @ tr["y+"] + c[i, (j + 1) % ny] @ tr["y-"])
-        flux_yb = 0.5 * (c[i, (j - 1) % ny] @ tr["y+"] + c[i, j] @ tr["y-"])
-        edges_x = 0.5 * hy * (((flux_xr * (v @ tr["x+"])) - (flux_xl * (v @ tr["x-"]))) @ ew)
-        edges_y = 0.5 * hx * (((flux_yt * (v @ tr["y+"])) - (flux_yb * (v @ tr["y-"]))) @ ew)
-        return float(volume - edges_x - edges_y)
+
+class _FormTables(NamedTuple):
+    """Reference-cell quadrature tables of `cell_form` for one space."""
+
+    nodes: np.ndarray  # volume rule nodes, per axis
+    weights: np.ndarray  # volume weights, (q,) or (q, q)
+    values: np.ndarray  # basis at the volume points, (dof, q) or (dof, q, q)
+    derivs: tuple  # per axis, the reference derivative of each basis, shaped like values
+    edge_nodes: np.ndarray  # transverse edge rule (one point in 1D)
+    edge_weights: np.ndarray
+    traces: dict  # side ("x+", "x-", "y+", "y-") -> (dof, q_edge) basis values on it
+
+
+@lru_cache(maxsize=None)
+def _form_tables(kind: str, k: int) -> _FormTables:
+    """The quadrature tables of the reference form; the only place traces are built."""
+    rule = default_rule(k)
+    vals = legendre_table(k, rule.nodes)
+    ders = legendre_deriv_table(k, rule.nodes)
+    ref = reference_operators(k)
+    e_r, e_l = ref.edge_right, ref.edge_left
+    if kind == "P1D":
+        # the edge of a 1D cell is a single point with unit weight
+        traces = {"x+": e_r[:, None], "x-": e_l[:, None]}
+        return _FormTables(rule.nodes, rule.weights, vals, (ders,), np.zeros(1), np.ones(1), traces)
+    a, b = np.array(_space_degrees(kind, k)).T
+    edge = gauss_rule(k + 2)
+    ev = legendre_table(k, edge.nodes)
+    traces = {
+        "x+": e_r[a, None] * ev[b],
+        "x-": e_l[a, None] * ev[b],
+        "y+": ev[a] * e_r[b, None],
+        "y-": ev[a] * e_l[b, None],
+    }
+    return _FormTables(
+        rule.nodes,
+        np.outer(rule.weights, rule.weights),
+        vals[a, :, None] * vals[b, None, :],
+        (ders[a, :, None] * vals[b, None, :], vals[a, :, None] * ders[b, None, :]),
+        edge.nodes,
+        edge.weights,
+        traces,
+    )
+
+
+def cell_form(space: SpaceKind, widths, u_vol: np.ndarray, fluxes: dict) -> np.ndarray:
+    """(u_t, v) on one cell for every basis function v, by quadrature.
+
+    `widths` holds the cell's width along each axis, `u_vol` the values of u
+    at the volume points of `_form_tables`, and `fluxes` the interface flux on
+    each side ("x+", "x-", and in 2D "y+", "y-") at the edge nodes.  Per axis
+    the form is the volume term (u, dv/dx) minus the outgoing flux times v on
+    the + side plus the incoming flux times v on the - side, scaled by the
+    half-widths of the other axes.  This is -a_j(u, v) in 1D and b_{i,j}(u, v)
+    in 2D.
+    """
+    t = _form_tables(space.kind, space.degree)
+    half = 0.5 * np.asarray(widths, dtype=float)
+    uw = u_vol * t.weights
+    out = np.zeros(space.dof)
+    for axis, deriv in enumerate(t.derivs):
+        side = "xy"[axis]
+        flux_out = t.traces[side + "+"] @ (fluxes[side + "+"] * t.edge_weights)
+        flux_in = t.traces[side + "-"] @ (fluxes[side + "-"] * t.edge_weights)
+        volume = np.tensordot(deriv, uw, axes=uw.ndim)
+        out += np.prod(np.delete(half, axis)) * (volume - flux_out + flux_in)
+    return out
+
+
+def _axes(field: ModalField) -> tuple:
+    return (field.mesh,) if field.space.dimension == 1 else (field.mesh.mesh_x, field.mesh.mesh_y)
+
+
+def field_form(u: ModalField, *cell: int) -> np.ndarray:
+    """`cell_form` of a field on one cell, with its own central fluxes (periodic wrap)."""
+    t = _form_tables(u.space.kind, u.space.degree)
+    axes = _axes(u)
+    if len(cell) != len(axes):
+        raise ValueError(f"a {len(axes)}D field takes {len(axes)} cell indices, got {len(cell)}")
+    own = u.coeffs[cell]
+
+    def neighbour(axis: int, step: int) -> np.ndarray:
+        index = list(cell)
+        index[axis] = (index[axis] + step) % axes[axis].num_cells
+        return u.coeffs[tuple(index)]
+
+    fluxes = {}
+    for axis, side in enumerate("xy"[: len(axes)]):
+        plus, minus = t.traces[side + "+"], t.traces[side + "-"]
+        fluxes[side + "+"] = 0.5 * (own @ plus + neighbour(axis, 1) @ minus)
+        fluxes[side + "-"] = 0.5 * (neighbour(axis, -1) @ plus + own @ minus)
+    widths = [ax.widths[i] for ax, i in zip(axes, cell)]
+    return cell_form(u.space, widths, np.tensordot(own, t.values, axes=1), fluxes)
 
 
 # ---------------------------------------------------------------------------
 # Superconvergence probes
 
 
-def _a_vector(k: int, u_at_quad: np.ndarray, flux_l: float, flux_r: float) -> np.ndarray:
-    """a(u, L_m) for every basis test function on one reference-mapped cell."""
-    rule = default_rule(k)
-    derivs = legendre_deriv_table(k, rule.nodes)
-    ref = reference_operators(k)
-    volume = -(derivs @ (rule.weights * u_at_quad))
-    return volume + flux_r * ref.edge_right - flux_l * ref.edge_left
+def _form_residual(proj: ModalField, f, cell: tuple) -> float:
+    """max over v of |(form of proj) - (form of f)| on one cell.
+
+    f is continuous, so its central flux is its trace.
+    """
+    t = _form_tables(proj.space.kind, proj.space.degree)
+    axes = _axes(proj)
+    vol = [ax.centers[i] + 0.5 * ax.widths[i] * t.nodes for ax, i in zip(axes, cell)]
+    edge = [ax.centers[i] + 0.5 * ax.widths[i] * t.edge_nodes for ax, i in zip(axes, cell)]
+    fluxes = {}
+    for axis, (ax, i) in enumerate(zip(axes, cell)):
+        for sign, node in (("+", ax.nodes[i + 1]), ("-", ax.nodes[i])):
+            points = [np.array([node]) if d == axis else edge[d] for d in range(len(axes))]
+            fluxes["xy"[axis] + sign] = f(*points)
+    widths = [ax.widths[i] for ax, i in zip(axes, cell)]
+    exact = cell_form(proj.space, widths, f(*np.meshgrid(*vol, indexing="ij")), fluxes)
+    return float(np.max(np.abs(field_form(proj, *cell) - exact)))
 
 
 def superconvergence_residual_1d(k: int, widths: tuple[float, float, float] = (2.0, 2.0, 2.0)) -> float:
@@ -244,112 +278,18 @@ def superconvergence_residual_1d(k: int, widths: tuple[float, float, float] = (2
     if w.shape != (3,) or np.any(w <= 0):
         raise ValueError("widths must be three positive cell sizes")
     mid = 0.5 * w[1]
-    nodes = np.array([-mid - w[0], -mid, mid, mid + w[2]])
-    mesh = Mesh1D(nodes)
+    mesh = Mesh1D(np.array([-mid - w[0], -mid, mid, mid + w[2]]))
 
     def f(x):
         return x ** (k + 1)
 
-    proj = shifted_projection_1d(f, mesh, k)
-    rule = default_rule(k)
-    ref = reference_operators(k)
-    # projected side: polynomial values on the middle cell + central fluxes
-    pm_q = proj.coeffs[1] @ legendre_table(k, rule.nodes)
-    flux_l_p = 0.5 * (proj.coeffs[0] @ ref.edge_right + proj.coeffs[1] @ ref.edge_left)
-    flux_r_p = 0.5 * (proj.coeffs[1] @ ref.edge_right + proj.coeffs[2] @ ref.edge_left)
-    a_proj = _a_vector(k, pm_q, flux_l_p, flux_r_p)
-    # exact side: u is continuous so its central flux is its point value
-    x_q = mesh.centers[1] + 0.5 * mesh.widths[1] * rule.nodes
-    a_exact = _a_vector(k, f(x_q), f(nodes[1]), f(nodes[2]))
-    return float(np.max(np.abs(a_proj - a_exact)))
-
-
-def _b_vector_2d(
-    k: int,
-    hx: float,
-    hy: float,
-    u_vol: np.ndarray,
-    edge_fluxes: dict[str, np.ndarray],
-) -> np.ndarray:
-    """b(u, v) on one cell for every tensor-basis test function v.
-
-    u_vol holds u at the tensor quadrature points; edge_fluxes maps side
-    ("x+", "x-", "y+", "y-") to flux values along the (k+2)-point edge rule.
-    """
-    rule = default_rule(k)
-    vals = legendre_table(k, rule.nodes)
-    derivs = legendre_deriv_table(k, rule.nodes)
-    w = rule.weights
-    degs = _space_degrees("Q2D", k)
-    edge_rule = gauss_rule(k + 2)
-    evals = legendre_table(k, edge_rule.nodes)
-    ew = edge_rule.weights
-    uw = u_vol * np.outer(w, w)
-    out = np.empty(len(degs))
-    e_sign = lambda d: (-1.0) ** d  # noqa: E731 - edge trace sign
-    for idx, (a, b) in enumerate(degs):
-        volume = 0.5 * hy * np.einsum("qr,q,r->", uw, derivs[a], vals[b]) + 0.5 * hx * np.einsum(
-            "qr,q,r->", uw, vals[a], derivs[b]
-        )
-        ex = 0.5 * hy * ((edge_fluxes["x+"] * evals[b]) @ ew - e_sign(a) * (edge_fluxes["x-"] * evals[b]) @ ew)
-        ey = 0.5 * hx * ((edge_fluxes["y+"] * evals[a]) @ ew - e_sign(b) * (edge_fluxes["y-"] * evals[a]) @ ew)
-        out[idx] = volume - ex - ey
-    return out
+    return _form_residual(shifted_projection_1d(f, mesh, k), f, (1,))
 
 
 def _patch_2d():
     """Uniform 3x3 tensor patch with cells of width 2 centered at the origin."""
     axis = uniform_mesh(3, (-3.0, 3.0))
     return tensor_mesh(axis, axis)
-
-
-def _residual_2d_for(k: int, f, mesh: TensorMesh2D) -> float:
-    proj = shifted_projection_2d(f, mesh, k)
-    mx, my = mesh.mesh_x, mesh.mesh_y
-    i = j = 1  # center cell of the 3x3 patch
-    hx, hy = mx.widths[i], my.widths[j]
-    rule = default_rule(k)
-    x_q = mx.centers[i] + 0.5 * hx * rule.nodes
-    y_q = my.centers[j] + 0.5 * hy * rule.nodes
-    edge_rule = gauss_rule(k + 2)
-    ex_y = my.centers[j] + 0.5 * hy * edge_rule.nodes  # physical y along x-edges
-    ex_x = mx.centers[i] + 0.5 * hx * edge_rule.nodes  # physical x along y-edges
-    degs = _space_degrees("Q2D", k)
-    evals = legendre_table(k, edge_rule.nodes)
-    ref = reference_operators(k)
-
-    def trace(cell, side):
-        c = proj.coeffs[cell]
-        if side == "x+":
-            basis = np.array([ref.edge_right[a] * evals[b] for a, b in degs])
-        elif side == "x-":
-            basis = np.array([ref.edge_left[a] * evals[b] for a, b in degs])
-        elif side == "y+":
-            basis = np.array([evals[a] * ref.edge_right[b] for a, b in degs])
-        else:
-            basis = np.array([evals[a] * ref.edge_left[b] for a, b in degs])
-        return c @ basis
-
-    proj_fluxes = {
-        "x+": 0.5 * (trace((i, j), "x+") + trace((i + 1, j), "x-")),
-        "x-": 0.5 * (trace((i - 1, j), "x+") + trace((i, j), "x-")),
-        "y+": 0.5 * (trace((i, j), "y+") + trace((i, j + 1), "y-")),
-        "y-": 0.5 * (trace((i, j - 1), "y+") + trace((i, j), "y-")),
-    }
-    vol_basis = np.array([np.outer(legendre_table(k, rule.nodes)[a], legendre_table(k, rule.nodes)[b]) for a, b in degs])
-    u_vol_proj = np.einsum("i,iqr->qr", proj.coeffs[i, j], vol_basis)
-    b_proj = _b_vector_2d(k, hx, hy, u_vol_proj, proj_fluxes)
-
-    xg, yg = np.meshgrid(x_q, y_q, indexing="ij")
-    exact_fluxes = {
-        "x+": np.broadcast_to(np.asarray(f(np.full_like(ex_y, mx.nodes[i + 1]), ex_y), float), ex_y.shape),
-        "x-": np.broadcast_to(np.asarray(f(np.full_like(ex_y, mx.nodes[i]), ex_y), float), ex_y.shape),
-        "y+": np.broadcast_to(np.asarray(f(ex_x, np.full_like(ex_x, my.nodes[j + 1])), float), ex_x.shape),
-        "y-": np.broadcast_to(np.asarray(f(ex_x, np.full_like(ex_x, my.nodes[j])), float), ex_x.shape),
-    }
-    u_vol_exact = np.broadcast_to(np.asarray(f(xg, yg), float), xg.shape)
-    b_exact = _b_vector_2d(k, hx, hy, u_vol_exact, exact_fluxes)
-    return float(np.max(np.abs(b_proj - b_exact)))
 
 
 def superconvergence_residual_2d(k: int, direction: str = "both") -> float:
@@ -363,12 +303,12 @@ def superconvergence_residual_2d(k: int, direction: str = "both") -> float:
     if direction not in ("x", "y", "both"):
         raise ValueError("direction must be 'x', 'y', or 'both'")
     mesh = _patch_2d()
-    res = []
+    fs = []
     if direction in ("x", "both"):
-        res.append(_residual_2d_for(k, lambda x, y: x ** (k + 1), mesh))
+        fs.append(lambda x, y: x ** (k + 1))
     if direction in ("y", "both"):
-        res.append(_residual_2d_for(k, lambda x, y: y ** (k + 1), mesh))
-    return max(res)
+        fs.append(lambda x, y: y ** (k + 1))
+    return max(_form_residual(shifted_projection_2d(f, mesh, k), f, (1, 1)) for f in fs)
 
 
 def flux_cancellation_residual_2d(k: int) -> float:
@@ -386,19 +326,10 @@ def flux_cancellation_residual_2d(k: int) -> float:
         return x ** (k + 1)
 
     proj = shifted_projection_2d(f, mesh, k)
-    mx, my = mesh.mesh_x, mesh.mesh_y
-    i = j = 1
-    rule = default_rule(k)
-    degs = _space_degrees("Q2D", k)
-    evals = legendre_table(k, rule.nodes)
-    ref = reference_operators(k)
-    y_q = my.centers[j] + 0.5 * my.widths[j] * rule.nodes
-    x_edge = mx.nodes[i + 1]
-    basis_right = np.array([ref.edge_right[a] * evals[b] for a, b in degs])
-    basis_left = np.array([ref.edge_left[a] * evals[b] for a, b in degs])
-    trace_center = proj.coeffs[i, j] @ basis_right  # left limit at the edge
-    trace_neighbor = proj.coeffs[i + 1, j] @ basis_left  # right limit
-    u_edge = f(np.full_like(y_q, x_edge), y_q)
-    summed = trace_center + trace_neighbor - 2.0 * u_edge
-    moments = evals[: max(k, 1)] @ (rule.weights * summed)
+    t = _form_tables("Q2D", k)
+    # the left and right limits on the edge between cells (1, 1) and (2, 1),
+    # along which u is the constant x_edge^(k+1)
+    x_edge = mesh.mesh_x.nodes[2]
+    summed = proj.coeffs[1, 1] @ t.traces["x+"] + proj.coeffs[2, 1] @ t.traces["x-"] - 2.0 * x_edge ** (k + 1)
+    moments = legendre_table(max(k - 1, 0), t.edge_nodes) @ (t.edge_weights * summed)
     return float(np.max(np.abs(moments)))

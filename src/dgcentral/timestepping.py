@@ -7,8 +7,11 @@ every degree k <= 4 and resolution exercised here the temporal term sits
 several orders below the spatial one (and far below the tabulated error
 magnitudes), so a higher-order stepper would not change any reported digit.
 
-Schemes are explicit Butcher tableaus; a small registry ships euler / heun /
-ssprk3 / rk4 and `register_scheme` accepts custom explicit tableaus.
+Schemes are explicit Butcher tableaus; the registry ships ssprk3 and rk4,
+and `register_scheme` accepts custom explicit tableaus.  Forward Euler and
+Heun are not shipped: on this skew operator their amplification factors
+satisfy |P(iy)|^2 = 1 + y^2 and 1 + y^4/4, so they raise the discrete energy
+for every dt.
 
 Two routes, one time grid:
 
@@ -27,7 +30,7 @@ Both routes keep the same non-finite check and energy log.  For field
 states, a final discrete energy above the initial one by more than
 `ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`: the
 central-flux operator is skew in the mass inner product, so a stable step
-never raises the energy (euler and heun raise it for every dt).
+never raises the energy.
 
 Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 
@@ -114,8 +117,6 @@ def register_scheme(scheme: RKScheme) -> RKScheme:
     return scheme
 
 
-register_scheme(RKScheme("euler", [[0.0]], [1.0], [0.0], order=1))
-register_scheme(RKScheme("heun", [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5], [0.0, 1.0], order=2))
 register_scheme(
     RKScheme(
         "ssprk3",

@@ -220,16 +220,6 @@ class TestModalField:
         assert field.eval_at(1.0) == pytest.approx(2.0)  # left-closed: owned by cell 1
         assert field.eval_at(0.75) == pytest.approx(1.25)
 
-    def test_interface_central_value_hand_example(self):
-        mesh = uniform_mesh(2, (0.0, 2.0))
-        field = ModalField(SpaceKind("P1D", 0), mesh, np.array([[1.0], [3.0]]))
-        assert field.interface_central_value(1) == pytest.approx(2.0)
-        # periodic wrap: node 0 and node 2 see cells 1 and 0
-        assert field.interface_central_value(0) == pytest.approx(2.0)
-        assert field.interface_central_value(2) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            field.interface_central_value(3)
-
     def test_cell_average_is_leading_coefficient(self):
         mesh = uniform_mesh(3, (0.0, 1.0))
         coeffs = np.arange(9.0).reshape(3, 3)

@@ -91,12 +91,14 @@ class TestErrorNorms1D:
         expect = np.sqrt(np.mean(avgs**2))
         assert error_cell_average(exact, u, t=0.0) == pytest.approx(expect, rel=1e-12)
 
-    def test_interface_flux_error_hand_oracle(self):
-        # per-cell constants 1 and 3: every central interface value is 2
+    @pytest.mark.parametrize("value, expected", [(5.0, 3.0), (2.0, 0.0)])
+    def test_interface_flux_error_hand_oracle(self, value, expected):
+        # per-cell constants 1 and 3: the central value is 2 at node 1 and,
+        # across the periodic seam (cell 1's right end, cell 0's left end), at node 2
         mesh = uniform_mesh(2, (0.0, 2.0))
         u = ModalField(SpaceKind("P1D", 0), mesh, np.array([[1.0], [3.0]]))
-        exact = lambda x, t: 5.0 + 0.0 * np.asarray(x)
-        assert error_interface_flux(exact, u, t=0.0) == pytest.approx(3.0, rel=1e-14)
+        exact = lambda x, t: value + 0.0 * np.asarray(x)
+        assert error_interface_flux(exact, u, t=0.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_requadrature_stability_for_resolved_field(self):
         mesh = uniform_mesh(20, (0.0, TWO_PI))

@@ -1,15 +1,17 @@
-"""Semi-discrete operator: bilinear forms, duality with the modal RHS,
-conservation structure, and the uniform-patch superconvergence identities."""
+"""Semi-discrete operator: the quadrature reference form, duality with the
+modal RHS, conservation structure, and the uniform-patch superconvergence
+identities."""
 
 import numpy as np
 import pytest
 
-from dgcentral.basis import reference_operators
-from dgcentral.fields import ModalField, SpaceKind, _mass_vector, l2_project
+from dgcentral.fields import ModalField, SpaceKind, _mass_vector, _space_degrees, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
     _stencil_1d,
+    _stencil_2d,
+    field_form,
     flux_cancellation_residual_2d,
     superconvergence_residual_1d,
     superconvergence_residual_2d,
@@ -23,78 +25,87 @@ def _global_linear_field(mesh, k):
     return l2_project(lambda x: x, mesh, SpaceKind("P1D", k))
 
 
-def test_bilinear_a_of_x_against_one_is_cell_width():
+def test_form_of_x_against_one_is_minus_cell_width():
     # volume term vanishes for v = 1 and the central fluxes of a globally
-    # continuous u reduce to point values: a_j(x, 1) = x_{j+1/2} - x_{j-1/2}
+    # continuous u reduce to point values: (u_t, 1)_j = -(x_{j+1/2} - x_{j-1/2})
     mesh = random_mesh(6, 0.3, 2, (0.0, 1.0))
-    op = SpatialOperator(mesh, SpaceKind("P1D", 2))
     u = _global_linear_field(mesh, 2)
-    v_one = np.array([1.0, 0.0, 0.0])
     for j in range(1, mesh.num_cells - 1):  # interior cells: no periodic seam in x itself
-        assert op.bilinear_a(j, u, v_one) == pytest.approx(mesh.widths[j], rel=1e-12)
+        assert field_form(u, j)[0] == pytest.approx(-mesh.widths[j], rel=1e-12)
 
 
-def test_bilinear_a_of_constant_vanishes():
+def test_form_of_constant_vanishes():
     mesh = alpha_mesh(8, 0.25, (0.0, TWO_PI))
-    op = SpatialOperator(mesh, SpaceKind("P1D", 3))
     ones = np.zeros((8, 4))
     ones[:, 0] = 1.0
     u = ModalField(SpaceKind("P1D", 3), mesh, ones)
     for j in range(8):
-        for m in range(4):
-            v = np.zeros(4)
-            v[m] = 1.0
-            assert abs(op.bilinear_a(j, u, v)) < 1e-14
+        assert np.max(np.abs(field_form(u, j))) < 1e-14
 
 
-def test_apply_rhs_is_dual_to_bilinear_a():
-    # w = L(u) is defined by (w, v)_j = -a_j(u, v) for every cell and basis v
-    mesh = random_mesh(5, 0.3, 8, (0.0, TWO_PI))
-    space = SpaceKind("P1D", 2)
-    op = SpatialOperator(mesh, space)
-    rng = np.random.default_rng(4)
-    u = ModalField(space, mesh, rng.standard_normal((5, 3)))
-    w = op.apply_rhs(u)
-    mass = _mass_vector("P1D", 2)
-    for j in range(5):
-        for m in range(3):
-            v = np.zeros(3)
-            v[m] = 1.0
-            inner = 0.5 * mesh.widths[j] * mass[m] * w.coeffs[j, m]
-            assert inner == pytest.approx(-op.bilinear_a(j, u, v), abs=1e-13)
+def test_form_rejects_wrong_cell_index_count():
+    mesh = tensor_mesh(uniform_mesh(3, (0.0, 1.0)), uniform_mesh(3, (0.0, 1.0)))
+    u = ModalField(SpaceKind("Q2D", 1), mesh, np.zeros((3, 3, 4)))
+    with pytest.raises(ValueError, match="2 cell indices"):
+        field_form(u, 1)
 
 
-def test_apply_rhs_is_dual_to_bilinear_b():
-    mesh = tensor_mesh(alpha_mesh(3, 0.2, (0.0, TWO_PI)), uniform_mesh(4, (0.0, TWO_PI)))
-    space = SpaceKind("Q2D", 2)
-    op = SpatialOperator(mesh, space)
-    rng = np.random.default_rng(9)
-    u = ModalField(space, mesh, rng.standard_normal((3, 4, 9)))
-    w = op.apply_rhs(u)
-    mass = _mass_vector("Q2D", 2)
-    for i in range(3):
-        for j in range(4):
-            area = 0.25 * mesh.mesh_x.widths[i] * mesh.mesh_y.widths[j]
-            for m in range(9):
-                v = np.zeros(9)
-                v[m] = 1.0
-                inner = area * mass[m] * w.coeffs[i, j, m]
-                assert inner == pytest.approx(op.bilinear_b(i, j, u, v), abs=1e-12)
+# (mesh, space, seed, tolerance) on meshes small enough to check every cell
+_DUALITY_CASES = {
+    "P1D-random": (lambda: random_mesh(5, 0.3, 8, (0.0, TWO_PI)), SpaceKind("P1D", 2), 4, 1e-13),
+    "P1D-alpha": (lambda: alpha_mesh(4, 0.2, (0.0, TWO_PI)), SpaceKind("P1D", 2), 77, 1e-13),
+    "Q2D-alpha-uniform": (
+        lambda: tensor_mesh(alpha_mesh(3, 0.2, (0.0, TWO_PI)), uniform_mesh(4, (0.0, TWO_PI))),
+        SpaceKind("Q2D", 2),
+        9,
+        1e-12,
+    ),
+    "P2D-alpha-random": (
+        lambda: tensor_mesh(alpha_mesh(3, 0.2, (0.0, TWO_PI)), random_mesh(4, 0.3, 5, (0.0, TWO_PI))),
+        SpaceKind("P2D", 3),
+        11,
+        1e-12,
+    ),
+}
 
 
-def test_apply_rhs_duality_p2d_space():
-    mesh = tensor_mesh(uniform_mesh(3, (0.0, TWO_PI)), uniform_mesh(3, (0.0, TWO_PI)))
-    space = SpaceKind("P2D", 2)
-    op = SpatialOperator(mesh, space)
-    rng = np.random.default_rng(11)
-    u = ModalField(space, mesh, rng.standard_normal((3, 3, 6)))
-    w = op.apply_rhs(u)
-    mass = _mass_vector("P2D", 2)
-    area = 0.25 * mesh.mesh_x.widths[0] * mesh.mesh_y.widths[0]
-    for m in range(6):
-        v = np.zeros(6)
-        v[m] = 1.0
-        assert area * mass[m] * w.coeffs[1, 2, m] == pytest.approx(op.bilinear_b(1, 2, u, v), abs=1e-12)
+@pytest.mark.parametrize("case", list(_DUALITY_CASES))
+def test_apply_rhs_is_dual_to_reference_form(case):
+    # w = L(u) is defined by (w, v) = (u_t, v) for every cell and basis v:
+    # -a_j(u, v) in 1D and b_{i,j}(u, v) in 2D
+    make_mesh, space, seed, tol = _DUALITY_CASES[case]
+    mesh = make_mesh()
+    cells = (mesh.num_cells,) if space.dimension == 1 else mesh.num_cells
+    u = ModalField(space, mesh, np.random.default_rng(seed).standard_normal((*cells, space.dof)))
+    w = SpatialOperator(mesh, space).apply_rhs(u)
+    mass = _mass_vector(space.kind, space.degree)
+    for cell in np.ndindex(*cells):
+        if space.dimension == 1:
+            area = 0.5 * mesh.widths[cell[0]]
+        else:
+            area = 0.25 * mesh.mesh_x.widths[cell[0]] * mesh.mesh_y.widths[cell[1]]
+        np.testing.assert_allclose(area * mass * w.coeffs[cell], field_form(u, *cell), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+@pytest.mark.parametrize("k", range(5))
+def test_stencil_2d_matches_index_loop(kind, k):
+    # x-terms carry the 1D blocks on the x-degree where the y-degrees agree
+    # and vice versa; a direct loop over pairs of basis indices
+    blocks = _stencil_1d(k)
+    degs = _space_degrees(kind, k)
+    expected = [np.zeros((len(degs), len(degs))) for _ in range(6)]
+    for i, (m, n) in enumerate(degs):
+        for ip, (a, b) in enumerate(degs):
+            for s, block in enumerate(blocks):
+                if n == b:
+                    expected[s][i, ip] = block[m, a]
+                if m == a:
+                    expected[3 + s][i, ip] = block[n, b]
+    got = _stencil_2d(kind, k)
+    assert len(got) == 6
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
 
 
 def test_apply_rhs_linearity_and_free_stream():
@@ -172,24 +183,6 @@ class TestSuperconvergence:
     @pytest.mark.parametrize("k", [2, 4])
     def test_edge_flux_moments_cancel(self, k):
         assert flux_cancellation_residual_2d(k) < 1e-12
-
-
-def test_stencil_reproduces_dense_assembly():
-    """The vectorized RHS equals a brute-force evaluation built from the
-    bilinear form, on a mesh small enough to enumerate."""
-    mesh = alpha_mesh(4, 0.2, (0.0, TWO_PI))
-    space = SpaceKind("P1D", 2)
-    op = SpatialOperator(mesh, space)
-    rng = np.random.default_rng(77)
-    u = ModalField(space, mesh, rng.standard_normal((4, 3)))
-    w = op.apply_rhs(u)
-    ref = reference_operators(2)
-    for j in range(4):
-        for m in range(3):
-            v = np.zeros(3)
-            v[m] = 1.0
-            expect = -op.bilinear_a(j, u, v) / (0.5 * mesh.widths[j] * ref.mass_diag[m])
-            assert w.coeffs[j, m] == pytest.approx(expect, abs=1e-12)
 
 
 # -- the assembled 1D matrix ---------------------------------------------------
