@@ -70,9 +70,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Legendre nodes/weights on [-1, 1]; exact for degree <= 2n - 1."""
+    """Gauss-Legendre nodes/weights on [-1, 1]; exact for degree <= 2n - 1 (compared by identity)."""
 
     nodes: np.ndarray
     weights: np.ndarray

@@ -1,8 +1,14 @@
 """Modal DG fields on periodic meshes, plus the three projections used here.
 
 A field stores, per cell, the coefficients of the Legendre basis mapped to
-that cell (tensor products of mapped Legendre polynomials in 2D).  Three
-projections produce fields from smooth functions:
+that cell (tensor products of mapped Legendre polynomials in 2D).  Per-cell
+work runs over the mesh's ``axes`` with no 1D/2D branch, through
+``sample(f, mesh, *xi)`` (f at reference points xi, one array per axis, in
+every cell; ``ModalField.sample`` for a field), ``basis_table`` (every basis
+function on a tensor grid of reference points, cached per Gauss rule by
+``gauss_table``) and ``jacobian`` (the outer product of the half-widths).
+
+Three projections produce fields from smooth functions:
 
 * ``l2_project`` - the standard orthogonal L2 projection;
 * ``shifted_projection_1d`` - the interface-average-matching projection:
@@ -20,19 +26,24 @@ All function arguments must accept numpy arrays (vectorized evaluation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import default_rule, legendre_table, reference_operators
+from .basis import QuadratureRule, default_rule, legendre_table, reference_operators
 from .mesh import Mesh1D, TensorMesh2D
 
 __all__ = [
     "SpaceKind",
     "ModalField",
     "Problem",
+    "GaussTable",
+    "sample",
+    "basis_table",
+    "gauss_table",
+    "jacobian",
     "l2_project",
     "shifted_projection_1d",
     "shifted_projection_2d",
@@ -41,6 +52,7 @@ __all__ = [
 ]
 
 _KINDS = ("P1D", "Q2D", "P2D")
+_ENDS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -62,17 +74,19 @@ class SpaceKind:
 
     @property
     def dof(self) -> int:
-        k = self.degree
-        if self.kind == "P1D":
-            return k + 1
-        if self.kind == "Q2D":
-            return (k + 1) ** 2
-        return (k + 1) * (k + 2) // 2
+        return len(self.degrees)
 
     @property
     def degrees(self) -> tuple:
         """Basis index list: degrees m (1D) or pairs (a, b) (2D), lexicographic."""
         return _space_degrees(self.kind, self.degree)
+
+    def axes_of(self, mesh) -> tuple:
+        """The mesh's axes, after checking that the mesh has this space's dimension."""
+        axes = getattr(mesh, "axes", ())
+        if len(axes) != self.dimension:
+            raise TypeError(f"{self.kind} needs a {self.dimension}D mesh, got {type(mesh).__name__}")
+        return axes
 
 
 @lru_cache(maxsize=None)
@@ -84,16 +98,84 @@ def _space_degrees(kind: str, k: int) -> tuple:
     return tuple((a, b) for a in range(k + 1) for b in range(k + 1 - a))
 
 
+def _axis_degrees(space: SpaceKind) -> np.ndarray:
+    """The basis degrees as one row per axis, shape (dimension, dof)."""
+    return np.reshape(space.degrees, (space.dof, -1)).T
+
+
 @lru_cache(maxsize=None)
 def _mass_vector(kind: str, k: int) -> np.ndarray:
     """Reference-cell mass of each basis function (geometry factors excluded)."""
-    degs = _space_degrees(kind, k)
-    if kind == "P1D":
-        out = np.array([2.0 / (2 * m + 1) for m in degs])
-    else:
-        out = np.array([(2.0 / (2 * a + 1)) * (2.0 / (2 * b + 1)) for a, b in degs])
+    out = np.prod(2.0 / (2 * _axis_degrees(SpaceKind(kind, k)) + 1), axis=0)
     out.flags.writeable = False
     return out
+
+
+def sample(f: Callable, mesh: Mesh1D | TensorMesh2D, *xi) -> np.ndarray:
+    """f at the reference points xi (one array per axis) mapped into every cell.
+
+    The result has shape cells + points, e.g. (Nx, Ny, Qx, Qy) in 2D.  f gets
+    one broadcastable coordinate array per axis; reference points +-1 map
+    exactly onto the mesh's stored nodes.
+    """
+    axes = mesh.axes
+    if len(xi) != len(axes):
+        raise TypeError(f"a {len(axes)}D mesh takes {len(axes)} arrays of points, got {len(xi)}")
+    xi = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xi]
+    coords = []
+    for i, (axis, x) in enumerate(zip(axes, xi)):
+        pts = axis.centers[:, None] + 0.5 * axis.widths[:, None] * x
+        pts[:, x == -1.0] = axis.nodes[:-1, None]
+        pts[:, x == 1.0] = axis.nodes[1:, None]
+        shape = [1] * (2 * len(axes))
+        shape[i], shape[len(axes) + i] = pts.shape
+        coords.append(pts.reshape(shape))
+    full = tuple(axis.num_cells for axis in axes) + tuple(x.size for x in xi)
+    vals = np.asarray(f(*coords), dtype=float)
+    return vals if vals.shape == full else np.broadcast_to(vals, full)
+
+
+def basis_table(space: SpaceKind, *xi) -> np.ndarray:
+    """Every basis function of the space on the tensor grid of reference points xi.
+
+    One array of points per axis; the result has shape (dof,) + points, rows
+    in the space's degree order.
+    """
+    if len(xi) != space.dimension:
+        raise ValueError(f"a {space.dimension}D space takes {space.dimension} arrays of points, got {len(xi)}")
+    tables = [legendre_table(space.degree, np.atleast_1d(x))[deg] for deg, x in zip(_axis_degrees(space), xi)]
+    return reduce(lambda a, b: a[..., None] * b[:, None, :], tables)  # one or two axes
+
+
+class GaussTable(NamedTuple):
+    """One Gauss rule on every axis of a space's reference cell, with its basis table."""
+
+    points: tuple  # the rule's nodes, once per axis
+    weights: np.ndarray  # tensor-product weights, flattened in C order to (Q,)
+    values: np.ndarray  # basis_table on the grid, (dof, Q)
+    weighted: np.ndarray  # values * weights, (dof, Q): samples @ weighted.T are the moments
+
+    def sample(self, f: Callable, mesh: Mesh1D | TensorMesh2D) -> np.ndarray:
+        """`sample` on this grid with the points flattened: shape cells + (Q,)."""
+        vals = sample(f, mesh, *self.points)
+        return vals.reshape(vals.shape[: len(self.points)] + (-1,))
+
+
+@lru_cache(maxsize=None)
+def gauss_table(space: SpaceKind, rule: QuadratureRule) -> GaussTable:
+    """The (cached) basis table of a space on the tensor grid of a Gauss rule."""
+    points = (rule.nodes,) * space.dimension
+    weights = reduce(np.multiply.outer, (rule.weights,) * space.dimension).ravel()
+    values = basis_table(space, *points).reshape(space.dof, -1)
+    weighted = values * weights
+    for table in (weights, values, weighted):
+        table.flags.writeable = False
+    return GaussTable(points, weights, values, weighted)
+
+
+def jacobian(mesh: Mesh1D | TensorMesh2D) -> np.ndarray:
+    """Per-cell ratio of physical to reference area: the outer product of the half-widths."""
+    return reduce(np.multiply.outer, [0.5 * axis.widths for axis in mesh.axes])
 
 
 @dataclass
@@ -106,15 +188,7 @@ class ModalField:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.space.dimension == 1:
-            if not isinstance(self.mesh, Mesh1D):
-                raise TypeError("P1D fields require a Mesh1D")
-            expected = (self.mesh.num_cells, self.space.dof)
-        else:
-            if not isinstance(self.mesh, TensorMesh2D):
-                raise TypeError("2D fields require a TensorMesh2D")
-            nx, ny = self.mesh.num_cells
-            expected = (nx, ny, self.space.dof)
+        expected = tuple(axis.num_cells for axis in self.space.axes_of(self.mesh)) + (self.space.dof,)
         if self.coeffs.shape != expected:
             raise ValueError(f"coefficient array has shape {self.coeffs.shape}, expected {expected}")
 
@@ -122,45 +196,35 @@ class ModalField:
         """A new field on the same mesh/space with the given coefficients."""
         return ModalField(self.space, self.mesh, coeffs)
 
-    def eval_at(self, x: float, y: float | None = None) -> float:
+    def eval_at(self, *x: float) -> float:
         """Point value using the owning cell (left-closed cell convention)."""
-        k = self.space.degree
-        if self.space.dimension == 1:
-            if y is not None:
-                raise ValueError("1D field takes a single coordinate")
-            j = self.mesh.locate(x)
-            xi = 2.0 * (x - self.mesh.centers[j]) / self.mesh.widths[j]
-            vals = legendre_table(k, xi)
-            return float(self.coeffs[j] @ vals)
-        if y is None:
-            raise ValueError("2D field needs two coordinates")
-        mx, my = self.mesh.mesh_x, self.mesh.mesh_y
-        i, j = mx.locate(x), my.locate(y)
-        xi = 2.0 * (x - mx.centers[i]) / mx.widths[i]
-        eta = 2.0 * (y - my.centers[j]) / my.widths[j]
-        lx = legendre_table(k, xi)
-        ly = legendre_table(k, eta)
-        acc = 0.0
-        for idx, (a, b) in enumerate(self.space.degrees):
-            acc += self.coeffs[i, j, idx] * lx[a] * ly[b]
-        return float(acc)
+        axes = self.mesh.axes
+        if len(x) != len(axes):
+            raise ValueError(f"a {len(axes)}D field takes {len(axes)} coordinates, got {len(x)}")
+        cell = tuple(axis.locate(c) for axis, c in zip(axes, x))
+        xi = [2.0 * (c - axis.centers[j]) / axis.widths[j] for axis, c, j in zip(axes, x, cell)]
+        return float(self.coeffs[cell] @ basis_table(self.space, *xi).ravel())
+
+    def sample(self, *xi) -> np.ndarray:
+        """Values at the reference points xi (one array per axis) in every cell; shape cells + points."""
+        table = basis_table(self.space, *xi)
+        return (self.coeffs @ table.reshape(self.space.dof, -1)).reshape(self.coeffs.shape[:-1] + table.shape[1:])
 
     def cell_average(self, *index: int) -> float:
         """Mean value over a cell; the constant mode's coefficient by orthogonality."""
         return float(self.coeffs[tuple(index)][0])
+
+    def inner(self, other: "ModalField") -> float:
+        """Global L2 inner product with a field on the same mesh and space, exact via orthogonality."""
+        prod = (self.coeffs * other.coeffs) @ _mass_vector(self.space.kind, self.space.degree)
+        return float(prod.ravel() @ jacobian(self.mesh).ravel())
 
     def norm_l2(self) -> float:
         """Global L2 norm, exact via orthogonality."""
         return float(np.sqrt(self.norm_l2_squared()))
 
     def norm_l2_squared(self) -> float:
-        mass = _mass_vector(self.space.kind, self.space.degree)
-        c2 = self.coeffs**2 @ mass
-        if self.space.dimension == 1:
-            return float((0.5 * self.mesh.widths) @ c2)
-        hx = 0.5 * self.mesh.mesh_x.widths
-        hy = 0.5 * self.mesh.mesh_y.widths
-        return float(hx @ c2 @ hy)
+        return self.inner(self)
 
 
 @dataclass(frozen=True)
@@ -174,42 +238,11 @@ class Problem:
     exact: Callable  # exact(x, t) in 1D, exact(x, y, t) in 2D
 
 
-def _eval_1d(f: Callable, x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-
-
-def _eval_2d(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xb, yb = np.broadcast_arrays(x, y)
-    return np.broadcast_to(np.asarray(f(xb, yb), dtype=float), xb.shape)
-
-
-def _cell_points_1d(mesh: Mesh1D, xi: np.ndarray) -> np.ndarray:
-    """Physical coordinates of reference points xi in every cell; shape (N, Q)."""
-    return mesh.centers[:, None] + 0.5 * mesh.widths[:, None] * xi[None, :]
-
-
 def l2_project(f: Callable, mesh: Mesh1D | TensorMesh2D, space: SpaceKind) -> ModalField:
     """Standard orthogonal L2 projection of f onto the space, cell by cell."""
-    k = space.degree
-    rule = default_rule(k)
-    vals = legendre_table(k, rule.nodes)  # (k+1, Q)
-    weighted = vals * rule.weights
-    if space.dimension == 1:
-        if not isinstance(mesh, Mesh1D):
-            raise TypeError("P1D projection requires a Mesh1D")
-        pts = _cell_points_1d(mesh, rule.nodes)
-        samples = _eval_1d(f, pts)
-        moments = samples @ weighted.T  # (N, k+1)
-        return ModalField(space, mesh, moments / _mass_vector("P1D", k))
-    if not isinstance(mesh, TensorMesh2D):
-        raise TypeError("2D projection requires a TensorMesh2D")
-    px = _cell_points_1d(mesh.mesh_x, rule.nodes)  # (nx, Q)
-    py = _cell_points_1d(mesh.mesh_y, rule.nodes)  # (ny, Q)
-    samples = _eval_2d(f, px[:, None, :, None], py[None, :, None, :])  # (nx, ny, Q, Q)
-    moments = np.einsum("ijqr,aq,br->ijab", samples, weighted, weighted, optimize=True)
-    rows = [moments[:, :, a, b] for a, b in space.degrees]
-    coeffs = np.stack(rows, axis=-1) / _mass_vector(space.kind, k)
-    return ModalField(space, mesh, coeffs)
+    g = gauss_table(space, default_rule(space.degree))
+    moments = g.sample(f, mesh) @ g.weighted.T
+    return ModalField(space, mesh, moments / _mass_vector(space.kind, space.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +291,13 @@ def shifted_projection_1d(f: Callable, mesh: Mesh1D, k: int) -> ModalField:
     k; preserves cell averages and reproduces polynomials of degree <= k.
     """
     _reject_odd_degree_1d(k)
-    if not isinstance(mesh, Mesh1D):
-        raise TypeError("shifted_projection_1d requires a Mesh1D")
-    rule = default_rule(k)
-    vals = legendre_table(k, rule.nodes)
-    weighted = vals * rule.weights
-    pts = _cell_points_1d(mesh, rule.nodes)
-    samples = _eval_1d(f, pts)
-    moments = samples @ weighted.T  # (N, k+1); rows 0..k-1 used
-    rhs = np.empty((mesh.num_cells, k + 1))
-    if k == 0:
-        rhs[:, 0] = moments[:, 0]
-    else:
-        node_vals = _eval_1d(f, mesh.nodes)
-        rhs[:, :k] = moments[:, :k]
-        rhs[:, k] = 0.5 * (node_vals[:-1] + node_vals[1:])
+    space = SpaceKind("P1D", k)
+    g = gauss_table(space, default_rule(k))
+    rhs = g.sample(f, mesh) @ g.weighted.T  # moments; rows 0..k-1 used
+    if k > 0:
+        rhs[:, k] = 0.5 * sample(f, mesh, _ENDS).sum(axis=-1)
     coeffs = lu_solve(_shift_lu_1d(k), rhs.T).T
-    return ModalField(SpaceKind("P1D", k), mesh, coeffs)
+    return ModalField(space, mesh, coeffs)
 
 
 def _weak_local_system_1d(f: Callable, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,10 +315,11 @@ def _weak_local_system_1d(f: Callable, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = np.arange(k + 1)
     mat = np.zeros((k + 1, k + 1))
     mat[0, 0] = 2.0
-    samples = _eval_1d(f, rule.nodes)
+    cell = Mesh1D(_ENDS)
+    samples = sample(f, cell, rule.nodes)[0]
     rhs = np.zeros(k + 1)
     rhs[0] = samples @ rule.weights
-    f_edge_avg = 0.5 * (_eval_1d(f, np.array([1.0]))[0] + _eval_1d(f, np.array([-1.0]))[0])
+    f_edge_avg = 0.5 * sample(f, cell, _ENDS)[0].sum()
     for m in range(1, k + 1):
         jump = 1.0 - (-1.0) ** m  # v(1) - v(-1)
         mat[m] = -ref.stiffness[m] + 0.5 * (1.0 + (-1.0) ** n) * jump
@@ -313,29 +337,14 @@ def shift_local_matrix_2d(k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
-    degs = _space_degrees("Q2D", k)
-    col = {d: i for i, d in enumerate(degs)}
-    dof = len(degs)
-    mat = np.zeros((dof, dof))
+    a, b = _axis_degrees(SpaceKind("Q2D", k))
     mm = 2.0 / (2 * np.arange(k + 1) + 1)
-    row = 0
-    for a in range(k):
-        for b in range(k):
-            mat[row, col[(a, b)]] = mm[a] * mm[b]
-            row += 1
-    for m in range(k):
-        for (ap, bp), c in col.items():
-            if ap == m:
-                mat[row, c] = 0.5 * (1.0 + (-1.0) ** bp) * mm[m]
-        row += 1
-    for n in range(k):
-        for (ap, bp), c in col.items():
-            if bp == n:
-                mat[row, c] = 0.5 * (1.0 + (-1.0) ** ap) * mm[n]
-        row += 1
-    for (ap, bp), c in col.items():
-        mat[row, c] = 0.25 * (1.0 + (-1.0) ** ap) * (1.0 + (-1.0) ** bp)
-    return mat
+    m = np.arange(k)[:, None]
+    interior = np.diag(mm[a] * mm[b])[(a < k) & (b < k)]
+    xface = np.where(a == m, 0.5 * (1.0 + (-1.0) ** b) * mm[m], 0.0)
+    yface = np.where(b == m, 0.5 * (1.0 + (-1.0) ** a) * mm[m], 0.0)
+    corner = 0.25 * (1.0 + (-1.0) ** a) * (1.0 + (-1.0) ** b)
+    return np.vstack([interior, xface, yface, corner])
 
 
 @lru_cache(maxsize=None)
@@ -356,43 +365,19 @@ def shifted_projection_2d(f: Callable, mesh: TensorMesh2D, k: int) -> ModalField
             f"2D shifted projection is singular for odd degree k={k}: "
             f"the local system annihilates the L_{k}(x)L_{k}(y) mode"
         )
-    if not isinstance(mesh, TensorMesh2D):
-        raise TypeError("shifted_projection_2d requires a TensorMesh2D")
-    mx, my = mesh.mesh_x, mesh.mesh_y
-    nx, ny = mesh.num_cells
-    dof = (k + 1) ** 2
-    rule = default_rule(k)
-    vals = legendre_table(k, rule.nodes)
-    weighted = vals * rule.weights
-    rhs = np.empty((nx, ny, dof))
-    row = 0
+    space = SpaceKind("Q2D", k)
+    corners = sample(f, mesh, _ENDS, _ENDS)
+    rows = [0.25 * (corners[..., 0, 0] + corners[..., 1, 0] + corners[..., 0, 1] + corners[..., 1, 1])[..., None]]
     if k > 0:
-        px = _cell_points_1d(mx, rule.nodes)
-        py = _cell_points_1d(my, rule.nodes)
-        samples = _eval_2d(f, px[:, None, :, None], py[None, :, None, :])
-        moments = np.einsum("ijqr,aq,br->ijab", samples, weighted, weighted, optimize=True)
-        for a in range(k):
-            for b in range(k):
-                rhs[:, :, row] = moments[:, :, a, b]
-                row += 1
-        # x-face rows: moments in x of the average of the two y-faces
-        top = _eval_2d(f, px[:, None, :], my.nodes[None, 1:, None])
-        bottom = _eval_2d(f, px[:, None, :], my.nodes[None, :-1, None])
-        face_avg = 0.5 * (top + bottom)  # (nx, ny, Q)
-        xmom = np.einsum("ijq,mq->ijm", face_avg, weighted, optimize=True)
-        for m in range(k):
-            rhs[:, :, row] = xmom[:, :, m]
-            row += 1
-        right = _eval_2d(f, mx.nodes[1:, None, None], py[None, :, :])
-        left = _eval_2d(f, mx.nodes[:-1, None, None], py[None, :, :])
-        face_avg = 0.5 * (right + left)
-        ymom = np.einsum("ijq,nq->ijn", face_avg, weighted, optimize=True)
-        for n in range(k):
-            rhs[:, :, row] = ymom[:, :, n]
-            row += 1
-    corners = _eval_2d(f, mx.nodes[:, None], my.nodes[None, :])
-    rhs[:, :, row] = 0.25 * (
-        corners[:-1, :-1] + corners[1:, :-1] + corners[:-1, 1:] + corners[1:, 1:]
-    )
-    coeffs = lu_solve(_shift_lu_2d(k), rhs.reshape(-1, dof).T).T.reshape(nx, ny, dof)
-    return ModalField(SpaceKind("Q2D", k), mesh, coeffs)
+        rule = default_rule(k)
+        g = gauss_table(space, rule)
+        interior = g.sample(f, mesh) @ g.weighted.T
+        interior = interior.reshape(*mesh.num_cells, k + 1, k + 1)[..., :k, :k].reshape(*mesh.num_cells, k * k)
+        # moments along x of the mean over the two y-faces, then the same along y
+        q, face = rule.nodes, gauss_table(SpaceKind("P1D", k), rule).weighted[:k].T
+        xface = 0.5 * sample(f, mesh, q, _ENDS).sum(axis=-1) @ face
+        yface = 0.5 * sample(f, mesh, _ENDS, q).sum(axis=-2) @ face
+        rows = [interior, xface, yface] + rows
+    rhs = np.concatenate(rows, axis=-1)
+    coeffs = lu_solve(_shift_lu_2d(k), rhs.reshape(-1, space.dof).T).T.reshape(rhs.shape)
+    return ModalField(space, mesh, coeffs)

@@ -11,7 +11,8 @@ Three 1D families are provided:
   draw from [-fraction*h/2, +fraction*h/2] using a seeded PCG64 generator,
   so a given (N, fraction, seed) triple reproduces the same mesh everywhere.
 
-2D meshes are tensor products of two 1D meshes, one per axis.
+2D meshes are tensor products of two 1D meshes, one per axis.  Every mesh
+lists its 1D factors as ``axes``; a 1D mesh is its own single axis.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class Mesh1D:
         object.__setattr__(self, "centers", centers)
 
     @property
+    def axes(self) -> tuple["Mesh1D"]:
+        return (self,)
+
+    @property
     def num_cells(self) -> int:
         return self.widths.size
 
@@ -92,6 +97,10 @@ class TensorMesh2D:
 
     mesh_x: Mesh1D
     mesh_y: Mesh1D
+
+    @property
+    def axes(self) -> tuple[Mesh1D, Mesh1D]:
+        return (self.mesh_x, self.mesh_y)
 
     @property
     def num_cells(self) -> tuple[int, int]:

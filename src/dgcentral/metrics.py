@@ -8,8 +8,10 @@ Three errors against a known exact solution at time t:
 * ``error_interface_flux`` - RMS over interfaces of the difference between
   the exact nodal value and the central flux value of u_h; 1D only (Ef).
 
-Error quadrature uses k+6 Gauss points per direction, two orders above the
-projection default, so measured errors are not quadrature artifacts.
+Each error samples the exact solution with ``fields.sample`` on a Gauss grid
+of k+6 points per axis, two orders above the projection default, so
+measured errors are not quadrature artifacts; the same code serves 1D and
+2D fields.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import error_rule, legendre_table, reference_operators
-from .fields import ModalField, _cell_points_1d, _eval_1d, _eval_2d
+from .basis import error_rule, reference_operators
+from .fields import ModalField, gauss_table, jacobian, sample
 
 __all__ = [
     "error_l2",
@@ -32,50 +34,22 @@ __all__ = [
 ]
 
 
-def _error_tables(k: int, extra_order: int = 0):
-    rule = error_rule(k, extra_order)
-    return rule, legendre_table(k, rule.nodes)
-
-
 def error_l2(exact, u: ModalField, t: float, extra_order: int = 0) -> float:
     """sqrt of the integrated squared difference between exact(., t) and u."""
-    k = u.space.degree
-    rule, vals = _error_tables(k, extra_order)
-    if u.space.dimension == 1:
-        pts = _cell_points_1d(u.mesh, rule.nodes)
-        diff = _eval_1d(lambda x: exact(x, t), pts) - u.coeffs @ vals
-        return float(np.sqrt((diff**2 @ rule.weights) @ (0.5 * u.mesh.widths)))
-    mx, my = u.mesh.mesh_x, u.mesh.mesh_y
-    px = _cell_points_1d(mx, rule.nodes)
-    py = _cell_points_1d(my, rule.nodes)
-    exact_vals = _eval_2d(lambda x, y: exact(x, y, t), px[:, None, :, None], py[None, :, None, :])
-    degs = u.space.degrees
-    basis_x = np.stack([vals[a] for a, _ in degs])  # (dof, Q)
-    basis_y = np.stack([vals[b] for _, b in degs])
-    approx = np.einsum("ijd,dq,dr->ijqr", u.coeffs, basis_x, basis_y, optimize=True)
-    sq = (exact_vals - approx) ** 2
-    w2 = np.outer(rule.weights, rule.weights)
-    per_cell = np.einsum("ijqr,qr->ij", sq, w2, optimize=True)
-    scale = np.outer(0.5 * mx.widths, 0.5 * my.widths)
-    return float(np.sqrt(np.sum(per_cell * scale)))
+    g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
+    diff = g.sample(lambda *x: exact(*x, t), u.mesh) - u.coeffs @ g.values
+    return float(np.sqrt((diff**2 @ g.weights).ravel() @ jacobian(u.mesh).ravel()))
+
+
+def _cell_average_errors(f, u: ModalField, extra_order: int = 0) -> np.ndarray:
+    """Per cell, the average of f (by the error rule) minus that of u."""
+    g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
+    return 0.5 ** len(g.points) * (g.sample(f, u.mesh) @ g.weights) - u.coeffs[..., 0]
 
 
 def error_cell_average(exact, u: ModalField, t: float, extra_order: int = 0) -> float:
     """RMS of per-cell average errors (cell count normalization)."""
-    k = u.space.degree
-    rule, _ = _error_tables(k, extra_order)
-    if u.space.dimension == 1:
-        pts = _cell_points_1d(u.mesh, rule.nodes)
-        exact_avg = 0.5 * (_eval_1d(lambda x: exact(x, t), pts) @ rule.weights)
-        diff = exact_avg - u.coeffs[:, 0]
-        return float(np.sqrt(np.mean(diff**2)))
-    mx, my = u.mesh.mesh_x, u.mesh.mesh_y
-    px = _cell_points_1d(mx, rule.nodes)
-    py = _cell_points_1d(my, rule.nodes)
-    exact_vals = _eval_2d(lambda x, y: exact(x, y, t), px[:, None, :, None], py[None, :, None, :])
-    w2 = np.outer(rule.weights, rule.weights)
-    exact_avg = 0.25 * np.einsum("ijqr,qr->ij", exact_vals, w2, optimize=True)
-    diff = exact_avg - u.coeffs[:, :, 0]
+    diff = _cell_average_errors(lambda *x: exact(*x, t), u, extra_order)
     return float(np.sqrt(np.mean(diff**2)))
 
 
@@ -87,7 +61,7 @@ def error_interface_flux(exact, u: ModalField, t: float) -> float:
     left_limits = u.coeffs @ ref.edge_right  # value at each cell's right end
     right_limits = u.coeffs @ ref.edge_left  # value at each cell's left end
     central = 0.5 * (left_limits + np.roll(right_limits, -1))  # at nodes 1..N
-    exact_nodes = _eval_1d(lambda x: exact(x, t), u.mesh.nodes[1:])
+    exact_nodes = sample(lambda x: exact(x, t), u.mesh, 1.0)[:, 0]
     return float(np.sqrt(np.mean((exact_nodes - central) ** 2)))
 
 

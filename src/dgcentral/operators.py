@@ -37,7 +37,16 @@ from .basis import (
     legendre_table,
     reference_operators,
 )
-from .fields import ModalField, SpaceKind, _space_degrees, shifted_projection_1d, shifted_projection_2d
+from .fields import (
+    ModalField,
+    SpaceKind,
+    GaussTable,
+    _space_degrees,
+    gauss_table,
+    sample,
+    shifted_projection_1d,
+    shifted_projection_2d,
+)
 from .mesh import Mesh1D, TensorMesh2D, tensor_mesh, uniform_mesh
 
 __all__ = [
@@ -87,17 +96,12 @@ class SpatialOperator:
     """The semi-discrete operator L with du/dt = L(u) on a periodic mesh."""
 
     def __init__(self, mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
+        axes = space.axes_of(mesh)
         self.mesh = mesh
         self.space = space
-        if space.dimension == 1:
-            if not isinstance(mesh, Mesh1D):
-                raise TypeError("P1D operator requires a Mesh1D")
-        else:
-            if not isinstance(mesh, TensorMesh2D):
-                raise TypeError("2D operator requires a TensorMesh2D")
+        if space.dimension == 2:
             self._x0, self._xp, self._xm, self._y0, self._yp, self._ym = _stencil_2d(space.kind, space.degree)
-            self._inv_wx = 1.0 / mesh.mesh_x.widths
-            self._inv_wy = 1.0 / mesh.mesh_y.widths
+            self._inv_wx, self._inv_wy = (1.0 / axis.widths for axis in axes)
 
     # -- RHS maps ----------------------------------------------------------
 
@@ -150,9 +154,7 @@ class SpatialOperator:
 class _FormTables(NamedTuple):
     """Reference-cell quadrature tables of `cell_form` for one space."""
 
-    nodes: np.ndarray  # volume rule nodes, per axis
-    weights: np.ndarray  # volume weights, (q,) or (q, q)
-    values: np.ndarray  # basis at the volume points, (dof, q) or (dof, q, q)
+    vol: GaussTable  # the volume rule and the basis values on it
     derivs: tuple  # per axis, the reference derivative of each basis, shaped like values
     edge_nodes: np.ndarray  # transverse edge rule (one point in 1D)
     edge_weights: np.ndarray
@@ -163,6 +165,7 @@ class _FormTables(NamedTuple):
 def _form_tables(kind: str, k: int) -> _FormTables:
     """The quadrature tables of the reference form; the only place traces are built."""
     rule = default_rule(k)
+    vol = gauss_table(SpaceKind(kind, k), rule)
     vals = legendre_table(k, rule.nodes)
     ders = legendre_deriv_table(k, rule.nodes)
     ref = reference_operators(k)
@@ -170,7 +173,7 @@ def _form_tables(kind: str, k: int) -> _FormTables:
     if kind == "P1D":
         # the edge of a 1D cell is a single point with unit weight
         traces = {"x+": e_r[:, None], "x-": e_l[:, None]}
-        return _FormTables(rule.nodes, rule.weights, vals, (ders,), np.zeros(1), np.ones(1), traces)
+        return _FormTables(vol, (ders,), np.zeros(1), np.ones(1), traces)
     a, b = np.array(_space_degrees(kind, k)).T
     edge = gauss_rule(k + 2)
     ev = legendre_table(k, edge.nodes)
@@ -180,23 +183,19 @@ def _form_tables(kind: str, k: int) -> _FormTables:
         "y+": ev[a] * e_r[b, None],
         "y-": ev[a] * e_l[b, None],
     }
-    return _FormTables(
-        rule.nodes,
-        np.outer(rule.weights, rule.weights),
-        vals[a, :, None] * vals[b, None, :],
-        (ders[a, :, None] * vals[b, None, :], vals[a, :, None] * ders[b, None, :]),
-        edge.nodes,
-        edge.weights,
-        traces,
-    )
+    # d/dx and d/dy of L_a(x) L_b(y), flattened over the grid like vol.values
+    dx = (ders[a, :, None] * vals[b, None, :]).reshape(len(a), -1)
+    dy = (vals[a, :, None] * ders[b, None, :]).reshape(len(a), -1)
+    return _FormTables(vol, (dx, dy), edge.nodes, edge.weights, traces)
 
 
 def cell_form(space: SpaceKind, widths, u_vol: np.ndarray, fluxes: dict) -> np.ndarray:
     """(u_t, v) on one cell for every basis function v, by quadrature.
 
     `widths` holds the cell's width along each axis, `u_vol` the values of u
-    at the volume points of `_form_tables`, and `fluxes` the interface flux on
-    each side ("x+", "x-", and in 2D "y+", "y-") at the edge nodes.  Per axis
+    at the (flattened) volume points of `_form_tables`, and `fluxes` the
+    interface flux on each side ("x+", "x-", and in 2D "y+", "y-") at the
+    edge nodes.  Per axis
     the form is the volume term (u, dv/dx) minus the outgoing flux times v on
     the + side plus the incoming flux times v on the - side, scaled by the
     half-widths of the other axes.  This is -a_j(u, v) in 1D and b_{i,j}(u, v)
@@ -204,25 +203,21 @@ def cell_form(space: SpaceKind, widths, u_vol: np.ndarray, fluxes: dict) -> np.n
     """
     t = _form_tables(space.kind, space.degree)
     half = 0.5 * np.asarray(widths, dtype=float)
-    uw = u_vol * t.weights
+    uw = u_vol * t.vol.weights
     out = np.zeros(space.dof)
     for axis, deriv in enumerate(t.derivs):
         side = "xy"[axis]
         flux_out = t.traces[side + "+"] @ (fluxes[side + "+"] * t.edge_weights)
         flux_in = t.traces[side + "-"] @ (fluxes[side + "-"] * t.edge_weights)
-        volume = np.tensordot(deriv, uw, axes=uw.ndim)
+        volume = deriv @ uw
         out += np.prod(np.delete(half, axis)) * (volume - flux_out + flux_in)
     return out
-
-
-def _axes(field: ModalField) -> tuple:
-    return (field.mesh,) if field.space.dimension == 1 else (field.mesh.mesh_x, field.mesh.mesh_y)
 
 
 def field_form(u: ModalField, *cell: int) -> np.ndarray:
     """`cell_form` of a field on one cell, with its own central fluxes (periodic wrap)."""
     t = _form_tables(u.space.kind, u.space.degree)
-    axes = _axes(u)
+    axes = u.mesh.axes
     if len(cell) != len(axes):
         raise ValueError(f"a {len(axes)}D field takes {len(axes)} cell indices, got {len(cell)}")
     own = u.coeffs[cell]
@@ -238,7 +233,7 @@ def field_form(u: ModalField, *cell: int) -> np.ndarray:
         fluxes[side + "+"] = 0.5 * (own @ plus + neighbour(axis, 1) @ minus)
         fluxes[side + "-"] = 0.5 * (neighbour(axis, -1) @ plus + own @ minus)
     widths = [ax.widths[i] for ax, i in zip(axes, cell)]
-    return cell_form(u.space, widths, np.tensordot(own, t.values, axes=1), fluxes)
+    return cell_form(u.space, widths, own @ t.vol.values, fluxes)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +246,14 @@ def _form_residual(proj: ModalField, f, cell: tuple) -> float:
     f is continuous, so its central flux is its trace.
     """
     t = _form_tables(proj.space.kind, proj.space.degree)
-    axes = _axes(proj)
-    vol = [ax.centers[i] + 0.5 * ax.widths[i] * t.nodes for ax, i in zip(axes, cell)]
-    edge = [ax.centers[i] + 0.5 * ax.widths[i] * t.edge_nodes for ax, i in zip(axes, cell)]
+    axes = proj.mesh.axes
     fluxes = {}
-    for axis, (ax, i) in enumerate(zip(axes, cell)):
-        for sign, node in (("+", ax.nodes[i + 1]), ("-", ax.nodes[i])):
-            points = [np.array([node]) if d == axis else edge[d] for d in range(len(axes))]
-            fluxes["xy"[axis] + sign] = f(*points)
+    for axis in range(len(axes)):
+        for sign, end in (("+", 1.0), ("-", -1.0)):
+            points = [end if d == axis else t.edge_nodes for d in range(len(axes))]
+            fluxes["xy"[axis] + sign] = sample(f, proj.mesh, *points)[cell].ravel()
     widths = [ax.widths[i] for ax, i in zip(axes, cell)]
-    exact = cell_form(proj.space, widths, f(*np.meshgrid(*vol, indexing="ij")), fluxes)
+    exact = cell_form(proj.space, widths, t.vol.sample(f, proj.mesh)[cell], fluxes)
     return float(np.max(np.abs(field_form(proj, *cell) - exact)))
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ModalField, Problem, SpaceKind, l2_project
+from .fields import Problem, SpaceKind, l2_project
 from .mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from .metrics import ConvergenceTable, error_cell_average, error_interface_flux, error_l2
 from .operators import SpatialOperator
@@ -358,8 +358,13 @@ def atomic_write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _nodes_csv(mesh: Mesh1D) -> str:
-    return "x\n" + "\n".join(f"{x:.17g}" for x in mesh.nodes) + "\n"
+def _write_nodes(out_dir: Path, stem: str, mesh: Mesh1D | TensorMesh2D) -> list[Path]:
+    """One node-coordinate CSV per axis: <stem>.csv in 1D, <stem>_x.csv and <stem>_y.csv in 2D."""
+    suffixes = ("",) if len(mesh.axes) == 1 else ("_x", "_y")
+    return [
+        atomic_write_text(out_dir / f"{stem}{suffix}.csv", "x\n" + "\n".join(f"{x:.17g}" for x in axis.nodes) + "\n")
+        for suffix, axis in zip(suffixes, mesh.axes)
+    ]
 
 
 def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> ConvergenceTable:
@@ -371,6 +376,7 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
     if not ns:
         raise ConfigError(f"study.ns: all levels exceed the desk-scale cap {cap}; use paper scale")
     out_dir = _resolve_out_dir(cfg)
+    has_ef = prob.dimension == 1  # the interface-flux error is 1D only
     e2s: list[float] = []
     eas: list[float] = []
     efs: list[float] = []
@@ -390,17 +396,13 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         e2s.append(e2)
         eas.append(ea)
         requad.append(abs(e2_hi - e2) / e2 if e2 > 0 else 0.0)
-        if prob.dimension == 1:
+        if has_ef:
             efs.append(error_interface_flux(prob.exact, u, cfg.t_final))
         if out_dir is not None and cfg.family == "random":
-            if prob.dimension == 1:
-                atomic_write_text(out_dir / f"{cfg.label}_nodes_N{n}.csv", _nodes_csv(mesh))
-            else:
-                atomic_write_text(out_dir / f"{cfg.label}_nodes_N{n}_x.csv", _nodes_csv(mesh.mesh_x))
-                atomic_write_text(out_dir / f"{cfg.label}_nodes_N{n}_y.csv", _nodes_csv(mesh.mesh_y))
+            _write_nodes(out_dir, f"{cfg.label}_nodes_N{n}", mesh)
         if log is not None:
             msg = f"N={n:6d}  E2={e2:.6e}  EA={ea:.6e}"
-            if prob.dimension == 1:
+            if has_ef:
                 msg += f"  Ef={efs[-1]:.6e}"
             log(msg)
         if e2 < ERROR_FLOOR:
@@ -412,7 +414,7 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         ns=used,
         e2=e2s,
         ea=eas,
-        ef=efs if prob.dimension == 1 else None,
+        ef=efs if has_ef else None,
         e2_requad_reldiff=requad,
     )
     if out_dir is not None:
@@ -426,12 +428,7 @@ def dump_mesh(cfg: StudyConfig, out_dir: str | Path | None = None) -> list[Path]
     target = Path(out_dir) if out_dir is not None else (_resolve_out_dir(cfg) or Path.cwd())
     written: list[Path] = []
     for n in cfg.ns:
-        mesh = build_mesh(cfg, n)
-        if isinstance(mesh, Mesh1D):
-            written.append(atomic_write_text(target / f"{cfg.label}_mesh_N{n}.csv", _nodes_csv(mesh)))
-        else:
-            written.append(atomic_write_text(target / f"{cfg.label}_mesh_N{n}_x.csv", _nodes_csv(mesh.mesh_x)))
-            written.append(atomic_write_text(target / f"{cfg.label}_mesh_N{n}_y.csv", _nodes_csv(mesh.mesh_y)))
+        written += _write_nodes(target, f"{cfg.label}_mesh_N{n}", build_mesh(cfg, n))
     return written
 
 
@@ -446,18 +443,9 @@ def dump_field(cfg: StudyConfig, out_dir: str | Path | None = None) -> Path:
     n = cfg.ns[0]
     mesh = build_mesh(cfg, n)
     field = l2_project(prob.initial, mesh, cfg.space)
-    dof = cfg.space.dof
-    rows: list[str] = []
-    if prob.dimension == 1:
-        rows.append("x," + ",".join(f"c{i}" for i in range(dof)))
-        for j in range(mesh.num_cells):
-            vals = ",".join(f"{v:.17g}" for v in field.coeffs[j])
-            rows.append(f"{mesh.centers[j]:.17g},{vals}")
-    else:
-        rows.append("x,y," + ",".join(f"c{i}" for i in range(dof)))
-        mx, my = mesh.mesh_x, mesh.mesh_y
-        for i in range(mx.num_cells):
-            for j in range(my.num_cells):
-                vals = ",".join(f"{v:.17g}" for v in field.coeffs[i, j])
-                rows.append(f"{mx.centers[i]:.17g},{my.centers[j]:.17g},{vals}")
+    names = ["x", "y"][: len(mesh.axes)] + [f"c{i}" for i in range(cfg.space.dof)]
+    centers = np.meshgrid(*[axis.centers for axis in mesh.axes], indexing="ij")
+    rows = [",".join(names)]
+    for cell in np.ndindex(field.coeffs.shape[:-1]):
+        rows.append(",".join(f"{v:.17g}" for v in [*(c[cell] for c in centers), *field.coeffs[cell]]))
     return atomic_write_text(target / f"{cfg.label}_field_N{n}.csv", "\n".join(rows) + "\n")

@@ -41,7 +41,7 @@ Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse

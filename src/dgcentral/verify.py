@@ -22,18 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gauss_rule, legendre_table
+from .basis import legendre_table
 from .fields import (
     ModalField,
     SpaceKind,
-    _mass_vector,
     _weak_local_system_1d,
     l2_project,
     shift_local_matrix_1d,
     shift_local_matrix_2d,
     shifted_projection_1d,
+    sample,
     shifted_projection_2d,
 )
+from .metrics import _cell_average_errors
 from .mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from .operators import (
     SpatialOperator,
@@ -64,17 +65,6 @@ def _check(name: str, value: float, bound: float, kind: str = "<=") -> CheckResu
     return CheckResult(name, ok, detail)
 
 
-def inner_l2(u: ModalField, w: ModalField) -> float:
-    """Global L2 inner product of two fields on the same mesh/space."""
-    mass = _mass_vector(u.space.kind, u.space.degree)
-    prod = (u.coeffs * w.coeffs) @ mass
-    if u.space.dimension == 1:
-        return float((0.5 * u.mesh.widths) @ prod)
-    hx = 0.5 * u.mesh.mesh_x.widths
-    hy = 0.5 * u.mesh.mesh_y.widths
-    return float(hx @ prod @ hy)
-
-
 def _skew_configs() -> list[tuple[str, SpaceKind, Mesh1D | TensorMesh2D]]:
     span = (0.0, 2.0 * np.pi)
     return [
@@ -90,12 +80,12 @@ def suite_energy(fields_per_config: int = 50) -> list[CheckResult]:
     rng = np.random.default_rng(20240317)
     for label, space, mesh in _skew_configs():
         op = SpatialOperator(mesh, space)
-        shape = (mesh.num_cells, space.dof) if space.dimension == 1 else (*mesh.num_cells, space.dof)
+        shape = tuple(axis.num_cells for axis in mesh.axes) + (space.dof,)
         worst = 0.0
         for _ in range(fields_per_config):
             u = ModalField(space, mesh, rng.standard_normal(shape))
             w = op.apply_rhs(u)
-            worst = max(worst, abs(inner_l2(w, u)) / u.norm_l2_squared())
+            worst = max(worst, abs(w.inner(u)) / u.norm_l2_squared())
         results.append(_check(f"skew-symmetry |(Lu,u)|/||u||^2, {label}", worst, 1e-12))
 
         ones = np.zeros(shape)
@@ -116,52 +106,25 @@ def suite_energy(fields_per_config: int = 50) -> list[CheckResult]:
     return results
 
 
-def _sample_error_grid_1d(field: ModalField, f, k: int, points: int = 20) -> np.ndarray:
-    xi = np.linspace(-1.0, 1.0, points)
-    vals = legendre_table(k, xi)
-    mesh = field.mesh
-    out = np.empty((mesh.num_cells, points))
-    for j in range(mesh.num_cells):
-        x = mesh.centers[j] + 0.5 * mesh.widths[j] * xi
-        out[j] = field.coeffs[j] @ vals - f(x)
-    return out
+def _translation_residual(project, f, mesh: Mesh1D | TensorMesh2D, k: int, points: int) -> float:
+    """Spread over cells of the projection error of f = (one coordinate)^(k+1) on a reference grid.
+
+    Relative to f at the domain's upper end.  On a uniform mesh the error is
+    the same function on every cell, so the spread is roundoff.
+    """
+    xi = [np.linspace(-1.0, 1.0, points)] * len(mesh.axes)
+    errs = project(f, mesh, k).sample(*xi) - sample(f, mesh, *xi)
+    errs = errs.reshape(-1, *errs.shape[len(mesh.axes):])
+    return float(np.max(np.abs(errs - errs[0]))) / mesh.axes[0].hi ** (k + 1)
 
 
 def _translation_residual_1d(k: int) -> float:
-    mesh = uniform_mesh(4, (-4.0, 4.0))
-    f = lambda x: x ** (k + 1)
-    errs = _sample_error_grid_1d(shifted_projection_1d(f, mesh, k), f, k)
-    scale = max(abs(mesh.lo), abs(mesh.hi)) ** (k + 1)
-    return float(np.max(np.abs(errs - errs[0])) / scale)
+    return _translation_residual(shifted_projection_1d, lambda x: x ** (k + 1), uniform_mesh(4, (-4.0, 4.0)), k, 20)
 
 
 def _translation_residual_2d(k: int, axis: str) -> float:
-    n = 5
-    mx = uniform_mesh(n, (-5.0, 5.0))
-    mesh = tensor_mesh(mx, uniform_mesh(n, (-5.0, 5.0)))
-    if axis == "x":
-        f = lambda x, y: x ** (k + 1) + 0.0 * y
-    else:
-        f = lambda x, y: y ** (k + 1) + 0.0 * x
-    field = shifted_projection_2d(f, mesh, k)
-    xi = np.linspace(-1.0, 1.0, 8)
-    vals = legendre_table(k, xi)
-    degs = field.space.degrees
-    ref = None
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            x = mx.centers[i] + 0.5 * mx.widths[i] * xi
-            y = mesh.mesh_y.centers[j] + 0.5 * mesh.mesh_y.widths[j] * xi
-            grid = np.zeros((8, 8))
-            for idx, (a, b) in enumerate(degs):
-                grid += field.coeffs[i, j, idx] * np.outer(vals[a], vals[b])
-            err = grid - f(x[:, None], y[None, :])
-            if ref is None:
-                ref = err
-            else:
-                worst = max(worst, float(np.max(np.abs(err - ref))))
-    return worst / 5.0 ** (k + 1)
+    mesh = tensor_mesh(uniform_mesh(5, (-5.0, 5.0)), uniform_mesh(5, (-5.0, 5.0)))
+    return _translation_residual(shifted_projection_2d, lambda *x: x["xy".index(axis)] ** (k + 1), mesh, k, 8)
 
 
 # Measured operator-norm surrogates ||P*f||_inf / ||f||_inf over a seeded
@@ -224,33 +187,13 @@ def suite_projection() -> list[CheckResult]:
         results.append(_check(f"reproduces degree-{k} polynomials (k={k})", dev, 1e-11))
 
     # Cell averages survive the projection on nonuniform meshes.
-    f = np.exp
-    fmax = float(np.e)
     for k in (0, 2, 4):
-        mesh = random_mesh(8, 0.3, 7, (0.0, 1.0))
-        field = shifted_projection_1d(f, mesh, k)
-        worst = 0.0
-        rule = gauss_rule(k + 6)
-        for j in range(mesh.num_cells):
-            x = mesh.centers[j] + 0.5 * mesh.widths[j] * rule.nodes
-            exact_int = 0.5 * mesh.widths[j] * (f(x) @ rule.weights)
-            proj_int = mesh.widths[j] * field.cell_average(j)
-            worst = max(worst, abs(proj_int - exact_int) / (mesh.widths[j] * fmax))
+        field = shifted_projection_1d(np.exp, random_mesh(8, 0.3, 7, (0.0, 1.0)), k)
+        worst = np.max(np.abs(_cell_average_errors(np.exp, field))) / np.e
         results.append(_check(f"1D cell-average preservation (k={k})", worst, 1e-12))
-
-    mesh2 = tensor_mesh(alpha_mesh(4, 0.2, (0.0, 1.0)), alpha_mesh(4, 0.1, (0.0, 1.0)))
     f2 = lambda x, y: np.sin(x + y) + 2.0
-    field2 = shifted_projection_2d(f2, mesh2, 2)
-    rule = gauss_rule(8)
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            mx, my = mesh2.mesh_x, mesh2.mesh_y
-            x = mx.centers[i] + 0.5 * mx.widths[i] * rule.nodes
-            y = my.centers[j] + 0.5 * my.widths[j] * rule.nodes
-            cell_int = 0.25 * mx.widths[i] * my.widths[j] * (rule.weights @ f2(x[:, None], y[None, :]) @ rule.weights)
-            proj_int = mx.widths[i] * my.widths[j] * field2.cell_average(i, j)
-            worst = max(worst, abs(proj_int - cell_int) / (mx.widths[i] * my.widths[j] * 3.0))
+    mesh2 = tensor_mesh(alpha_mesh(4, 0.2, (0.0, 1.0)), alpha_mesh(4, 0.1, (0.0, 1.0)))
+    worst = np.max(np.abs(_cell_average_errors(f2, shifted_projection_2d(f2, mesh2, 2)))) / 3.0
     results.append(_check("2D cell-average preservation (k=2)", worst, 1e-12))
 
     # Moment form vs the defining weak form: same local solution.

@@ -10,7 +10,6 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from dgcentral.basis import (
-    QuadratureRule,
     default_rule,
     error_rule,
     gauss_rule,

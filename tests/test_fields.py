@@ -10,17 +10,21 @@ import numpy.polynomial.legendre as npleg
 import pytest
 from scipy.integrate import quad
 
+from dgcentral.basis import legendre_table
 from dgcentral.fields import (
     ModalField,
     SpaceKind,
     _weak_local_system_1d,
+    basis_table,
     l2_project,
+    sample,
     shift_local_matrix_1d,
     shift_local_matrix_2d,
     shifted_projection_1d,
     shifted_projection_2d,
 )
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
+from dgcentral.operators import SpatialOperator
 from dgcentral.study import PROBLEMS
 
 
@@ -41,6 +45,69 @@ class TestSpaceKind:
             SpaceKind("P3D", 2)
         with pytest.raises(ValueError):
             SpaceKind("P1D", -1)
+
+
+def test_sample_puts_cells_first_then_points():
+    mx, my = alpha_mesh(5, 0.2, (0.0, 1.0)), random_mesh(3, 0.3, 4, (2.0, 3.0))
+    xi, eta = np.array([-0.5, 0.25]), np.array([-0.75, 0.0, 0.5, 0.9])
+    vals = sample(lambda x, y: x + 10.0 * y, tensor_mesh(mx, my), xi, eta)
+    assert vals.shape == (5, 3, 2, 4)
+    x = mx.centers[:, None] + 0.5 * mx.widths[:, None] * xi  # (Nx, Qx)
+    y = my.centers[:, None] + 0.5 * my.widths[:, None] * eta  # (Ny, Qy)
+    for i, j, q, r in np.ndindex(vals.shape):
+        assert vals[i, j, q, r] == pytest.approx(x[i, q] + 10.0 * y[j, r], rel=1e-15)
+
+
+def test_sample_maps_reference_endpoints_onto_stored_nodes():
+    mesh = random_mesh(40, 0.5, 8, (0.0, 2.0 * np.pi))
+    ends = sample(lambda x: x, mesh, np.array([-1.0, 1.0]))
+    np.testing.assert_array_equal(ends, np.stack([mesh.nodes[:-1], mesh.nodes[1:]], axis=1))
+
+
+@pytest.mark.parametrize("kind", ["P1D", "Q2D", "P2D"])
+@pytest.mark.parametrize("k", range(5))
+def test_basis_table_is_a_product_of_legendre_tables(kind, k):
+    space = SpaceKind(kind, k)
+    xi = [np.random.default_rng(k).uniform(-1.0, 1.0, n) for n in (3, 5)[: space.dimension]]
+    tables = [legendre_table(k, x) for x in xi]
+    got = basis_table(space, *xi)
+    assert got.shape == (space.dof,) + tuple(x.size for x in xi)
+    for idx, deg in enumerate(space.degrees):
+        expected = tables[0][deg] if kind == "P1D" else np.outer(tables[0][deg[0]], tables[1][deg[1]])
+        np.testing.assert_array_equal(got[idx], expected)
+
+
+def _mesh(dimension):
+    axis = uniform_mesh(3, (0.0, 1.0))
+    return axis if dimension == 1 else tensor_mesh(axis, axis)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ModalField(SpaceKind("P1D", 1), _mesh(1), np.zeros((3, 2))).eval_at(0.5, 0.5), ValueError),
+        (lambda: ModalField(SpaceKind("Q2D", 1), _mesh(2), np.zeros((3, 3, 4))).eval_at(0.5), ValueError),
+        (lambda: ModalField(SpaceKind("Q2D", 1), _mesh(1), np.zeros((3, 4))), TypeError),
+        (lambda: ModalField(SpaceKind("P1D", 1), _mesh(2), np.zeros((3, 3, 2))), TypeError),
+        (lambda: l2_project(np.sin, _mesh(2), SpaceKind("P1D", 1)), TypeError),
+        (lambda: l2_project(lambda x, y: x * y, _mesh(1), SpaceKind("P2D", 1)), TypeError),
+        (lambda: SpatialOperator(_mesh(2), SpaceKind("P1D", 1)), TypeError),
+        (lambda: SpatialOperator(_mesh(1), SpaceKind("Q2D", 1)), TypeError),
+    ],
+    ids=[
+        "eval_at-1D-two-coords",
+        "eval_at-2D-one-coord",
+        "field-Q2D-on-1D-mesh",
+        "field-P1D-on-2D-mesh",
+        "l2_project-P1D-on-2D-mesh",
+        "l2_project-P2D-on-1D-mesh",
+        "operator-P1D-on-2D-mesh",
+        "operator-Q2D-on-1D-mesh",
+    ],
+)
+def test_dimension_mismatch_is_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _legendre_coeff_oracle(f, lo, hi, k):

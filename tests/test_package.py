@@ -1,7 +1,9 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import dgcentral
 
@@ -11,3 +13,34 @@ def test_every_exported_name_resolves():
     assert len(modules) > 1  # the submodules were found
     stale = [f"{mod.__name__}.{name}" for mod in modules for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert stale == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used | exported]
+
+
+def test_scanner_flags_an_unused_import():
+    assert _unused_imports("import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(pi)\n") == ["os (line 1)"]
+
+
+def test_no_unused_imports_in_the_package():
+    unused = {
+        path.name: names
+        for path in sorted(Path(dgcentral.__file__).parent.glob("*.py"))
+        if (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
