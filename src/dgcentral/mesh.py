@@ -44,7 +44,8 @@ class Mesh1D:
     centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
+        # a copy: freezing the caller's own array would make it read-only too
+        nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a 1D mesh needs at least two nodes")
         widths = np.diff(nodes)

@@ -16,7 +16,6 @@ measured errors are not quadrature artifacts; the same code serves 1D and
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,39 +138,24 @@ class ConvergenceTable:
             return None
         return ls_order(self.ns, self.ef)
 
+    def _rows(self, fmt_error, fmt_ls) -> list[list[str]]:
+        """The cells of both tables: per level N and each error with its rate, then the LS fits."""
+        columns = [(self.e2, self.rate2, self.ls2), (self.ea, self.ratea, self.lsa)]
+        if self.ef is not None:
+            columns.append((self.ef, self.ratef, self.lsf))
+        rows = []
+        for i, n in enumerate(self.ns):
+            rows.append([str(n)] + [cell for err, rate, _ in columns for cell in (fmt_error(err[i]), _fmt_rate(rate[i]))])
+        return rows + [["LS"] + [cell for _, _, ls in columns for cell in (fmt_ls(ls), "")]]
+
     def to_csv_text(self) -> str:
         """Full-precision CSV: N,E2,rate2,EA,rateA[,Ef,ratef] + trailing LS row."""
-        buf = io.StringIO()
-        has_ef = self.ef is not None
-        header = "N,E2,rate2,EA,rateA" + (",Ef,ratef" if has_ef else "")
-        buf.write(header + "\n")
-        r2, ra = self.rate2, self.ratea
-        rf = self.ratef
-        for i, n in enumerate(self.ns):
-            row = [str(n), _fmt_full(self.e2[i]), _fmt_rate(r2[i]), _fmt_full(self.ea[i]), _fmt_rate(ra[i])]
-            if has_ef:
-                row += [_fmt_full(self.ef[i]), _fmt_rate(rf[i])]
-            buf.write(",".join(row) + "\n")
-        ls = ["LS", _fmt_full(self.ls2), "", _fmt_full(self.lsa), ""]
-        if has_ef:
-            ls += [_fmt_full(self.lsf), ""]
-        buf.write(",".join(ls) + "\n")
-        return buf.getvalue()
+        header = "N,E2,rate2,EA,rateA" + (",Ef,ratef" if self.ef is not None else "")
+        return "\n".join([header] + [",".join(row) for row in self._rows(_fmt_full, _fmt_full)]) + "\n"
 
     def to_markdown_text(self) -> str:
         """Markdown table with 3-significant-digit errors and 2-decimal rates."""
-        has_ef = self.ef is not None
-        cols = ["N", "E2", "rate", "EA", "rate", "Ef", "rate"] if has_ef else ["N", "E2", "rate", "EA", "rate"]
+        cols = ["N", "E2", "rate", "EA", "rate"] + (["Ef", "rate"] if self.ef is not None else [])
         lines = [f"### {self.label}", "", "| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-        r2, ra = self.rate2, self.ratea
-        rf = self.ratef
-        for i, n in enumerate(self.ns):
-            row = [str(n), _fmt_sig(self.e2[i]), _fmt_rate(r2[i]), _fmt_sig(self.ea[i]), _fmt_rate(ra[i])]
-            if has_ef:
-                row += [_fmt_sig(self.ef[i]), _fmt_rate(rf[i])]
-            lines.append("| " + " | ".join(row) + " |")
-        ls = ["LS", _fmt_rate(self.ls2), "", _fmt_rate(self.lsa), ""]
-        if has_ef:
-            ls += [_fmt_rate(self.lsf), ""]
-        lines.append("| " + " | ".join(ls) + " |")
+        lines += ["| " + " | ".join(row) + " |" for row in self._rows(_fmt_sig, _fmt_rate)]
         return "\n".join(lines) + "\n"

@@ -8,18 +8,20 @@ with the central flux {u} = (u^- + u^+)/2, and the scheme (u_t, v)_j = -a_j(u, v
 2D uses the analogous form b_{i,j} (volume term minus four edge-flux
 integrals) with (u_t, v) = +b_{i,j}(u, v).
 
-The form is written twice.  The RHS maps fold the diagonal inverse mass
+The form is written twice.  The RHS map folds the diagonal inverse mass
 matrix into constant reference stencil matrices: on any mesh the modal time
 derivative of a cell is a fixed linear combination of its own and neighbor
-coefficients scaled by 1/h (per axis in 2D), so one matrix triple per axis
-serves every cell.  In 1D those blocks are assembled once into the sparse
-matrix L of u' = L u (`SpatialOperator.matrix`), which is both the RHS map
-and what the time integrator steps with; 2D applies the per-axis stencils
-directly.  The reference form `cell_form` evaluates (u_t, v) on one cell by
-quadrature from the tables of `_form_tables`; `field_form` applies it to a
-field with the field's own central fluxes.  The superconvergence probes
-compare the reference form of a projected and of an exact solution, and the
-tests hold the stencil route to the reference form.
+coefficients scaled by 1/h, so one matrix triple serves every cell of an
+axis, and each axis assembles it once into a sparse 1D matrix
+(`SpatialOperator.factors`).  In 1D that matrix is L of u' = L u; on a 2D
+tensor mesh L = Lx (x) I + I (x) Ly is applied on the tensor layout of the
+coefficients without being formed (P2D padded to the tensor index set and
+truncated back after each application).  The time integrator steps with the
+same factors.  The reference form `cell_form` evaluates (u_t, v) on one
+cell by quadrature from the tables of `_form_tables`; `field_form` applies
+it to a field with the field's own central fluxes.  The superconvergence
+probes compare the reference form of a projected and of an exact solution,
+and the tests hold the assembled route to the reference form.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .basis import (
     default_rule,
@@ -41,6 +44,7 @@ from .fields import (
     ModalField,
     SpaceKind,
     GaussTable,
+    _axis_degrees,
     _space_degrees,
     gauss_table,
     sample,
@@ -57,6 +61,11 @@ __all__ = [
     "superconvergence_residual_2d",
     "flux_cancellation_residual_2d",
 ]
+
+# Doubles (512 KB) in the strip of rows of the tensor layout that `add_apply`
+# transposes at a time: whole-array transposes of a P3 N=256 state (8 MB) miss
+# the cache and took half of each application.
+_STRIP_DOUBLES = 65536
 
 
 @lru_cache(maxsize=None)
@@ -76,75 +85,127 @@ def _stencil_1d(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return own * scale, right * scale, left * scale
 
 
-@lru_cache(maxsize=None)
-def _stencil_2d(kind: str, k: int):
-    """Per-axis stencil matrices (x own/right/left, then y) over the 2D basis index set.
+def _axis_matrix(axis: Mesh1D, k: int) -> sparse.csr_matrix:
+    """L of one periodic 1D axis as a CSR matrix on the flattened (cell, mode) coefficients.
 
-    The x-direction terms act on the x-degree with the y-degree as a
-    bystander (orthogonality collapses the transverse integral), so on the
-    lexicographic tensor index a*(k+1) + b they are the 1D blocks kron'd with
-    the identity, restricted to the space's index set.
+    Block-circulant: cell j couples to itself and its two periodic
+    neighbours through the `_stencil_1d` blocks, with block row j scaled
+    by 1/h_j.  Structural zeros of the blocks are dropped.
     """
-    eye = np.eye(k + 1)
-    idx = [a * (k + 1) + b for a, b in _space_degrees(kind, k)]
-    sub = np.ix_(idx, idx)
-    blocks = _stencil_1d(k)
-    return tuple(np.kron(m, eye)[sub] for m in blocks) + tuple(np.kron(eye, m)[sub] for m in blocks)
+    n, d = axis.num_cells, k + 1
+    cells = np.arange(n)
+    modes = np.arange(d)
+    blocks = np.stack(_stencil_1d(k))  # (own, right, left), each (d, d)
+    nbrs = np.stack([cells, (cells + 1) % n, (cells - 1) % n])  # (3, n)
+    rows = cells[None, :, None, None] * d + modes[None, None, :, None]
+    cols = nbrs[:, :, None, None] * d + modes[None, None, None, :]
+    vals = blocks[:, None, :, :] / axis.widths[None, :, None, None]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    # duplicate (row, col) pairs, which N <= 2 produces, are summed
+    mat = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n * d, n * d))
+    mat.eliminate_zeros()
+    return mat
+
+
+def _add_product(mat: sparse.csr_matrix, x: np.ndarray, y: np.ndarray) -> None:
+    """y += mat @ x in place (scipy's `@` would allocate the result).
+
+    csr_matvecs writes through raw pointers, so layout and shapes are checked first.
+    """
+    contiguous = x.flags.c_contiguous and y.flags.c_contiguous
+    if not contiguous or x.shape[1:] != y.shape[1:] or mat.shape != (y.shape[0], x.shape[0]):
+        raise ValueError("in-place product needs C-contiguous arrays of matching shapes")
+    csr_matvecs(*mat.shape, x.size // x.shape[0], mat.indptr, mat.indices, mat.data, x.ravel(), y.ravel())
 
 
 class SpatialOperator:
-    """The semi-discrete operator L with du/dt = L(u) on a periodic mesh."""
+    """The semi-discrete operator L with du/dt = L(u) on a periodic mesh.
+
+    On the tensor layout of the coefficients (`to_tensor`) L is the
+    Kronecker sum of the per-axis 1D operators, L = Lx (x) I + I (x) Ly.
+    """
 
     def __init__(self, mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
-        axes = space.axes_of(mesh)
+        space.axes_of(mesh)
         self.mesh = mesh
         self.space = space
-        if space.dimension == 2:
-            self._x0, self._xp, self._xm, self._y0, self._yp, self._ym = _stencil_2d(space.kind, space.degree)
-            self._inv_wx, self._inv_wy = (1.0 / axis.widths for axis in axes)
-
-    # -- RHS maps ----------------------------------------------------------
 
     @cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        """The 1D operator L as a CSR matrix on the flattened (cell, mode) coefficients.
+    def factors(self) -> tuple[sparse.csr_matrix, ...]:
+        """The 1D operator of each mesh axis (`_axis_matrix`)."""
+        return tuple(_axis_matrix(axis, self.space.degree) for axis in self.mesh.axes)
 
-        Block-circulant: cell j couples to itself and its two periodic
-        neighbours through the `_stencil_1d` blocks, with block row j scaled
-        by 1/h_j.  Structural zeros of the blocks are dropped.
-        """
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        """The 1D operator L as a CSR matrix on the flattened (cell, mode) coefficients."""
         if self.space.dimension != 1:
             raise ValueError("the assembled matrix is built for 1D operators only")
-        n = self.mesh.num_cells
-        d = self.space.dof
-        cells = np.arange(n)
-        modes = np.arange(d)
-        blocks = np.stack(_stencil_1d(self.space.degree))  # (own, right, left), each (d, d)
-        nbrs = np.stack([cells, (cells + 1) % n, (cells - 1) % n])  # (3, n)
-        rows = cells[None, :, None, None] * d + modes[None, None, :, None]
-        cols = nbrs[:, :, None, None] * d + modes[None, None, None, :]
-        vals = blocks[:, None, :, :] / self.mesh.widths[None, :, None, None]
-        rows, cols = np.broadcast_arrays(rows, cols)
-        # duplicate (row, col) pairs, which N <= 2 produces, are summed
-        mat = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n * d, n * d))
-        mat.eliminate_zeros()
-        return mat
+        return self.factors[0]
+
+    @cached_property
+    def _tensor_index(self) -> np.ndarray:
+        """Position of each basis function in the full (k+1)^d tensor index set."""
+        return np.ravel_multi_index(tuple(_axis_degrees(self.space)), (self.space.degree + 1,) * self.space.dimension)
+
+    @cached_property
+    def _keep(self) -> np.ndarray:
+        """Per x-degree a, 1 on the columns (j, b) of the space's modes and 0 elsewhere: (k+1, columns)."""
+        k1 = self.space.degree + 1
+        keep = np.zeros(k1 * k1)
+        keep[self._tensor_index] = 1.0
+        return np.tile(keep.reshape(k1, k1), self.mesh.mesh_y.num_cells)
+
+    @cached_property
+    def _strip(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat scratch for one strip of rows of the tensor layout and its image, transposed."""
+        rows, columns = (axis.num_cells * (self.space.degree + 1) for axis in self.mesh.axes)
+        size = columns * min(rows, max(1, _STRIP_DOUBLES // columns))
+        return tuple(np.empty((2, size)))  # one block: glibc maps it apart and returns it on free
+
+    def to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients (cells..., dof) as W[i(k+1)+a, j(k+1)+b] = u_ij,ab (flat in 1D, 0 off a P2D space)."""
+        cells = coeffs.shape[:-1]
+        d, k1 = len(cells), self.space.degree + 1
+        full = np.zeros(cells + (k1**d,))
+        full[..., self._tensor_index] = coeffs
+        interleaved = [i for axis in range(d) for i in (axis, d + axis)]
+        return full.reshape(cells + (k1,) * d).transpose(interleaved).reshape([n * k1 for n in cells])
+
+    def from_tensor(self, w: np.ndarray) -> np.ndarray:
+        """The coefficients (cells..., dof) of a tensor layout; inverse of `to_tensor`."""
+        cells = tuple(axis.num_cells for axis in self.mesh.axes)
+        d, k1 = len(cells), self.space.degree + 1
+        split = w.reshape([m for n in cells for m in (n, k1)]).transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
+        return split.reshape(cells + (k1**d,))[..., self._tensor_index]
+
+    def add_apply(self, w: np.ndarray, out: np.ndarray) -> None:
+        """out += L w on the tensor layout, as Lx @ w + (Ly @ w.T).T, without allocating."""
+        _add_product(self.factors[0], w, out)
+        if self.space.dimension == 2:
+            # Ly acts along the rows of w: transpose a cache-sized strip of rows at a time
+            flat_t, flat_out = self._strip
+            columns = w.shape[1]
+            step = flat_t.size // columns
+            for start in range(0, w.shape[0], step):
+                rows = w[start : start + step]
+                strip_t = flat_t[: rows.size].reshape(columns, -1)
+                strip_out = flat_out[: rows.size].reshape(columns, -1)
+                np.copyto(strip_t, rows.T)
+                strip_out.fill(0.0)
+                _add_product(self.factors[1], strip_t, strip_out)
+                out[start : start + step] += strip_out.T
+        if self.space.kind == "P2D":  # the factors raise degrees out of the total-degree set
+            modes = out.reshape(-1, self.space.degree + 1, out.shape[1])
+            modes *= self._keep
 
     def apply_rhs(self, u: ModalField) -> ModalField:
         """Modal image of the time derivative: (du/dt, v) tested over the basis."""
         if u.space != self.space:
             raise ValueError("field space does not match operator space")
-        c = u.coeffs
-        if self.space.dimension == 1:
-            return u.like((self.matrix @ c.ravel()).reshape(c.shape))
-        tx = c @ self._x0.T
-        tx += np.roll(c, -1, axis=0) @ self._xp.T
-        tx += np.roll(c, 1, axis=0) @ self._xm.T
-        ty = c @ self._y0.T
-        ty += np.roll(c, -1, axis=1) @ self._yp.T
-        ty += np.roll(c, 1, axis=1) @ self._ym.T
-        out = tx * self._inv_wx[:, None, None] + ty * self._inv_wy[None, :, None]
-        return u.like(out)
+        w = self.to_tensor(u.coeffs)
+        out = np.zeros_like(w)
+        self.add_apply(w, out)
+        return u.like(self.from_tensor(out))
 
 
 # ---------------------------------------------------------------------------

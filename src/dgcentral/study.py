@@ -141,8 +141,11 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _take(pairs: dict[str, str], key: str, default=None) -> str | None:
-    return pairs.pop(key, default)
+def _require(pairs: dict[str, str], key: str, why: str = "missing") -> str:
+    value = pairs.pop(key, None)
+    if value is None:
+        raise ConfigError(f"{key}: {why}")
+    return value
 
 
 def _as_int(key: str, value: str) -> int:
@@ -168,20 +171,13 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         key, value = (part.strip() for part in ov.split("=", 1))
         pairs[key] = value
 
-    problem = _take(pairs, "problem")
-    if problem is None:
-        raise ConfigError("problem: missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")")
+    problem = _require(pairs, "problem", "missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")")
     if problem not in PROBLEMS:
         raise ConfigError(f"problem: unknown id {problem!r}; choose from {sorted(PROBLEMS)}")
     prob = PROBLEMS[problem]
 
-    kind = _take(pairs, "space.kind")
-    if kind is None:
-        raise ConfigError("space.kind: missing")
-    degree_s = _take(pairs, "space.degree")
-    if degree_s is None:
-        raise ConfigError("space.degree: missing")
-    degree = _as_int("space.degree", degree_s)
+    kind = _require(pairs, "space.kind")
+    degree = _as_int("space.degree", _require(pairs, "space.degree"))
     try:
         space = SpaceKind(kind, degree)
     except ValueError as exc:
@@ -191,34 +187,23 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
             f"space.kind: {kind} is {space.dimension}D but problem {problem!r} is {prob.dimension}D"
         )
 
-    family = _take(pairs, "mesh.family")
+    family = pairs.pop("mesh.family", None)
     if family not in _FAMILIES:
         raise ConfigError(f"mesh.family: expected one of {_FAMILIES}, got {family!r}")
     alpha = fraction = seed = None
     if family == "alpha":
-        alpha_s = _take(pairs, "mesh.alpha")
-        if alpha_s is None:
-            raise ConfigError("mesh.alpha: required for the alpha family")
-        alpha = _as_float("mesh.alpha", alpha_s)
+        alpha = _as_float("mesh.alpha", _require(pairs, "mesh.alpha", "required for the alpha family"))
         if not abs(alpha) < 1.0:
             raise ConfigError("mesh.alpha: must satisfy |alpha| < 1")
     elif family == "random":
-        fraction_s = _take(pairs, "mesh.fraction")
-        seed_s = _take(pairs, "mesh.seed")
-        if fraction_s is None:
-            raise ConfigError("mesh.fraction: required for the random family")
-        if seed_s is None:
-            raise ConfigError("mesh.seed: required for the random family")
-        fraction = _as_float("mesh.fraction", fraction_s)
+        fraction = _as_float("mesh.fraction", _require(pairs, "mesh.fraction", "required for the random family"))
+        seed = _as_int("mesh.seed", _require(pairs, "mesh.seed", "required for the random family"))
         if not 0.0 <= fraction < 1.0:
             raise ConfigError("mesh.fraction: must lie in [0, 1)")
-        seed = _as_int("mesh.seed", seed_s)
         if seed < 0:
             raise ConfigError("mesh.seed: must be a non-negative integer")
 
-    ns_s = _take(pairs, "study.ns")
-    if ns_s is None:
-        raise ConfigError("study.ns: missing (comma-separated cell counts)")
+    ns_s = _require(pairs, "study.ns", "missing (comma-separated cell counts)")
     try:
         ns = tuple(int(tok) for tok in ns_s.replace(" ", "").split(",") if tok)
     except ValueError:
@@ -230,18 +215,18 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
     if family == "alpha" and any(n < 2 for n in ns):
         raise ConfigError("study.ns: alpha meshes need N >= 2")
 
-    t_final = _as_float("time.T", _take(pairs, "time.T", "1.0"))
+    t_final = _as_float("time.T", pairs.pop("time.T", "1.0"))
     if not (math.isfinite(t_final) and t_final > 0):
         raise ConfigError("time.T: must be positive and finite")
-    time_c = _as_float("time.c", _take(pairs, "time.c", "0.01"))
+    time_c = _as_float("time.c", pairs.pop("time.c", "0.01"))
     if not (math.isfinite(time_c) and time_c > 0):
         raise ConfigError("time.c: must be positive and finite")
-    scheme = _take(pairs, "time.scheme", "rk4")
+    scheme = pairs.pop("time.scheme", "rk4")
     if scheme not in SCHEMES:
         raise ConfigError(f"time.scheme: unknown scheme {scheme!r}; registered: {sorted(SCHEMES)}")
 
     domain = None
-    lo_s, hi_s = _take(pairs, "domain.lo"), _take(pairs, "domain.hi")
+    lo_s, hi_s = pairs.pop("domain.lo", None), pairs.pop("domain.hi", None)
     if (lo_s is None) != (hi_s is None):
         raise ConfigError("domain.lo/domain.hi: provide both or neither")
     if lo_s is not None:
@@ -251,7 +236,7 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         if domain[1] <= domain[0]:
             raise ConfigError("domain.hi: must exceed domain.lo")
 
-    out_dir = _take(pairs, "output.dir")
+    out_dir = pairs.pop("output.dir", None)
     if pairs:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(pairs)))
     return StudyConfig(
@@ -385,10 +370,9 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
     for n in ns:
         mesh = build_mesh(cfg, n)
         u0 = l2_project(prob.initial, mesh, space)
-        op = SpatialOperator(mesh, space)
         tcfg = IntegrationConfig(t_final=cfg.t_final, c=cfg.time_c, scheme=cfg.scheme)
-        # 1D steps with the assembled L; a 2D P(hL) would fill in a (2s+1)^2 cell patch
-        u = integrate(op.matrix if space.dimension == 1 else op.apply_rhs, u0, tcfg)
+        # the operator picks the route: P(hL) in 1D, Horner on the tensor layout in 2D
+        u = integrate(SpatialOperator(mesh, space), u0, tcfg)
         e2 = error_l2(prob.exact, u, cfg.t_final)
         e2_hi = error_l2(prob.exact, u, cfg.t_final, extra_order=2)
         ea = error_cell_average(prob.exact, u, cfg.t_final)

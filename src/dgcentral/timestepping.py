@@ -13,20 +13,20 @@ Heun are not shipped: on this skew operator their amplification factors
 satisfy |P(iy)|^2 = 1 + y^2 and 1 + y^4/4, so they raise the discrete energy
 for every dt.
 
-Two routes, one time grid:
+For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
+gamma_0 = 1 and gamma_j = b^T A^(j-1) 1.  Three routes, one time grid:
 
-* ``rhs`` a callable (2D fields, scalar and custom states): each step runs
-  the tableau's stages, one RHS call per stage.
-* ``rhs`` a ``scipy.sparse`` matrix L (the 1D operator): for the linear
-  autonomous system u' = L u any explicit tableau advances a step of size h
-  by its stability polynomial, u <- P(hL) u with P(z) = sum_j gamma_j z^j,
-  gamma_0 = 1 and gamma_j = b^T A^(j-1) 1.  P(dt L) - I is formed once (and
-  a second one for a shortened last step), so a step is one sparse matvec
-  and a vector add, u + (P(hL) - I) u.  In 1D P(hL) couples 2s+1 cells per
-  row; on a 2D tensor mesh it would couple a (2s+1)^2 patch, which is why
-  2D keeps applying its stencil once per stage.
+* a callable ``rhs`` (any field, scalar or custom state): one RHS call per stage.
+* a ``scipy.sparse`` matrix L or a 1D `SpatialOperator`: P(dt L) - I is
+  formed once (and once more for a shortened last step), and a step is one
+  sparse matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
+* a 2D `SpatialOperator`, where P(hL) would couple a (2s+1)^2 cell patch:
+  the state stays in the operator's tensor layout for the whole run, and a
+  step applies L = Lx (x) I + I (x) Ly s times into reused buffers by
+  Horner's rule, u + L(c_1 u + L(c_2 u + ... + L(c_s u))), c_j = gamma_j h^j.
+  As in the matrix route, u is added last.
 
-Both routes keep the same non-finite check and energy log.  For field
+All routes keep the same non-finite check and energy log.  For field
 states, a final discrete energy above the initial one by more than
 `ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`: the
 central-flux operator is skew in the mass inner product, so a stable step
@@ -47,6 +47,7 @@ import numpy as np
 from scipy import sparse
 
 from .fields import ModalField
+from .operators import SpatialOperator
 
 __all__ = [
     "RKScheme",
@@ -232,35 +233,59 @@ def _matrix_step(mat, scheme: RKScheme):
     return step
 
 
+def _tensor_step(op: SpatialOperator, scheme: RKScheme, layout: np.ndarray):
+    """One step of u' = L u in place on the operator's tensor layout, by Horner's rule."""
+    gammas = stability_coefficients(scheme)
+    buffers = tuple(np.empty((2,) + layout.shape))  # one block: glibc maps it apart and returns it on free
+
+    def step(state, h):
+        acc, nxt = buffers
+        coeffs = gammas * h ** np.arange(gammas.size)
+        np.multiply(state, coeffs[-1], out=acc)
+        for c in coeffs[-2:0:-1]:
+            np.multiply(state, c, out=nxt)
+            op.add_apply(acc, nxt)
+            acc, nxt = nxt, acc
+        op.add_apply(acc, state)
+        return state
+
+    return step
+
+
 def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     """March u' = rhs(u) from 0 to cfg.t_final; returns the final state.
 
-    `rhs` is a callable or a `scipy.sparse` matrix L (then u' = L u on the
-    flattened state, stepped with P(hL)).  `u0` may be a ModalField (a
-    callable rhs maps fields to fields) or any ndarray-like state.  If
+    `rhs` is a callable, a `scipy.sparse` matrix L (then u' = L u on the
+    flattened state) or a `SpatialOperator`; the module docstring gives the
+    route each one takes.  `u0` may be a ModalField (a callable rhs maps
+    fields to fields) or any ndarray-like state.  If
     `energy_log` is given and the state is a field, the squared L2 norm is
     appended at every step boundary, including t = 0.  For a field state a
     run whose final energy exceeds the initial energy by more than
     ENERGY_GROWTH_TOL (relative) raises IntegrationDivergedError.
     """
     is_field = isinstance(u0, ModalField)
-    if is_field:
-        template = u0
-        state = np.array(u0.coeffs, dtype=float, copy=True)
-
-        def f(arr):
-            return rhs(template.like(arr)).coeffs
-
-        def energy(arr):
-            return template.like(arr).norm_l2_squared()
-
-    else:
-        state = np.array(u0, dtype=float, copy=True)
-        f = rhs
-    dt = cfg.resolve_dt(template.mesh.min_width if is_field else None)
+    state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
+    dt = cfg.resolve_dt(u0.mesh.min_width if is_field else None)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     scheme = SCHEMES[cfg.scheme]
-    advance = _matrix_step(rhs, scheme) if sparse.issparse(rhs) else _stage_step(f, scheme)
+    coeffs_of = np.asarray  # the coefficients of a stepped state
+    if isinstance(rhs, SpatialOperator):
+        if is_field and u0.space != rhs.space:
+            raise ValueError("field space does not match operator space")
+        if rhs.space.dimension == 1:
+            rhs = rhs.matrix
+    if isinstance(rhs, SpatialOperator):
+        state, coeffs_of = rhs.to_tensor(state), rhs.from_tensor
+        advance = _tensor_step(rhs, scheme, state)
+    elif sparse.issparse(rhs):
+        advance = _matrix_step(rhs, scheme)
+    else:
+        advance = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme)
+
+    def energy(arr):
+        return u0.like(coeffs_of(arr)).norm_l2_squared()
+
     if is_field:
         energy0 = energy(state)
         if energy_log is not None:
@@ -278,7 +303,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
             if energy_log is not None and is_field:
                 energy_log.append(energy(state))
     if not is_field:
-        return state
+        return coeffs_of(state)
     growth = energy(state) - energy0
     if growth > ENERGY_GROWTH_TOL * energy0:
         raise IntegrationDivergedError(
@@ -286,7 +311,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
             t,
             f"discrete energy grew by {growth / energy0:.3e} relative (unstable step; reduce time.c)",
         )
-    return template.like(state)
+    return u0.like(coeffs_of(state))
 
 
 def energy_drift(energy_series) -> float:

@@ -101,7 +101,7 @@ def suite_energy(fields_per_config: int = 50) -> list[CheckResult]:
     op = SpatialOperator(mesh, space)
     u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
     log: list[float] = []
-    integrate(op.matrix, u0, IntegrationConfig(t_final=1.0, c=0.01), energy_log=log)
+    integrate(op, u0, IntegrationConfig(t_final=1.0, c=0.01), energy_log=log)
     results.append(_check("energy drift over [0,1], exp(sin x), k=2 N=40 rk4", energy_drift(log), 1e-10))
     return results
 

@@ -85,6 +85,13 @@ def test_mesh_is_immutable():
         mesh.nodes[0] = -1.0
 
 
+def test_mesh_leaves_the_callers_nodes_writeable():
+    nodes = np.linspace(0.0, 1.0, 5)
+    mesh = Mesh1D(nodes)
+    nodes[0] = -1.0
+    assert mesh.nodes[0] == 0.0
+
+
 def test_invalid_constructions():
     with pytest.raises(ValueError):
         Mesh1D(np.array([0.0, 0.0, 1.0]))

@@ -5,12 +5,12 @@ identities."""
 import numpy as np
 import pytest
 
-from dgcentral.fields import ModalField, SpaceKind, _mass_vector, _space_degrees, l2_project
+from dgcentral import operators
+from dgcentral.fields import ModalField, SpaceKind, _mass_vector, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
     _stencil_1d,
-    _stencil_2d,
     field_form,
     flux_cancellation_residual_2d,
     superconvergence_residual_1d,
@@ -87,25 +87,67 @@ def test_apply_rhs_is_dual_to_reference_form(case):
         np.testing.assert_allclose(area * mass * w.coeffs[cell], field_form(u, *cell), rtol=0, atol=tol)
 
 
+def _mesh_2d():
+    return tensor_mesh(alpha_mesh(7, 0.2, (0.0, TWO_PI)), random_mesh(5, 0.4, 3, (0.0, TWO_PI)))
+
+
+def _kron_on_index_set(mesh, space):
+    """Dense L of a 2D space: each axis's 1D matrix kron'd with the identity, on the space's index set.
+
+    Rows and columns run over (i, j, basis) like the coefficients.  The x
+    term couples (i, a) to (i', a') with j and the y-degree b as spectators,
+    and the y term vice versa.
+    """
+    k1 = space.degree + 1
+    lx, ly = (
+        SpatialOperator(axis, SpaceKind("P1D", space.degree)).matrix.toarray().reshape(axis.num_cells, k1, axis.num_cells, k1)
+        for axis in mesh.axes
+    )
+    nx, ny = mesh.num_cells
+    ek = np.eye(k1)
+    full = np.einsum("iaIA,jJ,bB->ijabIJAB", lx, np.eye(ny), ek) + np.einsum("iI,aA,jbJB->ijabIJAB", np.eye(nx), ek, ly)
+    full = full.reshape(nx * ny, k1 * k1, nx * ny, k1 * k1)
+    idx = [a * k1 + b for a, b in space.degrees]
+    return full[:, idx][:, :, :, idx].reshape(nx * ny * space.dof, nx * ny * space.dof)
+
+
+@pytest.mark.parametrize("strip_rows", [None, 2], ids=["one-strip", "2-row-strips"])
 @pytest.mark.parametrize("kind", ["Q2D", "P2D"])
 @pytest.mark.parametrize("k", range(5))
-def test_stencil_2d_matches_index_loop(kind, k):
-    # x-terms carry the 1D blocks on the x-degree where the y-degrees agree
-    # and vice versa; a direct loop over pairs of basis indices
-    blocks = _stencil_1d(k)
-    degs = _space_degrees(kind, k)
-    expected = [np.zeros((len(degs), len(degs))) for _ in range(6)]
-    for i, (m, n) in enumerate(degs):
-        for ip, (a, b) in enumerate(degs):
-            for s, block in enumerate(blocks):
-                if n == b:
-                    expected[s][i, ip] = block[m, a]
-                if m == a:
-                    expected[3 + s][i, ip] = block[n, b]
-    got = _stencil_2d(kind, k)
-    assert len(got) == 6
-    for g, e in zip(got, expected):
-        np.testing.assert_array_equal(g, e)
+def test_tensor_apply_matches_kron_on_index_set(kind, k, strip_rows, monkeypatch):
+    mesh, space = _mesh_2d(), SpaceKind(kind, k)
+    if strip_rows is not None:  # 7(k+1) rows: several strips and a shorter last one
+        monkeypatch.setattr(operators, "_STRIP_DOUBLES", strip_rows * 5 * (k + 1))
+    c = np.random.default_rng(k).standard_normal((*mesh.num_cells, space.dof))
+    expected = (_kron_on_index_set(mesh, space) @ c.ravel()).reshape(c.shape)
+    got = SpatialOperator(mesh, space).apply_rhs(ModalField(space, mesh, c)).coeffs
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+
+
+def test_in_place_product_rejects_mismatched_arrays():
+    # the product writes through raw pointers: a wrong shape or a strided view
+    # must raise, not read or write past the arrays
+    op = SpatialOperator(_mesh_2d(), SpaceKind("Q2D", 1))
+    w = np.ones((14, 10))
+    with pytest.raises(ValueError, match="matching shapes"):
+        op.add_apply(w, np.zeros((14, 9)))
+    with pytest.raises(ValueError, match="matching shapes"):
+        op.add_apply(w.T.copy(), np.zeros((10, 14)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        op.add_apply(w, np.zeros((10, 14)).T)
+
+
+@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+def test_tensor_layout_puts_cell_and_degree_on_each_axis(kind):
+    mesh, space = _mesh_2d(), SpaceKind(kind, 2)
+    op = SpatialOperator(mesh, space)
+    c = np.random.default_rng(0).standard_normal((*mesh.num_cells, space.dof))
+    w = op.to_tensor(c)
+    assert w.shape == (7 * 3, 5 * 3)
+    for n, (a, b) in enumerate(space.degrees):
+        np.testing.assert_array_equal(w[a::3, b::3], c[..., n])
+    assert np.count_nonzero(w) == c.size  # P2D: the degrees outside the space are 0
+    np.testing.assert_array_equal(op.from_tensor(w), c)
 
 
 def test_apply_rhs_linearity_and_free_stream():
@@ -227,14 +269,30 @@ def test_matrix_is_1d_only():
         SpatialOperator(mesh, SpaceKind("Q2D", 1)).matrix
 
 
+def _assert_exactly_skew(axis, mat, k):
+    """M L + (M L)^T = 0 entrywise for the diagonal mass M of the axis."""
+    mass = np.outer(0.5 * axis.widths, _mass_vector("P1D", k)).ravel()
+    ml = mat.multiply(mass[:, None]).toarray()
+    # each entry is a product of a few rounded factors: allow 16 ulps of its size
+    bound = 16 * np.finfo(float).eps * np.maximum(np.abs(ml), np.abs(ml.T))
+    assert np.all(np.abs(ml + ml.T) <= bound)
+
+
 @pytest.mark.parametrize("family", sorted(_MESHES_1D))
 @pytest.mark.parametrize("k", range(5))
 def test_mass_times_matrix_is_exactly_skew(family, k):
     # d/dt ||u||^2 = u^T (M L + (M L)^T) u vanishes for every u, not only sampled ones
     mesh = _MESHES_1D[family]()
-    op = SpatialOperator(mesh, SpaceKind("P1D", k))
-    mass = np.outer(0.5 * mesh.widths, _mass_vector("P1D", k)).ravel()
-    ml = op.matrix.multiply(mass[:, None]).toarray()
-    # each entry is a product of a few rounded factors: allow 16 ulps of its size
-    bound = 16 * np.finfo(float).eps * np.maximum(np.abs(ml), np.abs(ml.T))
-    assert np.all(np.abs(ml + ml.T) <= bound)
+    _assert_exactly_skew(mesh, SpatialOperator(mesh, SpaceKind("P1D", k)).matrix, k)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_mass_times_each_2d_factor_is_exactly_skew(k):
+    # with M = Mx (x) My, M (Lx (x) I) = (Mx Lx) (x) My and likewise for y, so
+    # skew factors make the 2D energy identity exact for every u; for P2D the
+    # restriction to the index set commutes with the diagonal M
+    mesh = _mesh_2d()
+    op = SpatialOperator(mesh, SpaceKind("P2D", k))
+    assert len(op.factors) == 2
+    for axis, factor in zip(mesh.axes, op.factors):
+        _assert_exactly_skew(axis, factor, k)

@@ -548,3 +548,14 @@ class TestInputHoles:
         err = capsys.readouterr().err
         assert "energy grew" in err
         assert not out.exists()
+
+    def test_unstable_2d_step_exits_2_without_a_table(self, tmp_path, capsys):
+        # the 2D rk4 limit is about half the 1D one: c = 0.5 is unstable for Q2
+        out = tmp_path / "res"
+        path = tmp_path / "study.cfg"
+        text = BASE_2D.replace("study.ns = 4", "study.ns = 6,8").replace("time.T = 0.1", "time.T = 2.0")
+        path.write_text(_with(text, **{"output.dir": str(out)}))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "energy grew" in err
+        assert not out.exists()

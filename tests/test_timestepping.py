@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgcentral.fields import SpaceKind, l2_project
-from dgcentral.mesh import alpha_mesh, uniform_mesh
+from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import SpatialOperator
 from dgcentral.timestepping import (
     SCHEMES,
@@ -271,15 +271,71 @@ def test_matrix_path_divergence_reports_step_and_time():
     assert err.value.time == pytest.approx(0.1 * err.value.step)
 
 
+def _operator_2d(kind="Q2D", k=2):
+    mesh = tensor_mesh(alpha_mesh(5, 0.3, (0.0, 2.0 * np.pi)), random_mesh(4, 0.3, 7, (0.0, 2.0 * np.pi)))
+    space = SpaceKind(kind, k)
+    return SpatialOperator(mesh, space), l2_project(lambda x, y: np.exp(np.sin(x) + np.cos(y)), mesh, space)
+
+
 @pytest.mark.usefixtures("low_order_schemes")
-@pytest.mark.parametrize("use_matrix", [True, False], ids=["matrix", "stages"])
-def test_energy_growth_raises(use_matrix):
+@pytest.mark.parametrize("route", ["matrix", "stages", "tensor"])
+def test_energy_growth_raises(route):
     # euler amplifies every nonzero mode of a skew operator: |1 + iy|^2 = 1 + y^2
-    op, u0 = _alpha_operator()
-    rhs = op.matrix if use_matrix else op.apply_rhs
+    if route == "tensor":
+        rhs, u0 = _operator_2d()
+    else:
+        op, u0 = _alpha_operator()
+        rhs = op.matrix if route == "matrix" else op.apply_rhs
     with pytest.raises(IntegrationDivergedError, match="energy grew") as err:
         integrate(rhs, u0, IntegrationConfig(t_final=0.5, scheme="euler"))
     assert err.value.time == pytest.approx(0.5)
+
+
+# -- the 2D route: Horner's rule on the tensor layout ---------------------------
+
+
+@pytest.mark.usefixtures("low_order_schemes")
+@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+@pytest.mark.parametrize("name", _ALL_NAMES)
+def test_tensor_step_equals_one_stage_loop_step(name, kind):
+    # coefficient arrays, not fields: euler and heun would trip the energy guard
+    op, u0 = _operator_2d(kind)
+    dt = 0.05 * u0.mesh.min_width
+    # a full step, then a full step followed by a shortened last one
+    for t_final in (dt, 1.37 * dt):
+        cfg = IntegrationConfig(t_final=t_final, scheme=name, dt=dt)
+        fast = integrate(op, u0.coeffs, cfg)
+        stages = integrate(lambda v: op.apply_rhs(u0.like(v)).coeffs, u0.coeffs, cfg)
+        assert fast.shape == u0.coeffs.shape
+        assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
+
+
+def test_tensor_path_keeps_field_and_energy_log_semantics():
+    op, u0 = _operator_2d("P2D")
+    before = u0.coeffs.copy()
+    log = []
+    u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
+    assert u.space == u0.space and u.mesh is u0.mesh
+    assert len(log) == 21  # t = 0 plus twenty steps
+    assert energy_drift(log) < 1e-8
+    np.testing.assert_array_equal(u0.coeffs, before)  # the march works on its own copy
+
+
+@pytest.mark.parametrize("kind", ["P1D", "Q2D"])
+def test_operator_route_rejects_a_field_of_another_space(kind):
+    op, u0 = _alpha_operator() if kind == "P1D" else _operator_2d()
+    other = l2_project(np.cos if kind == "P1D" else (lambda x, y: np.cos(x)), u0.mesh, SpaceKind(kind, 1))
+    with pytest.raises(ValueError, match="space"):
+        integrate(op, other, IntegrationConfig(t_final=0.1))
+
+
+def test_tensor_path_divergence_reports_step_and_time():
+    # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps
+    op, u0 = _operator_2d()
+    with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
+        integrate(op, u0, IntegrationConfig(t_final=1e6, dt=1e3))
+    assert 1 <= err.value.step < 1000
+    assert err.value.time == pytest.approx(1e3 * err.value.step)
 
 
 @pytest.mark.parametrize(
