@@ -16,8 +16,12 @@ axis, and each axis assembles it once into a sparse 1D matrix
 (`SpatialOperator.factors`).  In 1D that matrix is L of u' = L u; on a 2D
 tensor mesh L = Lx (x) I + I (x) Ly is applied on the tensor layout of the
 coefficients without being formed (P2D padded to the tensor index set and
-truncated back after each application).  The time integrator steps with the
-same factors.  The reference form `cell_form` evaluates (u_t, v) on one
+truncated back after each application).  `SpatialOperator.propagate`
+diagonalises the same L, with its mass-scaled skew form: Q2D by a dense
+eigenbasis of each factor (L is diagonal on their product), P2D on uniform
+axes by the Bloch symbol of each wavenumber pair, built from the
+`_stencil_1d` blocks.  The time integrator marches with one or the other.
+The reference form `cell_form` evaluates (u_t, v) on one
 cell by quadrature from the tables of `_form_tables`; `field_form` applies
 it to a field with the field's own central fluxes.  The superconvergence
 probes compare the reference form of a projected and of an exact solution,
@@ -45,6 +49,7 @@ from .fields import (
     SpaceKind,
     GaussTable,
     _axis_degrees,
+    _mass_vector,
     _space_degrees,
     gauss_table,
     sample,
@@ -66,6 +71,23 @@ __all__ = [
 # transposes at a time: whole-array transposes of a P3 N=256 state (8 MB) miss
 # the cache and took half of each application.
 _STRIP_DOUBLES = 65536
+
+# Widest axis (cells x (k+1)) that `propagate` diagonalises densely; wider Q2D
+# axes are stepped.  The eigenbasis costs O(width^3) time and two dense complex
+# width^2 matrices per axis.  Measured up to this width (rk4, T = 1, c = 0.01,
+# 2-vCPU host): a Q2 alpha N=682 level (2046 wide) marched in 38.5 s against
+# an estimated 68 min of Horner steps, and at 1539 wide it matched the steps
+# to 5e-14.
+_AXIS_EIGEN_CAP = 2048
+
+# Relative spread of an axis's widths below which the axis counts as uniform,
+# so that P2D can be diagonalised by Bloch symbols built on the mean width.
+_UNIFORM_RTOL = 1e-12
+
+# Entries of the stack of Bloch symbols built and diagonalised at a time (4 MB):
+# at P3 N=256 the whole stack is 105 MB, and a march in one block raised the
+# level's peak RSS by 285 MB where blocks of rows raise it by 8 MB.
+_BLOCH_ENTRIES = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +127,17 @@ def _axis_matrix(axis: Mesh1D, k: int) -> sparse.csr_matrix:
     mat = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n * d, n * d))
     mat.eliminate_zeros()
     return mat
+
+
+def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam and unitary V with D L D^-1 = V diag(lam) V^H, D = diag(scale).
+
+    D L D^-1 is skew (L is skew in the mass inner product, D^2 the mass), so
+    1j D L D^-1 is Hermitian and `eigh` applies; lam is purely imaginary.
+    `mat` may be a stack (..., n, n) with `scale` shaped (..., n).
+    """
+    omega, vecs = np.linalg.eigh(1j * (scale[..., :, None] * mat / scale[..., None, :]))
+    return -1j * omega, vecs
 
 
 def _add_product(mat: sparse.csr_matrix, x: np.ndarray, y: np.ndarray) -> None:
@@ -206,6 +239,68 @@ class SpatialOperator:
         out = np.zeros_like(w)
         self.add_apply(w, out)
         return u.like(self.from_tensor(out))
+
+    # -- a basis that diagonalises L --------------------------------------------
+
+    @property
+    def spectral_route(self) -> str | None:
+        """How `propagate` diagonalises L: "axes", "bloch", or None where it does not."""
+        if self.space.kind == "Q2D" and max(f.shape[0] for f in self.factors) <= _AXIS_EIGEN_CAP:
+            return "axes"  # L = Lx (+) Ly is diagonal on a product of per-axis eigenbases
+        uniform = all(np.ptp(axis.widths) <= _UNIFORM_RTOL * axis.widths.mean() for axis in self.mesh.axes)
+        if self.space.kind == "P2D" and uniform:
+            return "bloch"  # translation-invariant: one small symbol per wavenumber pair
+        return None
+
+    @cached_property
+    def _axis_bases(self) -> tuple:
+        """Per axis, (lam, V, D) of `_skew_eigh` for L_a with D^2 its mass."""
+        mass = reference_operators(self.space.degree).mass_diag
+        bases = []
+        for axis, mat in zip(self.mesh.axes, self.factors):
+            scale = np.sqrt(np.outer(0.5 * axis.widths, mass)).ravel()
+            bases.append(_skew_eigh(mat.toarray(), scale) + (scale,))
+        return tuple(bases)
+
+    def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray | None:
+        """f(L) applied to coefficients (cells..., dof), given f mode by mode.
+
+        In a basis that diagonalises L, with coordinates z that are unitary
+        in the mass inner product (sum |z|^2 is the discrete energy), every z
+        becomes gain(lam, z) for its eigenvalue lam.  `gain` is called on
+        arrays of modes, possibly several times; if it returns None the
+        propagation is abandoned and None returned.
+        """
+        if self.spectral_route == "axes":
+            (lx, vx, dx), (ly, vy, dy) = self._axis_bases
+            z = vx.conj().T @ (dx[:, None] * self.to_tensor(coeffs) * dy) @ vy.conj()
+            z = gain(lx[:, None] + ly, z)
+            return None if z is None else self.from_tensor((vx @ z @ vy.T).real / dx[:, None] / dy)
+        if self.spectral_route != "bloch":
+            raise ValueError("L has no diagonalising basis on this mesh and space")
+        # Uniform axes: a Fourier transform over the cells turns L into the
+        # symbol Pi (Lx(xi) (+) Ly(eta)) Pi^T of each wavenumber pair, where
+        # Pi restricts the tensor degrees to the space's.
+        a, b = _axis_degrees(self.space)
+        widths = [axis.widths.mean() for axis in self.mesh.axes]
+        own, right, left = _stencil_1d(self.space.degree)
+        symbols = []
+        for axis, width in zip(self.mesh.axes, widths):
+            phase = np.exp(2j * np.pi * np.fft.fftfreq(axis.num_cells))[:, None, None]
+            symbols.append((own + right * phase + left * phase.conj()) / width)
+        sx = symbols[0][:, a[:, None], a] * (b[:, None] == b)
+        sy = symbols[1][:, b[:, None], b] * (a[:, None] == a)
+        scale = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 4)
+        u_hat = np.fft.fft2(coeffs, axes=(0, 1), norm="ortho")
+        rows = max(1, _BLOCH_ENTRIES // sy.size)
+        for start in range(0, len(sx), rows):
+            lam, vecs = _skew_eigh(sx[start : start + rows, None] + sy, scale)
+            z = (vecs.conj().swapaxes(-1, -2) @ (scale * u_hat[start : start + rows])[..., None])[..., 0]
+            z = gain(lam, z)
+            if z is None:
+                return None
+            u_hat[start : start + rows] = (vecs @ z[..., None])[..., 0] / scale
+        return np.fft.ifft2(u_hat, axes=(0, 1), norm="ortho").real
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,26 @@ satisfy |P(iy)|^2 = 1 + y^2 and 1 + y^4/4, so they raise the discrete energy
 for every dt.
 
 For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
-gamma_0 = 1 and gamma_j = b^T A^(j-1) 1.  Three routes, one time grid:
+gamma_0 = 1 and gamma_j = b^T A^(j-1) 1, so a run of n steps computes
+P(h_last L) P(dt L)^(n-1) u0.  Four routes, one time grid:
 
 * a callable ``rhs`` (any field, scalar or custom state): one RHS call per stage.
 * a ``scipy.sparse`` matrix L or a 1D `SpatialOperator`: P(dt L) - I is
   formed once (and once more for a shortened last step), and a step is one
   sparse matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
-* a 2D `SpatialOperator`, where P(hL) would couple a (2s+1)^2 cell patch:
-  the state stays in the operator's tensor layout for the whole run, and a
-  step applies L = Lx (x) I + I (x) Ly s times into reused buffers by
+* a 2D `SpatialOperator` with a diagonalising basis (Q2D; P2D on uniform
+  axes; see `SpatialOperator.propagate`): the whole run is one factor
+  P(h_last lam) P(dt lam)^(n-1) per mode, with no steps.  A level with a
+  mode that grows, |P(dt lam)| > 1, is stepped on the next route instead,
+  which reports the growth as any stepped run does.
+* any other 2D `SpatialOperator`, where P(hL) would couple a (2s+1)^2 cell
+  patch: the state stays in the operator's tensor layout for the whole run,
+  and a step applies L = Lx (x) I + I (x) Ly s times into reused buffers by
   Horner's rule, u + L(c_1 u + L(c_2 u + ... + L(c_s u))), c_j = gamma_j h^j.
   As in the matrix route, u is added last.
 
-All routes keep the same non-finite check and energy log.  For field
+All routes keep the same non-finite check and energy log; the spectral
+route checks the final state and writes the log in closed form.  For field
 states, a final discrete energy above the initial one by more than
 `ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`: the
 central-flux operator is skew in the mass inner product, so a stable step
@@ -64,6 +71,10 @@ __all__ = [
 
 # Relative growth of the discrete energy over a run above which it is unstable.
 ENERGY_GROWTH_TOL = 1e-8
+
+# |P(dt lam)| of a mode above 1 by more than this hands the run from the
+# spectral march to the steps, which then report the growth as they always did.
+_GAIN_ROUNDOFF = 1e-13
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -252,6 +263,37 @@ def _tensor_step(op: SpatialOperator, scheme: RKScheme, layout: np.ndarray):
     return step
 
 
+def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last: float, scheme: RKScheme, log):
+    """P(h_last L) P(dt L)^(nsteps-1) coeffs, one factor per mode of `SpatialOperator.propagate`.
+
+    Returns None, and the run is stepped instead, where L has no
+    diagonalising basis or some mode grows, |P(dt lam)| > 1 beyond
+    roundoff.  If `log` is a list, the energy after each step is appended to
+    it in closed form, E_n = sum |P(dt lam)|^(2n) |z|^2 over the modes'
+    mass-unitary coordinates z (|P(h_last lam)|^2 for the last factor).
+    """
+    if op.spectral_route is None:
+        return None
+    gammas = stability_coefficients(scheme)[::-1]
+    energies = np.zeros(nsteps)
+
+    def gain(lam, z):
+        full, last = np.polyval(gammas, dt * lam), np.polyval(gammas, h_last * lam)
+        if np.max(np.abs(full)) > 1.0 + _GAIN_ROUNDOFF:
+            return None
+        if log is not None:
+            weight, ratio = np.abs(z) ** 2, np.abs(full) ** 2
+            for n in range(nsteps):
+                weight *= ratio if n < nsteps - 1 else np.abs(last) ** 2
+                energies[n] += weight.sum()
+        return full ** (nsteps - 1) * last * z
+
+    out = op.propagate(coeffs, gain)
+    if out is not None and log is not None:
+        log.extend(energies.tolist())
+    return out
+
+
 def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     """March u' = rhs(u) from 0 to cfg.t_final; returns the final state.
 
@@ -268,40 +310,53 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
     dt = cfg.resolve_dt(u0.mesh.min_width if is_field else None)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
+    t_last = 0.0  # where the last step starts, summed as the steps sum it
+    for _ in range(nsteps - 1):
+        t_last += dt
+    h_last = cfg.t_final - t_last
     scheme = SCHEMES[cfg.scheme]
+    log = energy_log if is_field else None
     coeffs_of = np.asarray  # the coefficients of a stepped state
-    if isinstance(rhs, SpatialOperator):
-        if is_field and u0.space != rhs.space:
-            raise ValueError("field space does not match operator space")
-        if rhs.space.dimension == 1:
-            rhs = rhs.matrix
-    if isinstance(rhs, SpatialOperator):
-        state, coeffs_of = rhs.to_tensor(state), rhs.from_tensor
-        advance = _tensor_step(rhs, scheme, state)
-    elif sparse.issparse(rhs):
-        advance = _matrix_step(rhs, scheme)
-    else:
-        advance = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme)
 
     def energy(arr):
         return u0.like(coeffs_of(arr)).norm_l2_squared()
 
     if is_field:
         energy0 = energy(state)
-        if energy_log is not None:
-            energy_log.append(energy0)
-    t = 0.0
-    # overflow in a blowing-up state is reported via IntegrationDivergedError,
-    # not as a numpy warning mid-stage
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(nsteps):
-            h = dt if step < nsteps - 1 else cfg.t_final - t
-            state = advance(state, h)
-            t += h
-            if not np.all(np.isfinite(state)):
-                raise IntegrationDivergedError(step + 1, t)
-            if energy_log is not None and is_field:
-                energy_log.append(energy(state))
+        if log is not None:
+            log.append(energy0)
+    marched = None
+    if isinstance(rhs, SpatialOperator):
+        if is_field and u0.space != rhs.space:
+            raise ValueError("field space does not match operator space")
+        if rhs.space.dimension == 1:
+            rhs = rhs.matrix
+        else:
+            marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme, log)
+    if marched is not None:
+        state, t = marched, t_last + h_last
+        if not np.all(np.isfinite(state)):
+            raise IntegrationDivergedError(nsteps, t)
+    else:
+        if isinstance(rhs, SpatialOperator):
+            state, coeffs_of = rhs.to_tensor(state), rhs.from_tensor
+            advance = _tensor_step(rhs, scheme, state)
+        elif sparse.issparse(rhs):
+            advance = _matrix_step(rhs, scheme)
+        else:
+            advance = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme)
+        t = 0.0
+        # overflow in a blowing-up state is reported via IntegrationDivergedError,
+        # not as a numpy warning mid-stage
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(nsteps):
+                h = dt if step < nsteps - 1 else h_last
+                state = advance(state, h)
+                t += h
+                if not np.all(np.isfinite(state)):
+                    raise IntegrationDivergedError(step + 1, t)
+                if log is not None:
+                    log.append(energy(state))
     if not is_field:
         return coeffs_of(state)
     growth = energy(state) - energy0

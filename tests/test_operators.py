@@ -7,7 +7,7 @@ import pytest
 
 from dgcentral import operators
 from dgcentral.fields import ModalField, SpaceKind, _mass_vector, l2_project
-from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
+from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
     _stencil_1d,
@@ -296,3 +296,69 @@ def test_mass_times_each_2d_factor_is_exactly_skew(k):
     assert len(op.factors) == 2
     for axis, factor in zip(mesh.axes, op.factors):
         _assert_exactly_skew(axis, factor, k)
+
+
+# -- a basis that diagonalises L -----------------------------------------------
+
+
+def _uniform_mesh_2d():
+    return tensor_mesh(uniform_mesh(6, (0.0, TWO_PI)), uniform_mesh(5, (0.0, TWO_PI)))
+
+
+@pytest.mark.parametrize(
+    "kind, mesh, route",
+    [("Q2D", _mesh_2d, "axes"), ("Q2D", _uniform_mesh_2d, "axes"), ("P2D", _uniform_mesh_2d, "bloch")],
+    ids=["Q2D-alpha-random", "Q2D-uniform", "P2D-uniform"],
+)
+@pytest.mark.parametrize("k", range(5))
+def test_propagate_diagonalises_l(kind, mesh, route, k):
+    # f(L) = L and f(L) = I, given mode by mode, against the dense L
+    mesh, space = mesh(), SpaceKind(kind, k)
+    op = SpatialOperator(mesh, space)
+    assert op.spectral_route == route
+    c = np.random.default_rng(k).standard_normal((*mesh.num_cells, space.dof))
+    expected = (_kron_on_index_set(mesh, space) @ c.ravel()).reshape(c.shape)
+    got = op.propagate(c, lambda lam, z: lam * z)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+    np.testing.assert_allclose(op.propagate(c, lambda lam, z: z), c, rtol=0, atol=1e-14 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("kind, mesh", [("Q2D", _mesh_2d), ("P2D", _uniform_mesh_2d)], ids=["axes", "bloch"])
+def test_propagate_coordinates_carry_the_energy_and_can_be_abandoned(kind, mesh):
+    space = SpaceKind(kind, 2)
+    u = l2_project(lambda x, y: np.exp(np.sin(x) + np.cos(y)), mesh(), space)
+    op = SpatialOperator(u.mesh, space)
+    seen = []
+    op.propagate(u.coeffs, lambda lam, z: seen.append(np.sum(np.abs(z) ** 2)) or z)
+    assert sum(seen) == pytest.approx(u.norm_l2_squared(), rel=1e-13)
+    assert op.propagate(u.coeffs, lambda lam, z: None) is None
+
+
+def test_bloch_blocks_do_not_change_the_result(monkeypatch):
+    mesh, space = _uniform_mesh_2d(), SpaceKind("P2D", 3)
+    c = np.random.default_rng(0).standard_normal((*mesh.num_cells, space.dof))
+    whole = SpatialOperator(mesh, space).propagate(c, lambda lam, z: np.exp(lam) * z)
+    monkeypatch.setattr(operators, "_BLOCH_ENTRIES", 1)  # one xi row per block
+    blocks = []
+    rows = SpatialOperator(mesh, space).propagate(c, lambda lam, z: blocks.append(lam.shape) or np.exp(lam) * z)
+    assert blocks == [(1, 5, space.dof)] * 6
+    np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-15 * np.max(np.abs(whole)))
+
+
+def test_spectral_route_follows_from_space_and_mesh(monkeypatch):
+    def route(kind, x, y):
+        return SpatialOperator(tensor_mesh(x, y), SpaceKind(kind, 2)).spectral_route
+
+    fine = uniform_mesh(256, (0.0, TWO_PI))  # its widths spread by ~4e-14 relative
+    assert np.ptp(fine.widths) > 0
+    assert route("P2D", fine, fine) == "bloch"
+    nudged = Mesh1D(fine.nodes + np.where(np.arange(257) == 100, 1e-10, 0.0))
+    assert route("P2D", nudged, fine) is None
+    assert route("P2D", alpha_mesh(8, 0.1, (0.0, TWO_PI)), fine) is None
+    assert route("Q2D", alpha_mesh(7, 0.1, (0.0, TWO_PI)), random_mesh(5, 0.3, 1, (0.0, TWO_PI))) == "axes"
+    assert SpatialOperator(fine, SpaceKind("P1D", 2)).spectral_route is None
+    monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 3 * 8 - 1)  # wider than this: stepped
+    assert route("Q2D", uniform_mesh(7, (0.0, 1.0)), uniform_mesh(7, (0.0, 1.0))) == "axes"
+    assert route("Q2D", uniform_mesh(8, (0.0, 1.0)), uniform_mesh(7, (0.0, 1.0))) is None
+    with pytest.raises(ValueError, match="diagonalising"):
+        SpatialOperator(fine, SpaceKind("P1D", 2)).propagate(np.zeros((256, 3)), lambda lam, z: z)

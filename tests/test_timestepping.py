@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dgcentral import operators
 from dgcentral.fields import SpaceKind, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
+from dgcentral.metrics import error_cell_average, error_l2
 from dgcentral.operators import SpatialOperator
+from dgcentral.study import PROBLEMS
 from dgcentral.timestepping import (
     SCHEMES,
     IntegrationConfig,
@@ -16,6 +19,7 @@ from dgcentral.timestepping import (
     register_scheme,
     stability_coefficients,
     step_increment,
+    _tensor_step,
 )
 
 
@@ -345,3 +349,109 @@ def test_tensor_path_divergence_reports_step_and_time():
 def test_non_finite_terminal_time_and_step_are_rejected(kwargs):
     with pytest.raises(ValueError, match="finite"):
         IntegrationConfig(**kwargs)
+
+
+# -- the spectral route: the rk4 polynomial mode by mode ------------------------
+
+
+def _stepped(monkeypatch):
+    """Send every 2D operator to the Horner route for the rest of the test."""
+    monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)
+    monkeypatch.setattr(operators, "_UNIFORM_RTOL", -1.0)
+
+
+def _longdouble_march(op, u0, cfg):
+    """The rk4 stage loop in extended precision, on the same assembled factors."""
+    lx, ly = (f.toarray().astype(np.longdouble) for f in op.factors)
+    keep = op.to_tensor(np.ones_like(u0.coeffs)) != 0  # the space's tensor degrees
+
+    def apply(w):
+        return (lx @ w + w @ ly.T) * keep
+
+    dt = cfg.resolve_dt(u0.mesh.min_width)
+    nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    w = op.to_tensor(u0.coeffs).astype(np.longdouble)
+    for step in range(nsteps):
+        h = np.longdouble(dt) if step < nsteps - 1 else cfg.t_final - (nsteps - 1) * np.longdouble(dt)
+        k1 = apply(w)
+        k2 = apply(w + h / 2 * k1)
+        k3 = apply(w + h / 2 * k2)
+        k4 = apply(w + h * k3)
+        w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u0.like(op.from_tensor(w.astype(float)))
+
+
+_BOX = (0.0, 2.0 * np.pi)
+_SPECTRAL_LEVELS = {
+    "Q2D-alpha-random": ("Q2D", 2, lambda: (alpha_mesh(6, 0.3, _BOX), random_mesh(5, 0.3, 7, _BOX))),
+    "Q2D-alpha-odd": ("Q2D", 2, lambda: (alpha_mesh(7, 0.3, _BOX),) * 2),
+    "P2D-uniform-k1": ("P2D", 1, lambda: (uniform_mesh(6, _BOX),) * 2),
+    "P2D-uniform-k2": ("P2D", 2, lambda: (uniform_mesh(6, _BOX), uniform_mesh(5, _BOX))),
+    "P2D-uniform-k3": ("P2D", 3, lambda: (uniform_mesh(5, _BOX),) * 2),
+}
+
+
+@pytest.mark.parametrize("level", list(_SPECTRAL_LEVELS))
+def test_spectral_route_matches_a_longdouble_march(level):
+    kind, k, axes = _SPECTRAL_LEVELS[level]
+    prob = PROBLEMS["advect2d_sin"]
+    mesh, space = tensor_mesh(*axes()), SpaceKind(kind, k)
+    op = SpatialOperator(mesh, space)
+    assert op.spectral_route == ("axes" if kind == "Q2D" else "bloch")
+    u0 = l2_project(prob.initial, mesh, space)
+    cfg = IntegrationConfig(t_final=1.0)
+    fast, ref = integrate(op, u0, cfg), _longdouble_march(op, u0, cfg)
+    for norm in (error_l2, error_cell_average):
+        r = norm(prob.exact, ref, 1.0)
+        assert abs(norm(prob.exact, fast, 1.0) - r) <= 1e-10 * abs(r) + 1e-13
+
+
+def test_spectral_energy_log_matches_the_steps(monkeypatch):
+    # at c = 0.1 rk4 visibly damps the fast modes of random data, and
+    # T = 0.5 is 5.68 steps: the log must follow each step, the shortened last one too
+    op, u0 = _operator_2d()
+    u0 = u0.like(np.random.default_rng(1).standard_normal(u0.coeffs.shape))
+    assert op.spectral_route == "axes"
+    cfg = IntegrationConfig(t_final=0.5, c=0.1)
+    closed = []
+    integrate(op, u0, cfg, energy_log=closed)
+    _stepped(monkeypatch)
+    stepped = []
+    integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg, energy_log=stepped)
+    assert len(closed) == len(stepped) == 7
+    assert stepped[-2] - stepped[-1] > 1e-5 * stepped[-1]
+    np.testing.assert_allclose(closed, stepped, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatch):
+    # rk4 at c = 0.5 is unstable for k = 2: the march hands the level to the steps
+    mesh = tensor_mesh(uniform_mesh(8, (0.0, 2.0 * np.pi)), uniform_mesh(8, (0.0, 2.0 * np.pi)))
+    space = SpaceKind(kind, 2)
+    u0 = l2_project(lambda x, y: np.exp(np.sin(x) + np.cos(y)), mesh, space)
+    assert SpatialOperator(mesh, space).spectral_route is not None
+    cfg = IntegrationConfig(t_final=1.0, c=0.5)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate(SpatialOperator(mesh, space), u0, cfg)
+        errors.append((str(err.value), err.value.step, err.value.time))
+        _stepped(monkeypatch)
+    assert errors[0] == errors[1]
+    assert "energy grew" in errors[0][0]
+
+
+def test_p2d_on_a_random_mesh_takes_the_horner_route():
+    op, u0 = _operator_2d("P2D", 3)
+    assert op.spectral_route is None
+    cfg = IntegrationConfig(t_final=0.3)
+    w = op.to_tensor(u0.coeffs)
+    step = _tensor_step(op, SCHEMES["rk4"], w)
+    dt = cfg.resolve_dt(u0.mesh.min_width)
+    nsteps = math.ceil(0.3 / dt - 1e-12)
+    t = 0.0
+    for n in range(nsteps):
+        h = dt if n < nsteps - 1 else 0.3 - t
+        w = step(w, h)
+        t += h
+    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, op.from_tensor(w))
