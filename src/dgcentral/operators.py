@@ -13,19 +13,19 @@ matrix into constant reference stencil matrices: on any mesh the modal time
 derivative of a cell is a fixed linear combination of its own and neighbor
 coefficients scaled by 1/h, so one matrix triple serves every cell of an
 axis, and each axis assembles it once into a sparse 1D matrix
-(`SpatialOperator.factors`).  In 1D that matrix is L of u' = L u; on a 2D
-tensor mesh L = Lx (x) I + I (x) Ly is applied on the tensor layout of the
-coefficients without being formed (P2D padded to the tensor index set and
-truncated back after each application).  `SpatialOperator.propagate`
-diagonalises the same L, with its mass-scaled skew form: Q2D by a dense
-eigenbasis of each factor (L is diagonal on their product), P2D on uniform
-axes by the Bloch symbol of each wavenumber pair, built from the
-`_stencil_1d` blocks.  The time integrator marches with one or the other.
-The reference form `cell_form` evaluates (u_t, v) on one
-cell by quadrature from the tables of `_form_tables`; `field_form` applies
-it to a field with the field's own central fluxes.  The superconvergence
-probes compare the reference form of a projected and of an exact solution,
-and the tests hold the assembled route to the reference form.
+(`SpatialOperator.factors`).  `SpatialOperator.matrix` is L of u' = L u as
+one CSR matrix on the flattened coefficients: the axis's matrix in 1D, and
+on a 2D tensor mesh the Kronecker sum L = Lx (x) I + I (x) Ly restricted to
+the space's degrees.  `SpatialOperator.propagate` diagonalises the same L,
+with its mass-scaled skew form: Q2D by a dense eigenbasis of each factor (L
+is diagonal on their product), P2D on uniform axes by the Bloch symbol of
+each wavenumber pair, built from the `_stencil_1d` blocks.  The time
+integrator marches with one or the other.  The reference form `cell_form`
+evaluates (u_t, v) on one cell by quadrature from the tables of
+`_form_tables`; `field_form` applies it to a field with the field's own
+central fluxes.  The superconvergence probes compare the reference form of
+a projected and of an exact solution, and the tests hold the assembled
+route to the reference form.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .basis import (
     default_rule,
@@ -67,17 +66,14 @@ __all__ = [
     "flux_cancellation_residual_2d",
 ]
 
-# Doubles (512 KB) in the strip of rows of the tensor layout that `add_apply`
-# transposes at a time: whole-array transposes of a P3 N=256 state (8 MB) miss
-# the cache and took half of each application.
-_STRIP_DOUBLES = 65536
-
 # Widest axis (cells x (k+1)) that `propagate` diagonalises densely; wider Q2D
-# axes are stepped.  The eigenbasis costs O(width^3) time and two dense complex
-# width^2 matrices per axis.  Measured up to this width (rk4, T = 1, c = 0.01,
-# 2-vCPU host): a Q2 alpha N=682 level (2046 wide) marched in 38.5 s against
-# an estimated 68 min of Horner steps, and at 1539 wide it matched the steps
-# to 5e-14.
+# axes take the stages on the assembled L.  The eigenbasis costs O(width^3)
+# time and two dense complex width^2 matrices per axis.  Measured up to this
+# width (rk4, T = 1, c = 0.01, 2-vCPU host): a Q2 alpha N=682 level (2046
+# wide) marched in 38.5 s against an estimated 68 min of Horner steps on the
+# per-axis factors, and at 1539 wide it matched those steps to 5e-14.  The
+# stage steps that replaced them take about twice as long (Q2 alpha N=33:
+# 0.65 s against 0.31 s); no shipped config reaches this width.
 _AXIS_EIGEN_CAP = 2048
 
 # Relative spread of an axis's widths below which the axis counts as uniform,
@@ -140,17 +136,6 @@ def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return -1j * omega, vecs
 
 
-def _add_product(mat: sparse.csr_matrix, x: np.ndarray, y: np.ndarray) -> None:
-    """y += mat @ x in place (scipy's `@` would allocate the result).
-
-    csr_matvecs writes through raw pointers, so layout and shapes are checked first.
-    """
-    contiguous = x.flags.c_contiguous and y.flags.c_contiguous
-    if not contiguous or x.shape[1:] != y.shape[1:] or mat.shape != (y.shape[0], x.shape[0]):
-        raise ValueError("in-place product needs C-contiguous arrays of matching shapes")
-    csr_matvecs(*mat.shape, x.size // x.shape[0], mat.indptr, mat.indices, mat.data, x.ravel(), y.ravel())
-
-
 class SpatialOperator:
     """The semi-discrete operator L with du/dt = L(u) on a periodic mesh.
 
@@ -168,32 +153,26 @@ class SpatialOperator:
         """The 1D operator of each mesh axis (`_axis_matrix`)."""
         return tuple(_axis_matrix(axis, self.space.degree) for axis in self.mesh.axes)
 
-    @property
+    @cached_property
     def matrix(self) -> sparse.csr_matrix:
-        """The 1D operator L as a CSR matrix on the flattened (cell, mode) coefficients."""
-        if self.space.dimension != 1:
-            raise ValueError("the assembled matrix is built for 1D operators only")
-        return self.factors[0]
+        """L as a CSR matrix on the flattened coefficients (cells..., dof).
+
+        In 2D it is the Kronecker sum Lx (x) I + I (x) Ly on the tensor
+        layout, with rows and columns taken in the order of `from_tensor`:
+        P2D keeps only its own degrees, out of which the factors would raise.
+        """
+        if self.space.dimension == 1:
+            return self.factors[0]
+        lx, ly = self.factors
+        eye_x, eye_y = (sparse.identity(f.shape[0], format="csr") for f in self.factors)
+        full = sparse.kron(lx, eye_y, format="csr") + sparse.kron(eye_x, ly, format="csr")
+        order = self.from_tensor(np.arange(full.shape[0]).reshape(lx.shape[0], ly.shape[0])).ravel()
+        return full[order][:, order]
 
     @cached_property
     def _tensor_index(self) -> np.ndarray:
         """Position of each basis function in the full (k+1)^d tensor index set."""
         return np.ravel_multi_index(tuple(_axis_degrees(self.space)), (self.space.degree + 1,) * self.space.dimension)
-
-    @cached_property
-    def _keep(self) -> np.ndarray:
-        """Per x-degree a, 1 on the columns (j, b) of the space's modes and 0 elsewhere: (k+1, columns)."""
-        k1 = self.space.degree + 1
-        keep = np.zeros(k1 * k1)
-        keep[self._tensor_index] = 1.0
-        return np.tile(keep.reshape(k1, k1), self.mesh.mesh_y.num_cells)
-
-    @cached_property
-    def _strip(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat scratch for one strip of rows of the tensor layout and its image, transposed."""
-        rows, columns = (axis.num_cells * (self.space.degree + 1) for axis in self.mesh.axes)
-        size = columns * min(rows, max(1, _STRIP_DOUBLES // columns))
-        return tuple(np.empty((2, size)))  # one block: glibc maps it apart and returns it on free
 
     def to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients (cells..., dof) as W[i(k+1)+a, j(k+1)+b] = u_ij,ab (flat in 1D, 0 off a P2D space)."""
@@ -211,34 +190,11 @@ class SpatialOperator:
         split = w.reshape([m for n in cells for m in (n, k1)]).transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
         return split.reshape(cells + (k1**d,))[..., self._tensor_index]
 
-    def add_apply(self, w: np.ndarray, out: np.ndarray) -> None:
-        """out += L w on the tensor layout, as Lx @ w + (Ly @ w.T).T, without allocating."""
-        _add_product(self.factors[0], w, out)
-        if self.space.dimension == 2:
-            # Ly acts along the rows of w: transpose a cache-sized strip of rows at a time
-            flat_t, flat_out = self._strip
-            columns = w.shape[1]
-            step = flat_t.size // columns
-            for start in range(0, w.shape[0], step):
-                rows = w[start : start + step]
-                strip_t = flat_t[: rows.size].reshape(columns, -1)
-                strip_out = flat_out[: rows.size].reshape(columns, -1)
-                np.copyto(strip_t, rows.T)
-                strip_out.fill(0.0)
-                _add_product(self.factors[1], strip_t, strip_out)
-                out[start : start + step] += strip_out.T
-        if self.space.kind == "P2D":  # the factors raise degrees out of the total-degree set
-            modes = out.reshape(-1, self.space.degree + 1, out.shape[1])
-            modes *= self._keep
-
     def apply_rhs(self, u: ModalField) -> ModalField:
         """Modal image of the time derivative: (du/dt, v) tested over the basis."""
         if u.space != self.space:
             raise ValueError("field space does not match operator space")
-        w = self.to_tensor(u.coeffs)
-        out = np.zeros_like(w)
-        self.add_apply(w, out)
-        return u.like(self.from_tensor(out))
+        return u.like((self.matrix @ u.coeffs.ravel()).reshape(u.coeffs.shape))
 
     # -- a basis that diagonalises L --------------------------------------------
 

@@ -372,7 +372,7 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         u0 = l2_project(prob.initial, mesh, space)
         tcfg = IntegrationConfig(t_final=cfg.t_final, c=cfg.time_c, scheme=cfg.scheme)
         # the operator picks the route: P(hL) in 1D; in 2D one rk4 factor per mode
-        # where L has a diagonalising basis (Q2D, uniform P2D), else Horner steps
+        # where L has a diagonalising basis (Q2D, uniform P2D), else stages on L
         u = integrate(SpatialOperator(mesh, space), u0, tcfg)
         e2 = error_l2(prob.exact, u, cfg.t_final)
         e2_hi = error_l2(prob.exact, u, cfg.t_final, extra_order=2)

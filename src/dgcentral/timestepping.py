@@ -15,22 +15,21 @@ for every dt.
 
 For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
 gamma_0 = 1 and gamma_j = b^T A^(j-1) 1, so a run of n steps computes
-P(h_last L) P(dt L)^(n-1) u0.  Four routes, one time grid:
+P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid:
 
-* a callable ``rhs`` (any field, scalar or custom state): one RHS call per stage.
-* a ``scipy.sparse`` matrix L or a 1D `SpatialOperator`: P(dt L) - I is
-  formed once (and once more for a shortened last step), and a step is one
-  sparse matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
-* a 2D `SpatialOperator` with a diagonalising basis (Q2D; P2D on uniform
-  axes; see `SpatialOperator.propagate`): the whole run is one factor
-  P(h_last lam) P(dt lam)^(n-1) per mode, with no steps.  A level with a
-  mode that grows, |P(dt lam)| > 1, is stepped on the next route instead,
-  which reports the growth as any stepped run does.
-* any other 2D `SpatialOperator`, where P(hL) would couple a (2s+1)^2 cell
-  patch: the state stays in the operator's tensor layout for the whole run,
-  and a step applies L = Lx (x) I + I (x) Ly s times into reused buffers by
-  Horner's rule, u + L(c_1 u + L(c_2 u + ... + L(c_s u))), c_j = gamma_j h^j.
-  As in the matrix route, u is added last.
+* stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
+  field, scalar or custom state) takes it, and so does a 2D
+  `SpatialOperator` with no diagonalising basis, as the matvec of its
+  assembled L (`SpatialOperator.matrix`): a 2D P(hL) would couple a
+  (2s+1)^2 patch of cells and fill in.
+* P(hL): a ``scipy.sparse`` matrix L or a 1D `SpatialOperator`.  P(dt L) - I
+  is formed once (and once more for a shortened last step), and a step is
+  one sparse matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
+* spectral: a 2D `SpatialOperator` with a diagonalising basis (Q2D; P2D on
+  uniform axes; see `SpatialOperator.propagate`).  The whole run is one
+  factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps.  A level
+  with a mode that grows, |P(dt lam)| > 1, takes the stages instead, which
+  report the growth as any stepped run does.  L is assembled only then.
 
 All routes keep the same non-finite check and energy log; the spectral
 route checks the final state and writes the log in closed form.  For field
@@ -244,25 +243,6 @@ def _matrix_step(mat, scheme: RKScheme):
     return step
 
 
-def _tensor_step(op: SpatialOperator, scheme: RKScheme, layout: np.ndarray):
-    """One step of u' = L u in place on the operator's tensor layout, by Horner's rule."""
-    gammas = stability_coefficients(scheme)
-    buffers = tuple(np.empty((2,) + layout.shape))  # one block: glibc maps it apart and returns it on free
-
-    def step(state, h):
-        acc, nxt = buffers
-        coeffs = gammas * h ** np.arange(gammas.size)
-        np.multiply(state, coeffs[-1], out=acc)
-        for c in coeffs[-2:0:-1]:
-            np.multiply(state, c, out=nxt)
-            op.add_apply(acc, nxt)
-            acc, nxt = nxt, acc
-        op.add_apply(acc, state)
-        return state
-
-    return step
-
-
 def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last: float, scheme: RKScheme, log):
     """P(h_last L) P(dt L)^(nsteps-1) coeffs, one factor per mode of `SpatialOperator.propagate`.
 
@@ -316,10 +296,9 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     h_last = cfg.t_final - t_last
     scheme = SCHEMES[cfg.scheme]
     log = energy_log if is_field else None
-    coeffs_of = np.asarray  # the coefficients of a stepped state
 
     def energy(arr):
-        return u0.like(coeffs_of(arr)).norm_l2_squared()
+        return u0.like(arr).norm_l2_squared()
 
     if is_field:
         energy0 = energy(state)
@@ -339,8 +318,8 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
             raise IntegrationDivergedError(nsteps, t)
     else:
         if isinstance(rhs, SpatialOperator):
-            state, coeffs_of = rhs.to_tensor(state), rhs.from_tensor
-            advance = _tensor_step(rhs, scheme, state)
+            mat = rhs.matrix  # a 2D L is built only here, once the spectral march has declined
+            advance = _stage_step(lambda arr: (mat @ arr.ravel()).reshape(arr.shape), scheme)
         elif sparse.issparse(rhs):
             advance = _matrix_step(rhs, scheme)
         else:
@@ -358,7 +337,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
                 if log is not None:
                     log.append(energy(state))
     if not is_field:
-        return coeffs_of(state)
+        return state
     growth = energy(state) - energy0
     if growth > ENERGY_GROWTH_TOL * energy0:
         raise IntegrationDivergedError(
@@ -366,7 +345,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
             t,
             f"discrete energy grew by {growth / energy0:.3e} relative (unstable step; reduce time.c)",
         )
-    return u0.like(coeffs_of(state))
+    return u0.like(state)
 
 
 def energy_drift(energy_series) -> float:

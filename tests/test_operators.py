@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgcentral import operators
-from dgcentral.fields import ModalField, SpaceKind, _mass_vector, l2_project
+from dgcentral.fields import ModalField, SpaceKind, _mass_vector, jacobian, l2_project
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
@@ -111,30 +111,14 @@ def _kron_on_index_set(mesh, space):
     return full[:, idx][:, :, :, idx].reshape(nx * ny * space.dof, nx * ny * space.dof)
 
 
-@pytest.mark.parametrize("strip_rows", [None, 2], ids=["one-strip", "2-row-strips"])
 @pytest.mark.parametrize("kind", ["Q2D", "P2D"])
 @pytest.mark.parametrize("k", range(5))
-def test_tensor_apply_matches_kron_on_index_set(kind, k, strip_rows, monkeypatch):
+def test_tensor_apply_matches_kron_on_index_set(kind, k):
     mesh, space = _mesh_2d(), SpaceKind(kind, k)
-    if strip_rows is not None:  # 7(k+1) rows: several strips and a shorter last one
-        monkeypatch.setattr(operators, "_STRIP_DOUBLES", strip_rows * 5 * (k + 1))
     c = np.random.default_rng(k).standard_normal((*mesh.num_cells, space.dof))
     expected = (_kron_on_index_set(mesh, space) @ c.ravel()).reshape(c.shape)
     got = SpatialOperator(mesh, space).apply_rhs(ModalField(space, mesh, c)).coeffs
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
-
-
-def test_in_place_product_rejects_mismatched_arrays():
-    # the product writes through raw pointers: a wrong shape or a strided view
-    # must raise, not read or write past the arrays
-    op = SpatialOperator(_mesh_2d(), SpaceKind("Q2D", 1))
-    w = np.ones((14, 10))
-    with pytest.raises(ValueError, match="matching shapes"):
-        op.add_apply(w, np.zeros((14, 9)))
-    with pytest.raises(ValueError, match="matching shapes"):
-        op.add_apply(w.T.copy(), np.zeros((10, 14)))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        op.add_apply(w, np.zeros((10, 14)).T)
 
 
 @pytest.mark.parametrize("kind", ["Q2D", "P2D"])
@@ -263,15 +247,15 @@ def test_matrix_on_tiny_periodic_meshes(n):
     np.testing.assert_allclose((op.matrix @ c.ravel()).reshape(c.shape), _stencil_rhs(op, c), rtol=0, atol=1e-13)
 
 
-def test_matrix_is_1d_only():
-    mesh = tensor_mesh(uniform_mesh(3, (0.0, 1.0)), uniform_mesh(3, (0.0, 1.0)))
-    with pytest.raises(ValueError, match="1D"):
-        SpatialOperator(mesh, SpaceKind("Q2D", 1)).matrix
+@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+@pytest.mark.parametrize("k", range(5))
+def test_2d_matrix_is_the_kron_sum_on_index_set(kind, k):
+    mesh, space = _mesh_2d(), SpaceKind(kind, k)
+    np.testing.assert_array_equal(SpatialOperator(mesh, space).matrix.toarray(), _kron_on_index_set(mesh, space))
 
 
-def _assert_exactly_skew(axis, mat, k):
-    """M L + (M L)^T = 0 entrywise for the diagonal mass M of the axis."""
-    mass = np.outer(0.5 * axis.widths, _mass_vector("P1D", k)).ravel()
+def _assert_exactly_skew(mat, mass):
+    """M L + (M L)^T = 0 entrywise for the diagonal mass M, given as the vector `mass`."""
     ml = mat.multiply(mass[:, None]).toarray()
     # each entry is a product of a few rounded factors: allow 16 ulps of its size
     bound = 16 * np.finfo(float).eps * np.maximum(np.abs(ml), np.abs(ml.T))
@@ -283,7 +267,8 @@ def _assert_exactly_skew(axis, mat, k):
 def test_mass_times_matrix_is_exactly_skew(family, k):
     # d/dt ||u||^2 = u^T (M L + (M L)^T) u vanishes for every u, not only sampled ones
     mesh = _MESHES_1D[family]()
-    _assert_exactly_skew(mesh, SpatialOperator(mesh, SpaceKind("P1D", k)).matrix, k)
+    mass = np.outer(0.5 * mesh.widths, _mass_vector("P1D", k)).ravel()
+    _assert_exactly_skew(SpatialOperator(mesh, SpaceKind("P1D", k)).matrix, mass)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -295,7 +280,16 @@ def test_mass_times_each_2d_factor_is_exactly_skew(k):
     op = SpatialOperator(mesh, SpaceKind("P2D", k))
     assert len(op.factors) == 2
     for axis, factor in zip(mesh.axes, op.factors):
-        _assert_exactly_skew(axis, factor, k)
+        _assert_exactly_skew(factor, np.outer(0.5 * axis.widths, _mass_vector("P1D", k)).ravel())
+
+
+@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+@pytest.mark.parametrize("k", range(5))
+def test_mass_times_2d_matrix_is_exactly_skew(kind, k):
+    # the assembled Kronecker sum, restricted to the space's degrees, in the 2D mass
+    mesh = _mesh_2d()
+    mass = np.multiply.outer(jacobian(mesh), _mass_vector(kind, k)).ravel()
+    _assert_exactly_skew(SpatialOperator(mesh, SpaceKind(kind, k)).matrix, mass)
 
 
 # -- a basis that diagonalises L -----------------------------------------------

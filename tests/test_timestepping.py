@@ -19,7 +19,6 @@ from dgcentral.timestepping import (
     register_scheme,
     stability_coefficients,
     step_increment,
-    _tensor_step,
 )
 
 
@@ -282,11 +281,11 @@ def _operator_2d(kind="Q2D", k=2):
 
 
 @pytest.mark.usefixtures("low_order_schemes")
-@pytest.mark.parametrize("route", ["matrix", "stages", "tensor"])
+@pytest.mark.parametrize("route", ["matrix", "stages", "stepped-2d"])
 def test_energy_growth_raises(route):
     # euler amplifies every nonzero mode of a skew operator: |1 + iy|^2 = 1 + y^2
-    if route == "tensor":
-        rhs, u0 = _operator_2d()
+    if route == "stepped-2d":
+        rhs, u0 = _operator_2d("P2D")
     else:
         op, u0 = _alpha_operator()
         rhs = op.matrix if route == "matrix" else op.apply_rhs
@@ -295,14 +294,15 @@ def test_energy_growth_raises(route):
     assert err.value.time == pytest.approx(0.5)
 
 
-# -- the 2D route: Horner's rule on the tensor layout ---------------------------
+# -- the stepped 2D route: the stages on the assembled L -------------------------
 
 
 @pytest.mark.usefixtures("low_order_schemes")
 @pytest.mark.parametrize("kind", ["Q2D", "P2D"])
 @pytest.mark.parametrize("name", _ALL_NAMES)
-def test_tensor_step_equals_one_stage_loop_step(name, kind):
+def test_stepped_2d_route_equals_one_stage_loop_step(name, kind, monkeypatch):
     # coefficient arrays, not fields: euler and heun would trip the energy guard
+    _stepped(monkeypatch)
     op, u0 = _operator_2d(kind)
     dt = 0.05 * u0.mesh.min_width
     # a full step, then a full step followed by a shortened last one
@@ -314,8 +314,9 @@ def test_tensor_step_equals_one_stage_loop_step(name, kind):
         assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
 
 
-def test_tensor_path_keeps_field_and_energy_log_semantics():
+def test_stepped_2d_route_keeps_field_and_energy_log_semantics():
     op, u0 = _operator_2d("P2D")
+    assert op.spectral_route is None
     before = u0.coeffs.copy()
     log = []
     u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
@@ -333,9 +334,9 @@ def test_operator_route_rejects_a_field_of_another_space(kind):
         integrate(op, other, IntegrationConfig(t_final=0.1))
 
 
-def test_tensor_path_divergence_reports_step_and_time():
+def test_stepped_2d_route_divergence_reports_step_and_time():
     # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps
-    op, u0 = _operator_2d()
+    op, u0 = _operator_2d("P2D")
     with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
         integrate(op, u0, IntegrationConfig(t_final=1e6, dt=1e3))
     assert 1 <= err.value.step < 1000
@@ -355,30 +356,25 @@ def test_non_finite_terminal_time_and_step_are_rejected(kwargs):
 
 
 def _stepped(monkeypatch):
-    """Send every 2D operator to the Horner route for the rest of the test."""
+    """Send every 2D operator to the stepped route, the stages on its assembled L, for the rest of the test."""
     monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)
     monkeypatch.setattr(operators, "_UNIFORM_RTOL", -1.0)
 
 
 def _longdouble_march(op, u0, cfg):
-    """The rk4 stage loop in extended precision, on the same assembled factors."""
-    lx, ly = (f.toarray().astype(np.longdouble) for f in op.factors)
-    keep = op.to_tensor(np.ones_like(u0.coeffs)) != 0  # the space's tensor degrees
-
-    def apply(w):
-        return (lx @ w + w @ ly.T) * keep
-
+    """The rk4 stage loop in extended precision, on the same assembled L."""
+    mat = op.matrix.toarray().astype(np.longdouble)
     dt = cfg.resolve_dt(u0.mesh.min_width)
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
-    w = op.to_tensor(u0.coeffs).astype(np.longdouble)
+    w = u0.coeffs.ravel().astype(np.longdouble)
     for step in range(nsteps):
         h = np.longdouble(dt) if step < nsteps - 1 else cfg.t_final - (nsteps - 1) * np.longdouble(dt)
-        k1 = apply(w)
-        k2 = apply(w + h / 2 * k1)
-        k3 = apply(w + h / 2 * k2)
-        k4 = apply(w + h * k3)
+        k1 = mat @ w
+        k2 = mat @ (w + h / 2 * k1)
+        k3 = mat @ (w + h / 2 * k2)
+        k4 = mat @ (w + h * k3)
         w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u0.like(op.from_tensor(w.astype(float)))
+    return u0.like(w.astype(float).reshape(u0.coeffs.shape))
 
 
 _BOX = (0.0, 2.0 * np.pi)
@@ -441,17 +437,21 @@ def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatc
     assert "energy grew" in errors[0][0]
 
 
-def test_p2d_on_a_random_mesh_takes_the_horner_route():
+def test_p2d_on_a_random_mesh_steps_the_stages_on_its_matrix():
     op, u0 = _operator_2d("P2D", 3)
     assert op.spectral_route is None
     cfg = IntegrationConfig(t_final=0.3)
-    w = op.to_tensor(u0.coeffs)
-    step = _tensor_step(op, SCHEMES["rk4"], w)
-    dt = cfg.resolve_dt(u0.mesh.min_width)
-    nsteps = math.ceil(0.3 / dt - 1e-12)
-    t = 0.0
-    for n in range(nsteps):
-        h = dt if n < nsteps - 1 else 0.3 - t
-        w = step(w, h)
-        t += h
-    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, op.from_tensor(w))
+    stages = integrate(lambda u: u.like((op.matrix @ u.coeffs.ravel()).reshape(u.coeffs.shape)), u0, cfg)
+    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, stages.coeffs)
+
+
+@pytest.mark.parametrize(
+    "kind, axis", [("Q2D", alpha_mesh(7, 0.3, _BOX)), ("P2D", uniform_mesh(6, _BOX))], ids=["Q2D-alpha", "P2D-uniform"]
+)
+def test_spectral_route_does_not_assemble_the_matrix(kind, axis):
+    # the 2D L is built only for a level the spectral march declines
+    space = SpaceKind(kind, 2)
+    op = SpatialOperator(tensor_mesh(axis, axis), space)
+    integrate(op, l2_project(PROBLEMS["advect2d_sin"].initial, op.mesh, space), IntegrationConfig(t_final=0.1))
+    assert op.spectral_route is not None
+    assert "matrix" not in op.__dict__
