@@ -8,11 +8,12 @@ suite reported failures.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .study import ConfigError, dump_field, dump_mesh, load_config, run_study
 from .timestepping import IntegrationDivergedError
-from .verify import run_suite
+from .verify import run_checks, run_suite
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -44,6 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument("suite", help="energy | projection | superconvergence | all")
+    verify_p.add_argument("--json", action="store_true", help="print a JSON list of {suite, name, passed, detail}")
 
     dm = sub.add_parser("dump-mesh", help="write the node coordinates of every ladder level")
     _add_config_args(dm)
@@ -68,7 +70,15 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             try:
-                report, ok = run_suite(args.suite)
+                if args.json:
+                    checks = [
+                        {"suite": suite, "name": res.name, "passed": res.passed, "detail": res.detail}
+                        for suite, results in run_checks(args.suite).items()
+                        for res in results
+                    ]
+                    report, ok = json.dumps(checks, indent=2) + "\n", all(check["passed"] for check in checks)
+                else:
+                    report, ok = run_suite(args.suite)
             except KeyError as exc:
                 print(f"error: {exc.args[0]}", file=sys.stderr)
                 return 1

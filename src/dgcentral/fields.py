@@ -6,7 +6,8 @@ work runs over the mesh's ``axes`` with no 1D/2D branch, through
 ``sample(f, mesh, *xi)`` (f at reference points xi, one array per axis, in
 every cell; ``ModalField.sample`` for a field), ``basis_table`` (every basis
 function on a tensor grid of reference points, cached per Gauss rule by
-``gauss_table``) and ``jacobian`` (the outer product of the half-widths).
+``gauss_table``), ``jacobian`` (the outer product of the half-widths) and
+``mass_weights`` (the diagonal mass matrix, one weight per coefficient).
 
 Three projections produce fields from smooth functions:
 
@@ -44,6 +45,7 @@ __all__ = [
     "basis_table",
     "gauss_table",
     "jacobian",
+    "mass_weights",
     "l2_project",
     "shifted_projection_1d",
     "shifted_projection_2d",
@@ -178,6 +180,11 @@ def jacobian(mesh: Mesh1D | TensorMesh2D) -> np.ndarray:
     return reduce(np.multiply.outer, [0.5 * axis.widths for axis in mesh.axes])
 
 
+def mass_weights(space: SpaceKind, mesh: Mesh1D | TensorMesh2D) -> np.ndarray:
+    """The diagonal mass matrix, one weight per coefficient (shape cells + (dof,)): (u, v) = sum u * v * weights."""
+    return jacobian(mesh)[..., None] * _mass_vector(space.kind, space.degree)
+
+
 @dataclass
 class ModalField:
     """Per-cell modal coefficients over a mesh; shape (N, dof) or (Nx, Ny, dof)."""
@@ -216,8 +223,7 @@ class ModalField:
 
     def inner(self, other: "ModalField") -> float:
         """Global L2 inner product with a field on the same mesh and space, exact via orthogonality."""
-        prod = (self.coeffs * other.coeffs) @ _mass_vector(self.space.kind, self.space.degree)
-        return float(prod.ravel() @ jacobian(self.mesh).ravel())
+        return float((self.coeffs * other.coeffs).ravel() @ mass_weights(self.space, self.mesh).ravel())
 
     def norm_l2(self) -> float:
         """Global L2 norm, exact via orthogonality."""

@@ -51,6 +51,7 @@ from .fields import (
     _mass_vector,
     _space_degrees,
     gauss_table,
+    mass_weights,
     sample,
     shifted_projection_1d,
     shifted_projection_2d,
@@ -211,10 +212,9 @@ class SpatialOperator:
     @cached_property
     def _axis_bases(self) -> tuple:
         """Per axis, (lam, V, D) of `_skew_eigh` for L_a with D^2 its mass."""
-        mass = reference_operators(self.space.degree).mass_diag
         bases = []
         for axis, mat in zip(self.mesh.axes, self.factors):
-            scale = np.sqrt(np.outer(0.5 * axis.widths, mass)).ravel()
+            scale = np.sqrt(mass_weights(SpaceKind("P1D", self.space.degree), axis)).ravel()
             bases.append(_skew_eigh(mat.toarray(), scale) + (scale,))
         return tuple(bases)
 

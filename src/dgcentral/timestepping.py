@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fields import ModalField
+from .fields import ModalField, mass_weights
 from .operators import SpatialOperator
 
 __all__ = [
@@ -296,11 +296,9 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     h_last = cfg.t_final - t_last
     scheme = SCHEMES[cfg.scheme]
     log = energy_log if is_field else None
-
-    def energy(arr):
-        return u0.like(arr).norm_l2_squared()
-
     if is_field:
+        weights = mass_weights(u0.space, u0.mesh).ravel()
+        energy = lambda arr: float((arr * arr).ravel() @ weights)  # `ModalField.norm_l2_squared` of arr
         energy0 = energy(state)
         if log is not None:
             log.append(energy0)

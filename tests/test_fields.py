@@ -14,9 +14,12 @@ from dgcentral.basis import legendre_table
 from dgcentral.fields import (
     ModalField,
     SpaceKind,
+    _mass_vector,
     _weak_local_system_1d,
     basis_table,
+    jacobian,
     l2_project,
+    mass_weights,
     sample,
     shift_local_matrix_1d,
     shift_local_matrix_2d,
@@ -304,6 +307,17 @@ class TestModalField:
         field = l2_project(f, mesh, SpaceKind("Q2D", 4))
         exact = quad(lambda x: np.sin(x) ** 2, 0, 1)[0] * quad(lambda y: np.cos(y) ** 2, 0, 1)[0]
         assert field.norm_l2_squared() == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["P1D", "Q2D", "P2D"])
+    def test_inner_is_the_two_contraction_formula(self, kind):
+        # one dot product with mass_weights, against contracting the mass and then the Jacobian
+        axis = random_mesh(6, 0.3, 3, (0.0, 2.0))
+        mesh = axis if kind == "P1D" else tensor_mesh(axis, alpha_mesh(5, 0.2, (0.0, 1.0)))
+        space = SpaceKind(kind, 3)
+        rng = np.random.default_rng(5)
+        u, v = (ModalField(space, mesh, 0.5 + rng.random(mass_weights(space, mesh).shape)) for _ in range(2))
+        old = float(((u.coeffs * v.coeffs) @ _mass_vector(kind, 3)).ravel() @ jacobian(mesh).ravel())
+        assert u.inner(v) == pytest.approx(old, rel=1e-14, abs=0.0)
 
     def test_shape_validation(self):
         mesh = uniform_mesh(2, (0.0, 1.0))

@@ -1,11 +1,13 @@
 """Config parsing, study runner, output files, and the CLI front end."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcentral import cli
+from dgcentral import cli, verify
 from dgcentral.fields import Problem, l2_project
 from dgcentral.mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, uniform_mesh
 from dgcentral.study import (
@@ -479,6 +481,22 @@ class TestCli:
         monkeypatch.setattr(cli, "run_suite", lambda name: ("FAIL boom\n", False))
         assert cli.main(["verify", "energy"]) == 3
         assert "boom" in capsys.readouterr().out
+
+    def test_verify_json_lists_every_check(self, capsys):
+        assert cli.main(["verify", "superconvergence", "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)
+        assert [list(check) for check in checks] == [["suite", "name", "passed", "detail"]] * len(checks)
+        assert all(check["suite"] == "superconvergence" and check["passed"] for check in checks)
+        report, _ = verify.run_suite("superconvergence")
+        assert [f"  PASS  {c['name']}: {c['detail']}" for c in checks] == report.splitlines()[1:-1]
+
+    def test_verify_json_failure_exits_3_and_text_is_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "energy", lambda: [verify.CheckResult("boom", False, "1 <= 0")])
+        assert cli.main(["verify", "energy", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out) == [{"suite": "energy", "name": "boom", "passed": False, "detail": "1 <= 0"}]
+        assert cli.main(["verify", "energy"]) == 3
+        assert capsys.readouterr().out == "[energy]\n  FAIL  boom: 1 <= 0\nSOME CHECKS FAILED\n"
+        assert cli.main(["verify", "bogus", "--json"]) == 1
 
     def test_paper_scale_flag(self, tmp_path, capsys):
         path = self._write(

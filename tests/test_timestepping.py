@@ -266,6 +266,17 @@ def test_matrix_path_keeps_field_and_energy_log_semantics():
     assert energy_drift(log) < 1e-8
 
 
+@pytest.mark.parametrize("route", ["P(hL)", "stepped-2d"])
+def test_energy_log_runs_from_the_initial_to_the_final_norm(route):
+    # the log's mass-weighted dot products are the fields' own squared norms
+    op, u0 = _alpha_operator() if route == "P(hL)" else _operator_2d("P2D")
+    log = []
+    u = integrate(op, u0, IntegrationConfig(t_final=0.2), energy_log=log)
+    assert len(log) > 10
+    assert log[0] == pytest.approx(u0.norm_l2_squared(), rel=1e-14, abs=0.0)
+    assert log[-1] == pytest.approx(u.norm_l2_squared(), rel=1e-14, abs=0.0)
+
+
 def test_matrix_path_divergence_reports_step_and_time():
     op, u0 = _alpha_operator()
     with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
