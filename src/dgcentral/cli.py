@@ -47,27 +47,19 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("suite", help="energy | projection | superconvergence | all")
     verify_p.add_argument("--json", action="store_true", help="print a JSON list of {suite, name, passed, detail}")
 
-    dm = sub.add_parser("dump-mesh", help="write the node coordinates of every ladder level")
-    _add_config_args(dm)
-    dm.add_argument("--out", default=None, help="output directory (defaults to the config's output.dir)")
-
-    df = sub.add_parser("dump-field", help="project the initial data at the coarsest level and dump coefficients")
-    _add_config_args(df)
-    df.add_argument("--out", default=None, help="output directory (defaults to the config's output.dir)")
+    for name, what in (
+        ("dump-mesh", "write the node coordinates of every ladder level"),
+        ("dump-field", "project the initial data at the coarsest level and dump coefficients"),
+    ):
+        dump_p = sub.add_parser(name, help=what)
+        _add_config_args(dump_p)
+        dump_p.add_argument("--out", default=None, help="output directory (defaults to the config's output.dir)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = load_config(args.config, tuple(args.overrides))
-            table = run_study(cfg, paper_scale=args.paper_scale, log=print)
-            print()
-            print(table.to_markdown_text(), end="")
-            if cfg.out_dir is not None:
-                print(f"(tables written under {cfg.out_dir})")
-            return 0
         if args.command == "verify":
             try:
                 if args.json:
@@ -84,22 +76,25 @@ def main(argv=None) -> int:
                 return 1
             print(report, end="")
             return 0 if ok else 3
-        if args.command == "dump-mesh":
-            cfg = load_config(args.config, tuple(args.overrides))
+        cfg = load_config(args.config, tuple(args.overrides))  # run, dump-mesh and dump-field
+        if args.command == "run":
+            table = run_study(cfg, paper_scale=args.paper_scale, log=print)
+            print()
+            print(table.to_markdown_text(), end="")
+            if cfg.out_dir is not None:
+                print(f"(tables written under {cfg.out_dir})")
+        elif args.command == "dump-mesh":
             for path in dump_mesh(cfg, args.out):
                 print(path)
-            return 0
-        if args.command == "dump-field":
-            cfg = load_config(args.config, tuple(args.overrides))
+        else:
             print(dump_field(cfg, args.out))
-            return 0
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except IntegrationDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -281,12 +281,10 @@ def _shift_lu_1d(k: int):
     return lu_factor(shift_local_matrix_1d(k))
 
 
-def _reject_odd_degree_1d(k: int):
+def _reject_odd_degree(k: int, what: str, mode: str):
+    """The shifted projections' local systems annihilate `mode` for odd k."""
     if k % 2 == 1:
-        raise ValueError(
-            f"shifted projection is singular for odd degree k={k}: the local system "
-            f"annihilates the L_{k} mode (for k=1 the null direction is w(x) = x)"
-        )
+        raise ValueError(f"{what} is singular for odd degree k={k}: the local system annihilates the {mode}")
 
 
 def shifted_projection_1d(f: Callable, mesh: Mesh1D, k: int) -> ModalField:
@@ -296,7 +294,7 @@ def shifted_projection_1d(f: Callable, mesh: Mesh1D, k: int) -> ModalField:
     that (p(right) + p(left))/2 equals the same average of f.  Requires even
     k; preserves cell averages and reproduces polynomials of degree <= k.
     """
-    _reject_odd_degree_1d(k)
+    _reject_odd_degree(k, "shifted projection", f"L_{k} mode (for k=1 the null direction is w(x) = x)")
     space = SpaceKind("P1D", k)
     g = gauss_table(space, default_rule(k))
     rhs = g.sample(f, mesh) @ g.weighted.T  # moments; rows 0..k-1 used
@@ -366,11 +364,7 @@ def shifted_projection_2d(f: Callable, mesh: TensorMesh2D, k: int) -> ModalField
     four-corner average.  Face and corner values of f are one-sided limits,
     i.e. plain evaluations for the smooth inputs used here.  Requires even k.
     """
-    if k % 2 == 1:
-        raise ValueError(
-            f"2D shifted projection is singular for odd degree k={k}: "
-            f"the local system annihilates the L_{k}(x)L_{k}(y) mode"
-        )
+    _reject_odd_degree(k, "2D shifted projection", f"L_{k}(x)L_{k}(y) mode")
     space = SpaceKind("Q2D", k)
     corners = sample(f, mesh, _ENDS, _ENDS)
     rows = [0.25 * (corners[..., 0, 0] + corners[..., 1, 0] + corners[..., 0, 1] + corners[..., 1, 1])[..., None]]

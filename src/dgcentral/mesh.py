@@ -51,13 +51,9 @@ class Mesh1D:
         widths = np.diff(nodes)
         if not np.all(widths > 0):
             raise ValueError("mesh nodes must be strictly increasing")
-        nodes.flags.writeable = False
-        widths.flags.writeable = False
-        centers = 0.5 * (nodes[:-1] + nodes[1:])
-        centers.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "centers", centers)
+        for name, arr in (("nodes", nodes), ("widths", widths), ("centers", 0.5 * (nodes[:-1] + nodes[1:]))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def axes(self) -> tuple["Mesh1D"]:

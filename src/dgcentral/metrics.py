@@ -11,7 +11,8 @@ Three errors against a known exact solution at time t:
 Each error samples the exact solution with ``fields.sample`` on a Gauss grid
 of k+6 points per axis, two orders above the projection default, so
 measured errors are not quadrature artifacts; the same code serves 1D and
-2D fields.
+2D fields.  E2 and EA read the same grid, so ``run_study`` samples it once
+per level (``error_samples``) and hands the array to both.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .basis import error_rule, reference_operators
 from .fields import ModalField, gauss_table, jacobian, sample
 
 __all__ = [
+    "error_samples",
     "error_l2",
     "error_cell_average",
     "error_interface_flux",
@@ -33,22 +35,27 @@ __all__ = [
 ]
 
 
-def error_l2(exact, u: ModalField, t: float, extra_order: int = 0) -> float:
-    """sqrt of the integrated squared difference between exact(., t) and u."""
+def error_samples(exact, u: ModalField, t: float, extra_order: int = 0) -> np.ndarray:
+    """exact(., t) on the error grid of u in every cell (shape cells + (Q,)), as E2 and EA read it."""
+    return gauss_table(u.space, error_rule(u.space.degree, extra_order)).sample(lambda *x: exact(*x, t), u.mesh)
+
+
+def error_l2(exact, u: ModalField, t: float, extra_order: int = 0, samples=None) -> float:
+    """sqrt of the integrated squared difference between exact(., t) and u; `samples` is its `error_samples`."""
     g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
-    diff = g.sample(lambda *x: exact(*x, t), u.mesh) - u.coeffs @ g.values
+    diff = (error_samples(exact, u, t, extra_order) if samples is None else samples) - u.coeffs @ g.values
     return float(np.sqrt((diff**2 @ g.weights).ravel() @ jacobian(u.mesh).ravel()))
 
 
-def _cell_average_errors(f, u: ModalField, extra_order: int = 0) -> np.ndarray:
-    """Per cell, the average of f (by the error rule) minus that of u."""
+def _cell_average_errors(f, u: ModalField, extra_order: int = 0, samples=None) -> np.ndarray:
+    """Per cell, the average of f (by the error rule, from `samples` if given) minus that of u."""
     g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
-    return 0.5 ** len(g.points) * (g.sample(f, u.mesh) @ g.weights) - u.coeffs[..., 0]
+    return 0.5 ** len(g.points) * ((g.sample(f, u.mesh) if samples is None else samples) @ g.weights) - u.coeffs[..., 0]
 
 
-def error_cell_average(exact, u: ModalField, t: float, extra_order: int = 0) -> float:
-    """RMS of per-cell average errors (cell count normalization)."""
-    diff = _cell_average_errors(lambda *x: exact(*x, t), u, extra_order)
+def error_cell_average(exact, u: ModalField, t: float, extra_order: int = 0, samples=None) -> float:
+    """RMS of per-cell average errors (cell count normalization); `samples` as in `error_l2`."""
+    diff = _cell_average_errors(lambda *x: exact(*x, t), u, extra_order, samples)
     return float(np.sqrt(np.mean(diff**2)))
 
 

@@ -211,12 +211,18 @@ class SpatialOperator:
 
     @cached_property
     def _axis_bases(self) -> tuple:
-        """Per axis, (lam, V, D) of `_skew_eigh` for L_a with D^2 its mass."""
-        bases = []
+        """Per axis, (lam, V, D) of `_skew_eigh` for L_a with D^2 its mass.
+
+        L_a and its mass depend on an axis only through k and its widths, so
+        axes of equal widths share one basis object: each distinct axis is
+        diagonalised once.
+        """
+        bases = {}
         for axis, mat in zip(self.mesh.axes, self.factors):
-            scale = np.sqrt(mass_weights(SpaceKind("P1D", self.space.degree), axis)).ravel()
-            bases.append(_skew_eigh(mat.toarray(), scale) + (scale,))
-        return tuple(bases)
+            if axis.widths.tobytes() not in bases:
+                scale = np.sqrt(mass_weights(SpaceKind("P1D", self.space.degree), axis)).ravel()
+                bases[axis.widths.tobytes()] = _skew_eigh(mat.toarray(), scale) + (scale,)
+        return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
     def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray | None:
         """f(L) applied to coefficients (cells..., dof), given f mode by mode.
@@ -224,13 +230,14 @@ class SpatialOperator:
         In a basis that diagonalises L, with coordinates z that are unitary
         in the mass inner product (sum |z|^2 is the discrete energy), every z
         becomes gain(lam, z) for its eigenvalue lam.  `gain` is called on
-        arrays of modes, possibly several times; if it returns None the
-        propagation is abandoned and None returned.
+        arrays of modes, possibly several times, and may overwrite both; if
+        it returns None the propagation is abandoned and None returned.
         """
         if self.spectral_route == "axes":
             (lx, vx, dx), (ly, vy, dy) = self._axis_bases
-            z = vx.conj().T @ (dx[:, None] * self.to_tensor(coeffs) * dy) @ vy.conj()
-            z = gain(lx[:, None] + ly, z)
+            # V_x^H W conj(V_y) = conj(V_x^T W V_y) for a real W, with no conjugated copy of V
+            z = vx.T @ (dx[:, None] * self.to_tensor(coeffs) * dy) @ vy
+            z = gain(lx[:, None] + ly, np.conjugate(z, out=z))
             return None if z is None else self.from_tensor((vx @ z @ vy.T).real / dx[:, None] / dy)
         if self.spectral_route != "bloch":
             raise ValueError("L has no diagonalising basis on this mesh and space")

@@ -10,6 +10,7 @@ from dgcentral.fields import ModalField, SpaceKind, _mass_vector, jacobian, l2_p
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
+    _skew_eigh,
     _stencil_1d,
     field_form,
     flux_cancellation_residual_2d,
@@ -299,10 +300,25 @@ def _uniform_mesh_2d():
     return tensor_mesh(uniform_mesh(6, (0.0, TWO_PI)), uniform_mesh(5, (0.0, TWO_PI)))
 
 
+def _square_alpha_mesh_2d():
+    return tensor_mesh(alpha_mesh(7, 0.2, (0.0, TWO_PI)), alpha_mesh(7, 0.2, (0.0, TWO_PI)))
+
+
+def _shifted_domains_mesh_2d():
+    # dyadic nodes, so both axes have bitwise the same widths on different domains
+    return tensor_mesh(alpha_mesh(8, 0.25, (0.0, 8.0)), alpha_mesh(8, 0.25, (-4.0, 4.0)))
+
+
 @pytest.mark.parametrize(
     "kind, mesh, route",
-    [("Q2D", _mesh_2d, "axes"), ("Q2D", _uniform_mesh_2d, "axes"), ("P2D", _uniform_mesh_2d, "bloch")],
-    ids=["Q2D-alpha-random", "Q2D-uniform", "P2D-uniform"],
+    [
+        ("Q2D", _mesh_2d, "axes"),
+        ("Q2D", _square_alpha_mesh_2d, "axes"),
+        ("Q2D", _shifted_domains_mesh_2d, "axes"),
+        ("Q2D", _uniform_mesh_2d, "axes"),
+        ("P2D", _uniform_mesh_2d, "bloch"),
+    ],
+    ids=["Q2D-alpha-random", "Q2D-alpha-square", "Q2D-shifted-domains", "Q2D-uniform", "P2D-uniform"],
 )
 @pytest.mark.parametrize("k", range(5))
 def test_propagate_diagonalises_l(kind, mesh, route, k):
@@ -315,6 +331,20 @@ def test_propagate_diagonalises_l(kind, mesh, route, k):
     got = op.propagate(c, lambda lam, z: lam * z)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
     np.testing.assert_allclose(op.propagate(c, lambda lam, z: z), c, rtol=0, atol=1e-14 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize(
+    "mesh, shared",
+    [(_square_alpha_mesh_2d, True), (_shifted_domains_mesh_2d, True), (_mesh_2d, False)],
+    ids=["alpha-square", "shifted-domains", "alpha-random"],
+)
+def test_axes_of_equal_widths_share_one_eigenbasis(mesh, shared, monkeypatch):
+    # each distinct axis is diagonalised once; test_propagate_diagonalises_l checks the shared basis
+    calls = []
+    monkeypatch.setattr(operators, "_skew_eigh", lambda *args: calls.append(1) or _skew_eigh(*args))
+    bases = SpatialOperator(mesh(), SpaceKind("Q2D", 2))._axis_bases
+    assert (bases[0] is bases[1]) == shared
+    assert len(calls) == (1 if shared else 2)
 
 
 @pytest.mark.parametrize("kind, mesh", [("Q2D", _mesh_2d), ("P2D", _uniform_mesh_2d)], ids=["axes", "bloch"])

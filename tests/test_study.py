@@ -294,22 +294,28 @@ class TestRunStudy:
         written = np.array([float(tok) for tok in lines[1:]])
         np.testing.assert_array_equal(written, build_mesh(cfg, 8).nodes)
 
-    def test_error_columns_match_direct_computation(self, tmp_path):
-        from dgcentral.metrics import error_l2
+    @pytest.mark.parametrize(
+        "base, overrides",
+        [(BASE_1D, ()), (BASE_2D, ("mesh.family=alpha", "mesh.alpha=0.3", "study.ns=5", "time.c=0.1"))],
+        ids=["1d", "2d"],
+    )
+    def test_error_columns_match_direct_computation(self, tmp_path, base, overrides):
+        # run_study samples the exact solution once for E2 and EA; the digits are those of the standalone norms
+        from dgcentral.metrics import error_cell_average, error_l2
         from dgcentral.operators import SpatialOperator
         from dgcentral.timestepping import IntegrationConfig, integrate
 
-        cfg = parse_config(_with(BASE_1D, **{"output.dir": str(tmp_path)}))
+        cfg = parse_config(_with(base, **{"output.dir": str(tmp_path)}), overrides=overrides)
         table = run_study(cfg)
         prob = cfg.problem_def
-        mesh = build_mesh(cfg, 8)
-        op = SpatialOperator(mesh, cfg.space)
+        mesh = build_mesh(cfg, cfg.ns[0])
         u = integrate(
-            op.matrix,
+            SpatialOperator(mesh, cfg.space),
             l2_project(prob.initial, mesh, cfg.space),
-            IntegrationConfig(t_final=0.5, c=0.2),
+            IntegrationConfig(t_final=cfg.t_final, c=cfg.time_c),
         )
-        assert table.e2[0] == error_l2(prob.exact, u, 0.5)
+        assert table.e2[0] == error_l2(prob.exact, u, cfg.t_final)
+        assert table.ea[0] == error_cell_average(prob.exact, u, cfg.t_final)
 
     def test_desk_cap_filters_levels(self):
         cfg = parse_config(BASE_2D, overrides=(f"study.ns=4,{2 * DESK_CAP_2D_LOW}",))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dgcentral import operators
+from dgcentral import operators, timestepping
 from dgcentral.fields import SpaceKind, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.metrics import error_cell_average, error_l2
@@ -466,3 +466,55 @@ def test_spectral_route_does_not_assemble_the_matrix(kind, axis):
     integrate(op, l2_project(PROBLEMS["advect2d_sin"].initial, op.mesh, space), IntegrationConfig(t_final=0.1))
     assert op.spectral_route is not None
     assert "matrix" not in op.__dict__
+
+
+def _power_bases():
+    """|z| = 1 exactly, |z| near and below 1 (rk4 gains on the imaginary axis among them), and 0.
+
+    |z| >= 0.9 keeps z ** 4097 a normal double, so the relative error measures the powering.
+    """
+    rng = np.random.default_rng(5)
+    rk4 = np.polyval(stability_coefficients(SCHEMES["rk4"])[::-1], 1j * rng.uniform(-1.0, 1.0, 40))
+    circle = np.exp(2j * np.pi * rng.uniform(size=20))
+    return np.concatenate([[1.0, -1.0, 1j, -1j, 0.0], rk4, circle, 0.9 * circle])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1477, 4097])
+def test_power_by_squaring_matches_a_longdouble_reference(n):
+    z = _power_bases()
+    assert np.max(np.abs(z[:4])) == np.min(np.abs(z[:4])) == 1.0
+    out = np.empty_like(z)
+    got = timestepping._power(z.copy(), n, out)
+    assert got is out
+    ref = z.astype(np.clongdouble) ** n
+    err = np.abs(got - ref)
+    scale = np.abs(ref)
+    assert np.all(err[scale == 0] == 0)  # 0 ** n = 0 exactly for n >= 1
+    rel = (err[scale > 0] / scale[scale > 0]).astype(float)
+    assert np.max(rel) <= 4 * (n + 1) * np.finfo(float).eps
+
+
+def test_a_mode_just_past_gain_roundoff_hands_the_level_to_the_stages(monkeypatch):
+    # a step 0.1% past rk4's limit |dt lam| <= 2 sqrt(2) on the imaginary axis: the fastest mode
+    # grows by a factor 1 + growth per step, and the march declines once growth > _GAIN_ROUNDOFF
+    mesh = tensor_mesh(uniform_mesh(8, _BOX), uniform_mesh(8, _BOX))
+    space = SpaceKind("Q2D", 2)
+    u0 = l2_project(PROBLEMS["advect2d_sin"].initial, mesh, space)
+    lams = []
+    SpatialOperator(mesh, space).propagate(u0.coeffs, lambda lam, z: lams.append(lam.copy()) or z)
+    lam = np.concatenate([block.ravel() for block in lams])
+    dt = 1.001 * 2.0 * np.sqrt(2.0) / np.max(np.abs(lam))
+    growth = np.max(np.abs(np.polyval(stability_coefficients(SCHEMES["rk4"])[::-1], dt * lam))) - 1.0
+    assert 0 < growth < 1e-2
+    args = (u0.coeffs, dt, 3, dt, SCHEMES["rk4"], None)
+    monkeypatch.setattr(timestepping, "_GAIN_ROUNDOFF", 2.0 * growth)
+    assert timestepping._spectral_march(SpatialOperator(mesh, space), *args) is not None
+    monkeypatch.setattr(timestepping, "_GAIN_ROUNDOFF", 0.5 * growth)
+    assert timestepping._spectral_march(SpatialOperator(mesh, space), *args) is None
+    # integrate then steps the stages on the assembled L, exactly as a level with no diagonalising basis
+    cfg = IntegrationConfig(t_final=3 * dt, dt=dt)
+    op = SpatialOperator(mesh, space)
+    stepped = integrate(op, u0, cfg)
+    assert "matrix" in op.__dict__
+    _stepped(monkeypatch)
+    np.testing.assert_array_equal(stepped.coeffs, integrate(SpatialOperator(mesh, space), u0, cfg).coeffs)
