@@ -43,8 +43,12 @@ def error_samples(exact, u: ModalField, t: float, extra_order: int = 0) -> np.nd
 def error_l2(exact, u: ModalField, t: float, extra_order: int = 0, samples=None) -> float:
     """sqrt of the integrated squared difference between exact(., t) and u; `samples` is its `error_samples`."""
     g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
-    diff = (error_samples(exact, u, t, extra_order) if samples is None else samples) - u.coeffs @ g.values
-    return float(np.sqrt((diff**2 @ g.weights).ravel() @ jacobian(u.mesh).ravel()))
+    samples = error_samples(exact, u, t, extra_order) if samples is None else samples
+    # in place in u's own array: `samples` is shared with `error_cell_average`
+    diff = u.coeffs @ g.values
+    np.subtract(samples, diff, out=diff)
+    diff *= diff
+    return float(np.sqrt((diff @ g.weights).ravel() @ jacobian(u.mesh).ravel()))
 
 
 def _cell_average_errors(f, u: ModalField, extra_order: int = 0, samples=None) -> np.ndarray:

@@ -18,14 +18,14 @@ one CSR matrix on the flattened coefficients: the axis's matrix in 1D, and
 on a 2D tensor mesh the Kronecker sum L = Lx (x) I + I (x) Ly restricted to
 the space's degrees.  `SpatialOperator.propagate` diagonalises the same L,
 with its mass-scaled skew form: Q2D by a dense eigenbasis of each factor (L
-is diagonal on their product), P2D on uniform axes by the Bloch symbol of
-each wavenumber pair, built from the `_stencil_1d` blocks.  The time
-integrator marches with one or the other.  The reference form `cell_form`
-evaluates (u_t, v) on one cell by quadrature from the tables of
-`_form_tables`; `field_form` applies it to a field with the field's own
-central fluxes.  The superconvergence probes compare the reference form of
-a projected and of an exact solution, and the tests hold the assembled
-route to the reference form.
+is diagonal on their product), P1D and P2D on uniform axes by the Bloch
+symbol of each wavenumber, written once for any number of axes from the
+`_stencil_1d` blocks.  The time integrator marches with one or the other.
+The reference form `cell_form` evaluates (u_t, v) on one cell by quadrature
+from the tables of `_form_tables`; `field_form` applies it to a field with
+the field's own central fluxes.  The superconvergence probes compare the
+reference form of a projected and of an exact solution, and the tests hold
+the assembled route to the reference form.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ __all__ = [
 _AXIS_EIGEN_CAP = 2048
 
 # Relative spread of an axis's widths below which the axis counts as uniform,
-# so that P2D can be diagonalised by Bloch symbols built on the mean width.
+# so that P1D and P2D can be diagonalised by Bloch symbols built on the mean width.
 _UNIFORM_RTOL = 1e-12
 
 # Entries of the stack of Bloch symbols built and diagonalised at a time (4 MB):
@@ -160,15 +160,27 @@ class SpatialOperator:
 
         In 2D it is the Kronecker sum Lx (x) I + I (x) Ly on the tensor
         layout, with rows and columns taken in the order of `from_tensor`:
-        P2D keeps only its own degrees, out of which the factors would raise.
+        P2D keeps only its own degrees, out of which the factors would raise,
+        and only the entries between those degrees are ever formed.
         """
         if self.space.dimension == 1:
             return self.factors[0]
-        lx, ly = self.factors
-        eye_x, eye_y = (sparse.identity(f.shape[0], format="csr") for f in self.factors)
-        full = sparse.kron(lx, eye_y, format="csr") + sparse.kron(eye_x, ly, format="csr")
-        order = self.from_tensor(np.arange(full.shape[0]).reshape(lx.shape[0], ly.shape[0])).ravel()
-        return full[order][:, order]
+        k1, dof, (nx, ny) = self.space.degree + 1, self.space.dof, self.mesh.num_cells
+        index = np.full((k1, k1), -1)
+        index[tuple(_axis_degrees(self.space))] = np.arange(dof)  # index[a, b]: the basis of degrees (a, b), or -1
+        # per axis: its degree first in the lookup, the cell stride along it, the cells across it
+        axes = [(index, ny, np.arange(ny)), (index.T, 1, ny * np.arange(nx))]
+        terms = []
+        for factor, (lookup, stride, across) in zip(self.factors, axes):
+            # an entry of the axis's matrix couples equal degrees of the other axis, in the same cell across it
+            coo = factor.tocoo()
+            (cell, deg), (cell2, deg2) = np.divmod(coo.row, k1), np.divmod(coo.col, k1)
+            entry, other = np.nonzero((lookup[deg] >= 0) & (lookup[deg2] >= 0))
+            rows = (cell[entry, None] * stride + across) * dof + lookup[deg[entry], other][:, None]
+            cols = (cell2[entry, None] * stride + across) * dof + lookup[deg2[entry], other][:, None]
+            vals = np.broadcast_to(coo.data[entry, None], rows.shape).ravel()
+            terms.append(sparse.csr_matrix((vals, (rows.ravel(), cols.ravel())), shape=(nx * ny * dof,) * 2))
+        return terms[0] + terms[1]
 
     @cached_property
     def _tensor_index(self) -> np.ndarray:
@@ -205,8 +217,8 @@ class SpatialOperator:
         if self.space.kind == "Q2D" and max(f.shape[0] for f in self.factors) <= _AXIS_EIGEN_CAP:
             return "axes"  # L = Lx (+) Ly is diagonal on a product of per-axis eigenbases
         uniform = all(np.ptp(axis.widths) <= _UNIFORM_RTOL * axis.widths.mean() for axis in self.mesh.axes)
-        if self.space.kind == "P2D" and uniform:
-            return "bloch"  # translation-invariant: one small symbol per wavenumber pair
+        if self.space.kind != "Q2D" and uniform:
+            return "bloch"  # translation-invariant: one small symbol per wavenumber
         return None
 
     @cached_property
@@ -241,29 +253,31 @@ class SpatialOperator:
             return None if z is None else self.from_tensor((vx @ z @ vy.T).real / dx[:, None] / dy)
         if self.spectral_route != "bloch":
             raise ValueError("L has no diagonalising basis on this mesh and space")
-        # Uniform axes: a Fourier transform over the cells turns L into the
-        # symbol Pi (Lx(xi) (+) Ly(eta)) Pi^T of each wavenumber pair, where
-        # Pi restricts the tensor degrees to the space's.
-        a, b = _axis_degrees(self.space)
+        # Uniform axes: a Fourier transform over the cells turns L into one symbol per
+        # wavenumber, the sum over the axes of each axis's symbol restricted to the
+        # space's degrees (those of the other axes are spectators; in 1D there are none).
+        degrees = _axis_degrees(self.space)
+        same = degrees[:, :, None] == degrees[:, None, :]
         widths = [axis.widths.mean() for axis in self.mesh.axes]
+        cells, d = coeffs.shape[:-1], len(widths)
         own, right, left = _stencil_1d(self.space.degree)
-        symbols = []
-        for axis, width in zip(self.mesh.axes, widths):
-            phase = np.exp(2j * np.pi * np.fft.fftfreq(axis.num_cells))[:, None, None]
-            symbols.append((own + right * phase + left * phase.conj()) / width)
-        sx = symbols[0][:, a[:, None], a] * (b[:, None] == b)
-        sy = symbols[1][:, b[:, None], b] * (a[:, None] == a)
-        scale = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 4)
-        u_hat = np.fft.fft2(coeffs, axes=(0, 1), norm="ortho")
-        rows = max(1, _BLOCH_ENTRIES // sy.size)
-        for start in range(0, len(sx), rows):
-            lam, vecs = _skew_eigh(sx[start : start + rows, None] + sy, scale)
+        terms = []
+        for a, (n, width, deg) in enumerate(zip(cells, widths, degrees)):
+            phase = np.exp(2j * np.pi * np.fft.fftfreq(n))[:, None, None]
+            symbol = ((own + right * phase + left * phase.conj()) / width)[:, deg[:, None], deg]
+            spectators = np.delete(same, a, axis=0).all(axis=0)
+            terms.append(np.expand_dims(symbol * spectators, tuple(b for b in range(d) if b != a)))
+        scale = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 2**d)
+        u_hat = np.fft.fftn(coeffs, axes=tuple(range(d)), norm="ortho")
+        rows = max(1, _BLOCH_ENTRIES // (np.prod(cells[1:], dtype=int) * self.space.dof**2))
+        for start in range(0, cells[0], rows):
+            lam, vecs = _skew_eigh(sum(terms[1:], terms[0][start : start + rows]), scale)
             z = (vecs.conj().swapaxes(-1, -2) @ (scale * u_hat[start : start + rows])[..., None])[..., 0]
             z = gain(lam, z)
             if z is None:
                 return None
             u_hat[start : start + rows] = (vecs @ z[..., None])[..., 0] / scale
-        return np.fft.ifft2(u_hat, axes=(0, 1), norm="ortho").real
+        return np.fft.ifftn(u_hat, axes=tuple(range(d)), norm="ortho").real
 
 
 # ---------------------------------------------------------------------------

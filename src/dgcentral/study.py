@@ -371,8 +371,8 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         mesh = build_mesh(cfg, n)
         u0 = l2_project(prob.initial, mesh, space)
         tcfg = IntegrationConfig(t_final=cfg.t_final, c=cfg.time_c, scheme=cfg.scheme)
-        # the operator picks the route: P(hL) in 1D; in 2D one rk4 factor per mode
-        # where L has a diagonalising basis (Q2D, uniform P2D), else stages on L
+        # the operator picks the route: one rk4 factor per mode where L has a diagonalising
+        # basis (Q2D; P1D, P2D on uniform axes), else P(hL) in 1D and the stages on L in 2D
         u = integrate(SpatialOperator(mesh, space), u0, tcfg)
         samples = error_samples(prob.exact, u, cfg.t_final)  # one sample for E2 and EA
         e2 = error_l2(prob.exact, u, cfg.t_final, samples=samples)

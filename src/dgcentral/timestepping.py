@@ -15,22 +15,24 @@ for every dt.
 
 For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
 gamma_0 = 1 and gamma_j = b^T A^(j-1) 1, so a run of n steps computes
-P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid:
+P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid; every
+`SpatialOperator` is offered to the first:
 
-* stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
-  field, scalar or custom state) takes it, and so does a 2D
-  `SpatialOperator` with no diagonalising basis, as the matvec of its
-  assembled L (`SpatialOperator.matrix`): a 2D P(hL) would couple a
-  (2s+1)^2 patch of cells and fill in.
-* P(hL): a ``scipy.sparse`` matrix L or a 1D `SpatialOperator`.  P(dt L) - I
-  is formed once (and once more for a shortened last step), and a step is
-  one sparse matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
-* spectral: a 2D `SpatialOperator` with a diagonalising basis (Q2D; P2D on
-  uniform axes; see `SpatialOperator.propagate`).  The whole run is one
+* spectral: a `SpatialOperator` with a diagonalising basis (Q2D; P1D and P2D
+  on uniform axes; see `SpatialOperator.propagate`).  The whole run is one
   factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps; the power
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
-  A level with a mode that grows, |P(dt lam)| > 1, takes the stages instead,
-  which report the growth as any stepped run does.  L is assembled only then.
+  A level where an applied factor grows, |P(h lam)| > 1, is stepped below
+  instead, reporting the growth as any stepped run does; L is built only then.
+* P(hL): a ``scipy.sparse`` matrix L, or a 1D `SpatialOperator` that the
+  spectral march declines (alpha and random meshes).  P(dt L) - I is formed
+  once (and once more for a shortened last step), and a step is one sparse
+  matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
+* stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
+  field, scalar or custom state) takes it, and so does a 2D
+  `SpatialOperator` that the spectral march declines, as the matvec of its
+  assembled L (`SpatialOperator.matrix`): a 2D P(hL) would couple a
+  (2s+1)^2 patch of cells and fill in.
 
 All routes keep the same non-finite check and energy log; the spectral
 route checks the final state and writes the log in closed form.  For field
@@ -260,11 +262,11 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
     """P(h_last L) P(dt L)^(nsteps-1) coeffs, one factor per mode of `SpatialOperator.propagate`.
 
     Returns None, and the run is stepped instead, where L has no
-    diagonalising basis or some mode grows, |P(dt lam)| > 1 beyond
-    roundoff.  The power is `_power`'s, in reused buffers.  If `log` is a
-    list, the energy after each step is appended to it in closed form,
-    E_n = sum |P(dt lam)|^(2n) |z|^2 over the modes' mass-unitary
-    coordinates z (|P(h_last lam)|^2 for the last factor).
+    diagonalising basis or a factor the run applies (P(dt lam) only if
+    nsteps > 1) grows a mode beyond roundoff.  The power is `_power`'s, in
+    reused buffers.  If `log` is a list, the energy after each step is
+    appended to it in closed form, E_n = sum |P(dt lam)|^(2n) |z|^2 over the
+    modes' mass-unitary coordinates z (|P(h_last lam)|^2 for the last factor).
     """
     if op.spectral_route is None:
         return None
@@ -279,7 +281,8 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
             p *= x
             p += c
         full, last = p
-        if np.max(np.abs(full)) > 1.0 + _GAIN_ROUNDOFF:
+        applied = p if nsteps > 1 else last  # P(dt lam) is raised to nsteps - 1
+        if np.max(np.abs(applied)) > 1.0 + _GAIN_ROUNDOFF:
             return None
         if log is not None:
             weight, ratio = np.abs(z) ** 2, np.abs(full) ** 2
@@ -327,17 +330,16 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     if isinstance(rhs, SpatialOperator):
         if is_field and u0.space != rhs.space:
             raise ValueError("field space does not match operator space")
-        if rhs.space.dimension == 1:
-            rhs = rhs.matrix
-        else:
-            marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme, log)
+        marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme, log)
     if marched is not None:
         state, t = marched, t_last + h_last
         if not np.all(np.isfinite(state)):
             raise IntegrationDivergedError(nsteps, t)
     else:
+        if isinstance(rhs, SpatialOperator) and rhs.space.dimension == 1:
+            rhs = rhs.matrix  # P(hL); L, as below in 2D, is built only once the spectral march has declined
         if isinstance(rhs, SpatialOperator):
-            mat = rhs.matrix  # a 2D L is built only here, once the spectral march has declined
+            mat = rhs.matrix
             advance = _stage_step(lambda arr: (mat @ arr.ravel()).reshape(arr.shape), scheme)
         elif sparse.issparse(rhs):
             advance = _matrix_step(rhs, scheme)

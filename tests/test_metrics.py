@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcentral.fields import ModalField, SpaceKind, l2_project
-from dgcentral.mesh import alpha_mesh, tensor_mesh, uniform_mesh
+from dgcentral.basis import error_rule
+from dgcentral.fields import ModalField, SpaceKind, gauss_table, jacobian, l2_project
+from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.metrics import (
     ConvergenceTable,
     convergence_rates,
     error_cell_average,
     error_interface_flux,
     error_l2,
+    error_samples,
     ls_order,
 )
 
@@ -131,6 +133,29 @@ class TestErrorNorms2D:
         u = ModalField(SpaceKind("Q2D", 1), mesh, np.zeros((2, 2, 4)))
         with pytest.raises(ValueError):
             error_interface_flux(lambda x, y, t: 0.0, u, t=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_error_norms_equal_their_out_of_place_expressions(dimension):
+    # error_l2 subtracts and squares in place; the shared sample stays as it was for error_cell_average
+    if dimension == 1:
+        mesh, space = alpha_mesh(10, 0.1, (0.0, TWO_PI)), SpaceKind("P1D", 3)
+        exact = lambda x, t: np.exp(np.sin(x - t))
+    else:
+        mesh = tensor_mesh(alpha_mesh(5, 0.3, (0.0, TWO_PI)), random_mesh(4, 0.3, 7, (0.0, TWO_PI)))
+        space = SpaceKind("P2D", 2)
+        exact = lambda x, y, t: np.sin(x + y - 2.0 * t)
+    u = l2_project(lambda *x: exact(*x, 0.0), mesh, space)
+    samples = error_samples(exact, u, 0.3)
+    before = samples.copy()
+    g = gauss_table(space, error_rule(space.degree))
+    diff = samples - u.coeffs @ g.values
+    e2 = float(np.sqrt((diff**2 @ g.weights).ravel() @ jacobian(mesh).ravel()))
+    ea = float(np.sqrt(np.mean((0.5**dimension * (samples @ g.weights) - u.coeffs[..., 0]) ** 2)))
+    assert error_l2(exact, u, 0.3, samples=samples) == e2
+    np.testing.assert_array_equal(samples, before)
+    assert error_cell_average(exact, u, 0.3, samples=samples) == ea
+    assert error_l2(exact, u, 0.3) == e2 and error_cell_average(exact, u, 0.3) == ea
 
 
 class TestConvergenceTable:

@@ -4,6 +4,7 @@ identities."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dgcentral import operators
 from dgcentral.fields import ModalField, SpaceKind, _mass_vector, jacobian, l2_project
@@ -255,6 +256,34 @@ def test_2d_matrix_is_the_kron_sum_on_index_set(kind, k):
     np.testing.assert_array_equal(SpatialOperator(mesh, space).matrix.toarray(), _kron_on_index_set(mesh, space))
 
 
+def _kron_then_select(op):
+    """The 2D L assembled the long way: both Kronecker terms over all (k+1)^2 tensor degrees, summed, then sliced."""
+    lx, ly = op.factors
+    eye_x, eye_y = (sparse.identity(f.shape[0], format="csr") for f in op.factors)
+    full = sparse.kron(lx, eye_y, format="csr") + sparse.kron(eye_x, ly, format="csr")
+    order = op.from_tensor(np.arange(full.shape[0]).reshape(lx.shape[0], ly.shape[0])).ravel()
+    out = full[order][:, order]
+    out.sort_indices()  # the column slice leaves each row in the tensor layout's column order
+    return out
+
+
+_AXES = {
+    "uniform": lambda n: uniform_mesh(n, (0.0, TWO_PI)),
+    "alpha": lambda n: alpha_mesh(n, 0.2, (0.0, TWO_PI)),
+    "random": lambda n: random_mesh(n, 0.4, n, (0.0, TWO_PI)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_AXES))
+@pytest.mark.parametrize("kind, k", [("Q2D", 1), ("Q2D", 2), ("P2D", 1), ("P2D", 2), ("P2D", 3)])
+def test_2d_matrix_is_assembled_on_the_index_set_alone(kind, k, family):
+    # N = 2 along y: both neighbours of a cell are one cell, and their blocks add
+    op = SpatialOperator(tensor_mesh(_AXES[family](5), _AXES[family](2)), SpaceKind(kind, k))
+    expected = _kron_then_select(op)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(op.matrix, part), getattr(expected, part))
+
+
 def _assert_exactly_skew(mat, mass):
     """M L + (M L)^T = 0 entrywise for the diagonal mass M, given as the vector `mass`."""
     ml = mat.multiply(mass[:, None]).toarray()
@@ -380,9 +409,13 @@ def test_spectral_route_follows_from_space_and_mesh(monkeypatch):
     assert route("P2D", nudged, fine) is None
     assert route("P2D", alpha_mesh(8, 0.1, (0.0, TWO_PI)), fine) is None
     assert route("Q2D", alpha_mesh(7, 0.1, (0.0, TWO_PI)), random_mesh(5, 0.3, 1, (0.0, TWO_PI))) == "axes"
-    assert SpatialOperator(fine, SpaceKind("P1D", 2)).spectral_route is None
+    assert SpatialOperator(fine, SpaceKind("P1D", 2)).spectral_route == "bloch"
+    # the 1D ladders' alpha and random meshes keep P(hL)
+    alpha = SpatialOperator(alpha_mesh(16, 0.1, (0.0, TWO_PI)), SpaceKind("P1D", 2))
+    assert alpha.spectral_route is None
+    assert SpatialOperator(random_mesh(16, 0.3, 3, (0.0, TWO_PI)), SpaceKind("P1D", 2)).spectral_route is None
     monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 3 * 8 - 1)  # wider than this: stepped
     assert route("Q2D", uniform_mesh(7, (0.0, 1.0)), uniform_mesh(7, (0.0, 1.0))) == "axes"
     assert route("Q2D", uniform_mesh(8, (0.0, 1.0)), uniform_mesh(7, (0.0, 1.0))) is None
     with pytest.raises(ValueError, match="diagonalising"):
-        SpatialOperator(fine, SpaceKind("P1D", 2)).propagate(np.zeros((256, 3)), lambda lam, z: z)
+        alpha.propagate(np.zeros((16, 3)), lambda lam, z: z)

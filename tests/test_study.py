@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dgcentral import cli, verify
 from dgcentral.fields import Problem, l2_project
 from dgcentral.mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, uniform_mesh
+from dgcentral.operators import SpatialOperator
 from dgcentral.study import (
     DESK_CAP_1D,
     DESK_CAP_2D_LOW,
@@ -302,7 +303,6 @@ class TestRunStudy:
     def test_error_columns_match_direct_computation(self, tmp_path, base, overrides):
         # run_study samples the exact solution once for E2 and EA; the digits are those of the standalone norms
         from dgcentral.metrics import error_cell_average, error_l2
-        from dgcentral.operators import SpatialOperator
         from dgcentral.timestepping import IntegrationConfig, integrate
 
         cfg = parse_config(_with(base, **{"output.dir": str(tmp_path)}), overrides=overrides)
@@ -316,6 +316,15 @@ class TestRunStudy:
         )
         assert table.e2[0] == error_l2(prob.exact, u, cfg.t_final)
         assert table.ea[0] == error_cell_average(prob.exact, u, cfg.t_final)
+
+    def test_one_shortened_step_stays_spectral(self, monkeypatch):
+        # BASE_2D's dt = 0.785 exceeds T = 0.1: the run is one step of h = T, stable at
+        # c = 0.5, and P(dt lam), unstable there, is never applied
+        built = []
+        monkeypatch.setattr("dgcentral.study.SpatialOperator", lambda *args: built.append(SpatialOperator(*args)) or built[-1])
+        run_study(parse_config(BASE_2D))
+        assert len(built) == 1 and built[0].spectral_route == "axes"
+        assert "matrix" not in built[0].__dict__
 
     def test_desk_cap_filters_levels(self):
         cfg = parse_config(BASE_2D, overrides=(f"study.ns=4,{2 * DESK_CAP_2D_LOW}",))

@@ -6,7 +6,7 @@ import pytest
 from dgcentral import operators, timestepping
 from dgcentral.fields import SpaceKind, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
-from dgcentral.metrics import error_cell_average, error_l2
+from dgcentral.metrics import error_cell_average, error_interface_flux, error_l2
 from dgcentral.operators import SpatialOperator
 from dgcentral.study import PROBLEMS
 from dgcentral.timestepping import (
@@ -195,6 +195,12 @@ def _alpha_operator(k=2, n=12):
     return SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
 
 
+def _uniform_operator_1d(n, k=2):
+    mesh = uniform_mesh(n, (0.0, 2.0 * np.pi))
+    space = SpaceKind("P1D", k)
+    return SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
+
+
 @pytest.mark.usefixtures("low_order_schemes")
 @pytest.mark.parametrize("name", _ALL_NAMES)
 def test_stability_coefficients_match_the_tableau(name):
@@ -244,9 +250,12 @@ def test_matrix_path_conserves_mass_to_roundoff():
     mesh = uniform_mesh(80, (0.0, 2.0 * np.pi))
     space = SpaceKind("P1D", 4)
     u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
-    u = integrate(SpatialOperator(mesh, space).matrix, u0, IntegrationConfig(t_final=1.0))
-    drift = abs(mesh.widths @ u.coeffs[:, 0] - mesh.widths @ u0.coeffs[:, 0])
-    assert drift <= 1e-13  # the mass itself is about 8
+    op = SpatialOperator(mesh, space)
+    assert op.spectral_route == "bloch"
+    for rhs in (op.matrix, op):  # P(hL), then the Bloch route
+        u = integrate(rhs, u0, IntegrationConfig(t_final=1.0))
+        drift = abs(mesh.widths @ u.coeffs[:, 0] - mesh.widths @ u0.coeffs[:, 0])
+        assert drift <= 1e-13  # the mass itself is about 8
 
 
 def test_matrix_path_is_bitwise_deterministic():
@@ -395,47 +404,62 @@ _SPECTRAL_LEVELS = {
     "P2D-uniform-k1": ("P2D", 1, lambda: (uniform_mesh(6, _BOX),) * 2),
     "P2D-uniform-k2": ("P2D", 2, lambda: (uniform_mesh(6, _BOX), uniform_mesh(5, _BOX))),
     "P2D-uniform-k3": ("P2D", 3, lambda: (uniform_mesh(5, _BOX),) * 2),
+    # N = 1 and N = 2: a cell is its own neighbour, or both its neighbours are one cell
+    "P1D-uniform-k0-N1": ("P1D", 0, lambda: (uniform_mesh(1, _BOX),)),
+    "P1D-uniform-k1-N2": ("P1D", 1, lambda: (uniform_mesh(2, _BOX),)),
+    "P1D-uniform-k2-N9": ("P1D", 2, lambda: (uniform_mesh(9, _BOX),)),
+    "P1D-uniform-k3-N2": ("P1D", 3, lambda: (uniform_mesh(2, _BOX),)),
+    "P1D-uniform-k4-N1": ("P1D", 4, lambda: (uniform_mesh(1, _BOX),)),
+    "P1D-uniform-k4-N16": ("P1D", 4, lambda: (uniform_mesh(16, _BOX),)),
 }
 
 
 @pytest.mark.parametrize("level", list(_SPECTRAL_LEVELS))
 def test_spectral_route_matches_a_longdouble_march(level):
     kind, k, axes = _SPECTRAL_LEVELS[level]
-    prob = PROBLEMS["advect2d_sin"]
-    mesh, space = tensor_mesh(*axes()), SpaceKind(kind, k)
+    one_d = kind == "P1D"
+    prob = PROBLEMS["advect1d_expsin" if one_d else "advect2d_sin"]
+    mesh, space = (axes()[0] if one_d else tensor_mesh(*axes())), SpaceKind(kind, k)
     op = SpatialOperator(mesh, space)
     assert op.spectral_route == ("axes" if kind == "Q2D" else "bloch")
     u0 = l2_project(prob.initial, mesh, space)
     cfg = IntegrationConfig(t_final=1.0)
     fast, ref = integrate(op, u0, cfg), _longdouble_march(op, u0, cfg)
-    for norm in (error_l2, error_cell_average):
+    for norm in (error_l2, error_cell_average) + ((error_interface_flux,) if one_d else ()):
         r = norm(prob.exact, ref, 1.0)
         assert abs(norm(prob.exact, fast, 1.0) - r) <= 1e-10 * abs(r) + 1e-13
 
 
 def test_spectral_energy_log_matches_the_steps(monkeypatch):
     # at c = 0.1 rk4 visibly damps the fast modes of random data, and
-    # T = 0.5 is 5.68 steps: the log must follow each step, the shortened last one too
-    op, u0 = _operator_2d()
-    u0 = u0.like(np.random.default_rng(1).standard_normal(u0.coeffs.shape))
-    assert op.spectral_route == "axes"
+    # T = 0.5 is 5.68 (Q2D) and 5.57 (P1D, N = 7) steps: the log must follow
+    # each step, the shortened last one too
+    levels = [_operator_2d(), _uniform_operator_1d(7)]
+    fields = [u0.like(np.random.default_rng(1).standard_normal(u0.coeffs.shape)) for _, u0 in levels]
+    assert [op.spectral_route for op, _ in levels] == ["axes", "bloch"]
     cfg = IntegrationConfig(t_final=0.5, c=0.1)
-    closed = []
-    integrate(op, u0, cfg, energy_log=closed)
+    closed = [[] for _ in levels]
+    for (op, _), u0, log in zip(levels, fields, closed):
+        integrate(op, u0, cfg, energy_log=log)
     _stepped(monkeypatch)
-    stepped = []
-    integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg, energy_log=stepped)
-    assert len(closed) == len(stepped) == 7
-    assert stepped[-2] - stepped[-1] > 1e-5 * stepped[-1]
-    np.testing.assert_allclose(closed, stepped, rtol=1e-12, atol=0)
+    for u0, log in zip(fields, closed):
+        stepped = []
+        integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg, energy_log=stepped)
+        assert len(log) == len(stepped) == 7
+        assert stepped[-2] - stepped[-1] > 1e-5 * stepped[-1]
+        np.testing.assert_allclose(log, stepped, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
+@pytest.mark.parametrize("kind", ["Q2D", "P2D", "P1D"])
 def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatch):
     # rk4 at c = 0.5 is unstable for k = 2: the march hands the level to the steps
-    mesh = tensor_mesh(uniform_mesh(8, (0.0, 2.0 * np.pi)), uniform_mesh(8, (0.0, 2.0 * np.pi)))
+    # (the stages on the assembled L in 2D, P(hL) in 1D)
     space = SpaceKind(kind, 2)
-    u0 = l2_project(lambda x, y: np.exp(np.sin(x) + np.cos(y)), mesh, space)
+    if kind == "P1D":
+        u0 = _uniform_operator_1d(8)[1]
+    else:
+        u0 = l2_project(lambda x, y: np.exp(np.sin(x) + np.cos(y)), tensor_mesh(*[uniform_mesh(8, _BOX)] * 2), space)
+    mesh = u0.mesh
     assert SpatialOperator(mesh, space).spectral_route is not None
     cfg = IntegrationConfig(t_final=1.0, c=0.5)
     errors = []
@@ -511,6 +535,10 @@ def test_a_mode_just_past_gain_roundoff_hands_the_level_to_the_stages(monkeypatc
     assert timestepping._spectral_march(SpatialOperator(mesh, space), *args) is not None
     monkeypatch.setattr(timestepping, "_GAIN_ROUNDOFF", 0.5 * growth)
     assert timestepping._spectral_march(SpatialOperator(mesh, space), *args) is None
+    # only the factors the run applies are tested: P(dt lam) is raised to nsteps - 1
+    for nsteps, declined in ((2, True), (1, False)):
+        args = (u0.coeffs, dt, nsteps, 0.5 * dt, SCHEMES["rk4"], None)
+        assert (timestepping._spectral_march(SpatialOperator(mesh, space), *args) is None) == declined
     # integrate then steps the stages on the assembled L, exactly as a level with no diagonalising basis
     cfg = IntegrationConfig(t_final=3 * dt, dt=dt)
     op = SpatialOperator(mesh, space)
