@@ -14,6 +14,7 @@ from .fields import (
     l2_project,
     shift_local_matrix_1d,
     shift_local_matrix_2d,
+    shifted_projection,
     shifted_projection_1d,
     shifted_projection_2d,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "l2_project",
     "shift_local_matrix_1d",
     "shift_local_matrix_2d",
+    "shifted_projection",
     "shifted_projection_1d",
     "shifted_projection_2d",
     "Mesh1D",

@@ -1,4 +1,4 @@
-"""Modal DG fields on periodic meshes, plus the three projections used here.
+"""Modal DG fields on periodic meshes, plus the two projections used here.
 
 A field stores, per cell, the coefficients of the Legendre basis mapped to
 that cell (tensor products of mapped Legendre polynomials in 2D).  Per-cell
@@ -9,17 +9,15 @@ function on a tensor grid of reference points, cached per Gauss rule by
 ``gauss_table``), ``jacobian`` (the outer product of the half-widths) and
 ``mass_weights`` (the diagonal mass matrix, one weight per coefficient).
 
-Three projections produce fields from smooth functions:
+Two projections produce fields from smooth functions:
 
 * ``l2_project`` - the standard orthogonal L2 projection;
-* ``shifted_projection_1d`` - the interface-average-matching projection:
-  moments against degree k-1 on each cell plus the condition that the mean
-  of the two endpoint values matches that of the target.  The local system
-  is singular for odd k (null direction L_k; for k = 1 that is x), so odd
-  degrees are rejected.
-* ``shifted_projection_2d`` - the tensor analogue: interior moments against
-  the degree k-1 tensor space, face-average moments along each axis, and the
-  four-corner average.  Singular for odd k with null direction L_k(x)L_k(y).
+* ``shifted_projection`` - the interface-average-matching projection: in 1D
+  moments against degree k-1 plus the mean of the two endpoint values; in 2D
+  the tensor product of the 1D one.  For k = 0 it is the cell average in 1D
+  and 2D alike.  Singular for odd k (null direction L_k; for k = 1 that is
+  x), so odd degrees are rejected.  ``shifted_projection_1d`` and
+  ``shifted_projection_2d`` name the same function.
 
 All function arguments must accept numpy arrays (vectorized evaluation).
 """
@@ -31,9 +29,8 @@ from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .basis import QuadratureRule, default_rule, legendre_table, reference_operators
+from .basis import QuadratureRule, default_rule, legendre_deriv_table, legendre_table, reference_operators
 from .mesh import Mesh1D, TensorMesh2D
 
 __all__ = [
@@ -47,6 +44,7 @@ __all__ = [
     "jacobian",
     "mass_weights",
     "l2_project",
+    "shifted_projection",
     "shifted_projection_1d",
     "shifted_projection_2d",
     "shift_local_matrix_1d",
@@ -252,7 +250,7 @@ def l2_project(f: Callable, mesh: Mesh1D | TensorMesh2D, space: SpaceKind) -> Mo
 
 
 # ---------------------------------------------------------------------------
-# Shifted projections
+# Shifted projection
 
 
 def shift_local_matrix_1d(k: int) -> np.ndarray:
@@ -276,32 +274,53 @@ def shift_local_matrix_1d(k: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _shift_lu_1d(k: int):
-    return lu_factor(shift_local_matrix_1d(k))
+def shift_local_matrix_2d(k: int) -> np.ndarray:
+    """Reference-cell matrix of the 2D shifted projection: kron(S1, S1), S1 = `shift_local_matrix_1d(k)`.
 
-
-def _reject_odd_degree(k: int, what: str, mode: str):
-    """The shifted projections' local systems annihilate `mode` for odd k."""
-    if k % 2 == 1:
-        raise ValueError(f"{what} is singular for odd degree k={k}: the local system annihilates the {mode}")
-
-
-def shifted_projection_1d(f: Callable, mesh: Mesh1D, k: int) -> ModalField:
-    """Project f onto degree-k polynomials matching moments and interface averages.
-
-    Per cell: k moment conditions against degrees 0..k-1 plus the condition
-    that (p(right) + p(left))/2 equals the same average of f.  Requires even
-    k; preserves cell averages and reproduces polynomials of degree <= k.
+    Rows and columns in the tensor basis's lexicographic order.  Singular for
+    odd k: every column whose basis function holds L_k(x) or L_k(y) vanishes.
     """
-    _reject_odd_degree(k, "shifted projection", f"L_{k} mode (for k=1 the null direction is w(x) = x)")
-    space = SpaceKind("P1D", k)
-    g = gauss_table(space, default_rule(k))
-    rhs = g.sample(f, mesh) @ g.weighted.T  # moments; rows 0..k-1 used
+    return np.kron(shift_local_matrix_1d(k), shift_local_matrix_1d(k))
+
+
+@lru_cache(maxsize=None)
+def _shift_axis_map(k: int) -> np.ndarray:
+    """S1^-1 F, the 1D projection's coefficients from f at the nodes of `default_rule(k)`, then -1 and 1.
+
+    F's rows are the moments against L_0..L_{k-1} and the endpoint average;
+    for k = 0 its one row is the cell-average moment.  Shape (k+1, k+6).
+    """
+    rule = default_rule(k)
+    rows = np.zeros((k + 1, rule.nodes.size + 2))
+    rows[:, :-2] = legendre_table(k, rule.nodes) * rule.weights  # moments against L_0..L_k
     if k > 0:
-        rhs[:, k] = 0.5 * sample(f, mesh, _ENDS).sum(axis=-1)
-    coeffs = lu_solve(_shift_lu_1d(k), rhs.T).T
-    return ModalField(space, mesh, coeffs)
+        rows[k, :-2], rows[k, -2:] = 0.0, 0.5  # the endpoint average replaces the L_k moment
+    out = np.linalg.solve(shift_local_matrix_1d(k), rows)
+    out.flags.writeable = False
+    return out
+
+
+def shifted_projection(f: Callable, mesh: Mesh1D | TensorMesh2D, k: int) -> ModalField:
+    """Project f onto degree-k polynomials (tensor degree k in 2D) matching moments and interface averages.
+
+    In 1D, per cell: k moment conditions against degrees 0..k-1 plus the
+    condition that (p(right) + p(left))/2 equals the same average of f; in 2D
+    the tensor product of that map.  For k = 0 the cell average.  Requires
+    even k; preserves cell averages and reproduces polynomials of (tensor)
+    degree <= k.  Face and corner values of f are plain evaluations.
+    """
+    if k % 2 == 1:
+        raise ValueError(f"the shifted projection is singular for odd degree k={k}: its local system annihilates L_{k}")
+    d = len(mesh.axes)
+    space = SpaceKind("P1D" if d == 1 else "Q2D", k)
+    coeffs = sample(f, mesh, *(np.concatenate([default_rule(k).nodes, _ENDS]),) * d)
+    for _ in range(d):  # each pass maps the first remaining point axis and appends its degree axis
+        coeffs = np.tensordot(coeffs, _shift_axis_map(k), axes=([d], [1]))
+    return ModalField(space, mesh, coeffs.reshape(coeffs.shape[:d] + (space.dof,)))
+
+
+# The names verify and the superconvergence probes call (and bench/tracing.py wraps).
+shifted_projection_1d = shifted_projection_2d = shifted_projection
 
 
 def _weak_local_system_1d(f: Callable, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +330,6 @@ def _weak_local_system_1d(f: Callable, k: int) -> tuple[np.ndarray, np.ndarray]:
     v = L_m (m >= 1):  -(p, v') + (p(1)+p(-1))/2 * (v(1)-v(-1))  matches the
     same functional of f.  Equivalent to the moment form for even k >= 2.
     """
-    from .basis import legendre_deriv_table
-
     ref = reference_operators(k)
     rule = default_rule(k)
     derivs_w = legendre_deriv_table(k, rule.nodes) * rule.weights
@@ -329,55 +346,3 @@ def _weak_local_system_1d(f: Callable, k: int) -> tuple[np.ndarray, np.ndarray]:
         mat[m] = -ref.stiffness[m] + 0.5 * (1.0 + (-1.0) ** n) * jump
         rhs[m] = -(samples @ derivs_w[m]) + f_edge_avg * jump
     return mat, rhs
-
-
-def shift_local_matrix_2d(k: int) -> np.ndarray:
-    """Reference-cell matrix of the 2D shifted projection (tensor basis, lex order).
-
-    Row blocks: interior moments against the degree k-1 tensor space, then
-    x-face-average moments (degrees 0..k-1 in x), y-face-average moments,
-    and finally the four-corner average.  Singular for odd k (the
-    L_k(x)L_k(y) column vanishes); for k = 0 only the corner row remains.
-    """
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    a, b = _axis_degrees(SpaceKind("Q2D", k))
-    mm = 2.0 / (2 * np.arange(k + 1) + 1)
-    m = np.arange(k)[:, None]
-    interior = np.diag(mm[a] * mm[b])[(a < k) & (b < k)]
-    xface = np.where(a == m, 0.5 * (1.0 + (-1.0) ** b) * mm[m], 0.0)
-    yface = np.where(b == m, 0.5 * (1.0 + (-1.0) ** a) * mm[m], 0.0)
-    corner = 0.25 * (1.0 + (-1.0) ** a) * (1.0 + (-1.0) ** b)
-    return np.vstack([interior, xface, yface, corner])
-
-
-@lru_cache(maxsize=None)
-def _shift_lu_2d(k: int):
-    return lu_factor(shift_local_matrix_2d(k))
-
-
-def shifted_projection_2d(f: Callable, mesh: TensorMesh2D, k: int) -> ModalField:
-    """Tensor-product shifted projection onto the degree-k tensor space.
-
-    Enforces interior moments against the degree k-1 tensor space, moments of
-    the top/bottom (resp. left/right) face averages along each axis, and the
-    four-corner average.  Face and corner values of f are one-sided limits,
-    i.e. plain evaluations for the smooth inputs used here.  Requires even k.
-    """
-    _reject_odd_degree(k, "2D shifted projection", f"L_{k}(x)L_{k}(y) mode")
-    space = SpaceKind("Q2D", k)
-    corners = sample(f, mesh, _ENDS, _ENDS)
-    rows = [0.25 * (corners[..., 0, 0] + corners[..., 1, 0] + corners[..., 0, 1] + corners[..., 1, 1])[..., None]]
-    if k > 0:
-        rule = default_rule(k)
-        g = gauss_table(space, rule)
-        interior = g.sample(f, mesh) @ g.weighted.T
-        interior = interior.reshape(*mesh.num_cells, k + 1, k + 1)[..., :k, :k].reshape(*mesh.num_cells, k * k)
-        # moments along x of the mean over the two y-faces, then the same along y
-        q, face = rule.nodes, gauss_table(SpaceKind("P1D", k), rule).weighted[:k].T
-        xface = 0.5 * sample(f, mesh, q, _ENDS).sum(axis=-1) @ face
-        yface = 0.5 * sample(f, mesh, _ENDS, q).sum(axis=-2) @ face
-        rows = [interior, xface, yface] + rows
-    rhs = np.concatenate(rows, axis=-1)
-    coeffs = lu_solve(_shift_lu_2d(k), rhs.reshape(-1, space.dof).T).T.reshape(rhs.shape)
-    return ModalField(space, mesh, coeffs)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -327,6 +328,22 @@ def _resolve_out_dir(cfg: StudyConfig) -> Path | None:
     return out
 
 
+def _check_output_dir(path: Path, key: str) -> None:
+    """Reject `path` unless its nearest existing ancestor is a writable directory."""
+    existing = next(p for p in (path, *path.absolute().parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"{key}: cannot use {path} as the output directory: {existing} is not a writable directory")
+
+
+@contextmanager
+def _output_errors(key: str):
+    """An OSError from writing the outputs becomes a ConfigError naming the key that chose their directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot write the output: {exc}") from None
+
+
 def atomic_write_text(path: Path, text: str) -> Path:
     """Write via a temp file in the target directory, then rename into place."""
     path = Path(path)
@@ -361,6 +378,8 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
     if not ns:
         raise ConfigError(f"study.ns: all levels exceed the desk-scale cap {cap}; use paper scale")
     out_dir = _resolve_out_dir(cfg)
+    if out_dir is not None:  # before the first level, not after the last
+        _check_output_dir(out_dir, "output.dir")
     has_ef = prob.dimension == 1  # the interface-flux error is 1D only
     e2s: list[float] = []
     eas: list[float] = []
@@ -386,7 +405,8 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         if has_ef:
             efs.append(error_interface_flux(prob.exact, u, cfg.t_final))
         if out_dir is not None and cfg.family == "random":
-            _write_nodes(out_dir, f"{cfg.label}_nodes_N{n}", mesh)
+            with _output_errors("output.dir"):
+                _write_nodes(out_dir, f"{cfg.label}_nodes_N{n}", mesh)
         if log is not None:
             msg = f"N={n:6d}  E2={e2:.6e}  EA={ea:.6e}"
             if has_ef:
@@ -405,8 +425,9 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         e2_requad_reldiff=requad,
     )
     if out_dir is not None:
-        atomic_write_text(out_dir / f"{cfg.label}.csv", table.to_csv_text())
-        atomic_write_text(out_dir / f"{cfg.label}.md", table.to_markdown_text())
+        with _output_errors("output.dir"):
+            atomic_write_text(out_dir / f"{cfg.label}.csv", table.to_csv_text())
+            atomic_write_text(out_dir / f"{cfg.label}.md", table.to_markdown_text())
     return table
 
 
@@ -414,8 +435,9 @@ def dump_mesh(cfg: StudyConfig, out_dir: str | Path | None = None) -> list[Path]
     """Write node coordinates for every level of the config's ladder."""
     target = Path(out_dir) if out_dir is not None else (_resolve_out_dir(cfg) or Path.cwd())
     written: list[Path] = []
-    for n in cfg.ns:
-        written += _write_nodes(target, f"{cfg.label}_mesh_N{n}", build_mesh(cfg, n))
+    with _output_errors("output.dir" if out_dir is None else "--out"):
+        for n in cfg.ns:
+            written += _write_nodes(target, f"{cfg.label}_mesh_N{n}", build_mesh(cfg, n))
     return written
 
 
@@ -435,4 +457,5 @@ def dump_field(cfg: StudyConfig, out_dir: str | Path | None = None) -> Path:
     rows = [",".join(names)]
     for cell in np.ndindex(field.coeffs.shape[:-1]):
         rows.append(",".join(f"{v:.17g}" for v in [*(c[cell] for c in centers), *field.coeffs[cell]]))
-    return atomic_write_text(target / f"{cfg.label}_field_N{n}.csv", "\n".join(rows) + "\n")
+    with _output_errors("output.dir" if out_dir is None else "--out"):
+        return atomic_write_text(target / f"{cfg.label}_field_N{n}.csv", "\n".join(rows) + "\n")

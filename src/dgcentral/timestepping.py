@@ -78,6 +78,9 @@ ENERGY_GROWTH_TOL = 1e-8
 # spectral march to the steps, which then report the growth as they always did.
 _GAIN_ROUNDOFF = 1e-13
 
+# Entries (steps x modes) in a block of the closed-form energy log.
+_LOG_ENTRIES = 1 << 16
+
 
 class IntegrationDivergedError(RuntimeError):
     """Raised when a run blows up or its energy grows; carries the step index."""
@@ -284,11 +287,16 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
         applied = p if nsteps > 1 else last  # P(dt lam) is raised to nsteps - 1
         if np.max(np.abs(applied)) > 1.0 + _GAIN_ROUNDOFF:
             return None
-        if log is not None:
-            weight, ratio = np.abs(z) ** 2, np.abs(full) ** 2
-            for n in range(nsteps):
-                weight *= ratio if n < nsteps - 1 else np.abs(last) ** 2
-                energies[n] += weight.sum()
+        if log is not None:  # a cumulative product over blocks of steps, each within _LOG_ENTRIES entries
+            weight, ratio = (np.abs(a).ravel() ** 2 for a in (z, full))
+            block = np.empty((max(1, min(nsteps - 1, _LOG_ENTRIES // weight.size)), weight.size))
+            for start in range(0, nsteps - 1, len(block)):
+                powers = block[: nsteps - 1 - start]
+                powers[0] = weight * ratio  # before the next line overwrites the last block's final row
+                powers[1:] = ratio
+                energies[start : start + len(powers)] += np.cumprod(powers, axis=0, out=powers).sum(axis=1)
+                weight = powers[-1]
+            energies[-1] += (weight * np.abs(last).ravel() ** 2).sum()
         z *= np.multiply(_power(full, nsteps - 1, out=x[0]), last, out=x[0])
         return z
 

@@ -10,7 +10,7 @@ import numpy.polynomial.legendre as npleg
 import pytest
 from scipy.integrate import quad
 
-from dgcentral.basis import legendre_table
+from dgcentral.basis import gauss_rule, legendre_table
 from dgcentral.fields import (
     ModalField,
     SpaceKind,
@@ -23,6 +23,7 @@ from dgcentral.fields import (
     sample,
     shift_local_matrix_1d,
     shift_local_matrix_2d,
+    shifted_projection,
     shifted_projection_1d,
     shifted_projection_2d,
 )
@@ -217,11 +218,21 @@ def test_shifted_projection_reproduces_degree_k():
         assert field.eval_at(x) == pytest.approx(f(x), rel=1e-12)
 
 
-def test_shifted_projection_k0_is_cell_average():
-    f = lambda x: np.cos(3.0 * x)
-    mesh = random_mesh(7, 0.2, 5, (0.0, 2.0))
-    star = shifted_projection_1d(f, mesh, 0)
-    plain = l2_project(f, mesh, SpaceKind("P1D", 0))
+@pytest.mark.parametrize(
+    "mesh, f, kind",
+    [
+        (random_mesh(7, 0.2, 5, (0.0, 2.0)), lambda x: np.cos(3.0 * x), "P1D"),
+        (
+            tensor_mesh(alpha_mesh(6, 0.2, (0.0, 1.0)), random_mesh(5, 0.4, 3, (0.0, 1.0))),
+            lambda x, y: np.cos(3.0 * x) * np.exp(y),
+            "Q2D",
+        ),
+    ],
+    ids=["1D", "2D"],
+)
+def test_shifted_projection_k0_is_cell_average(mesh, f, kind):
+    star = shifted_projection(f, mesh, 0)
+    plain = l2_project(f, mesh, SpaceKind(kind, 0))
     np.testing.assert_allclose(star.coeffs, plain.coeffs, atol=1e-13)
 
 
@@ -255,6 +266,34 @@ def test_weak_form_equals_moment_form():
 
 
 class TestShiftedProjection2D:
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_matches_its_defining_conditions(self, k):
+        # Pf - f has zero interior moments against L_a(x)L_b(y) (a, b < k), zero
+        # degree < k moments of its mean over the two faces of each axis, and a
+        # zero four-corner average; integrals by a finer rule than the projection's
+        f = lambda x, y: np.exp(np.sin(2.0 * x + 1.0)) * np.cos(3.0 * y) + x * y
+        mesh = tensor_mesh(alpha_mesh(7, 0.2, (0.0, 1.0)), random_mesh(5, 0.4, 3, (0.0, 1.0)))
+        field = shifted_projection(f, mesh, k)
+        rule = gauss_rule(k + 12)
+        q, ends = rule.nodes, np.array([-1.0, 1.0])
+        moments = (legendre_table(k - 1, q) * rule.weights).T  # (Q, k): against L_0..L_{k-1}
+
+        def residual(xi, eta):
+            exact = sample(f, mesh, xi, eta)
+            return field.sample(xi, eta) - exact, exact
+
+        def check(err, ref):
+            assert np.max(np.abs(err)) <= 1e-12 * np.max(np.abs(ref))
+
+        err, ref = residual(q, q)
+        check(*(np.einsum("...pq,pa,qb->...ab", v, moments, moments) for v in (err, ref)))
+        err, ref = residual(q, ends)  # the two y-faces: mean over y = -1, 1, moments in x
+        check(*(v.mean(axis=-1) @ moments for v in (err, ref)))
+        err, ref = residual(ends, q)
+        check(*(v.mean(axis=-2) @ moments for v in (err, ref)))
+        err, ref = residual(ends, ends)
+        check(*(v.mean(axis=(-2, -1)) for v in (err, ref)))
+
     def test_reproduces_xy(self):
         mesh = tensor_mesh(alpha_mesh(3, 0.2, (0.0, 1.0)), uniform_mesh(2, (0.0, 1.0)))
         field = shifted_projection_2d(lambda x, y: x * y, mesh, 2)

@@ -1,6 +1,7 @@
-"""Package surface: every exported name resolves, and no module imports a name it never uses."""
+"""Package surface: every exported name resolves, no module imports a name it never uses, and every name the bench traces exists."""
 
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -44,3 +45,22 @@ def test_no_unused_imports_in_the_package():
         if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def test_bench_trace_boundaries_exist():
+    # bench/tracing.py wraps (owner, attribute) pairs by name; read them without importing the bench
+    source = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    table = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_BOUNDARIES" for t in node.targets)
+    )
+    pairs = [(ast.unparse(entry.elts[0]), ast.literal_eval(entry.elts[1])) for entry in table.elts]
+    assert pairs and all(owner.startswith("dgcentral.") for owner, _ in pairs)
+
+    def resolve(owner):  # dgcentral.<module>, or a class in it
+        module, *rest = owner.split(".")[1:]
+        return functools.reduce(getattr, rest, importlib.import_module(f"dgcentral.{module}"))
+
+    missing = [f"{owner}.{attr}" for owner, attr in pairs if not hasattr(resolve(owner), attr)]
+    assert missing == []

@@ -562,6 +562,32 @@ class TestInputHoles:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_run_rejects_an_unusable_output_dir_before_the_first_level(self, tmp_path, capsys, monkeypatch, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path = tmp_path / "study.cfg"
+        path.write_text(BASE_1D)
+        monkeypatch.setattr("dgcentral.study.build_mesh", lambda *a: pytest.fail("a level ran"))
+        out = blocker / "res" if below else blocker
+        assert cli.main(["run", str(path), "--set", f"output.dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: output.dir:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["dump-mesh", "dump-field"])
+    def test_dump_rejects_an_unusable_out_dir(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path = tmp_path / "study.cfg"
+        path.write_text(BASE_1D)
+        assert cli.main([command, str(path), "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: --out:" in err
+        assert "Traceback" not in err
+        assert cli.main([command, str(path), "--set", f"output.dir={blocker / 'res'}"]) == 1
+        assert "config error: output.dir:" in capsys.readouterr().err
+
     def test_2d_random_mesh_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="mesh.seed"):
             parse_config(_with(BASE_2D.replace("uniform", "random"), **{"mesh.fraction": "0.3", "mesh.seed": "-1"}))

@@ -450,6 +450,46 @@ def test_spectral_energy_log_matches_the_steps(monkeypatch):
         np.testing.assert_allclose(log, stepped, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "data, c, entries",
+    [("smooth", 0.01, 1 << 16), ("smooth", 0.01, 1000), ("random", 0.3, 1000)],
+    ids=["verify-drift-level", "verify-drift-level-small-blocks", "damped"],
+)
+def test_closed_form_energy_log_equals_the_per_step_loop(data, c, entries, monkeypatch):
+    # verify's drift level (exp(sin x), P2 uniform N=40, c=0.01) is 637 steps x 120
+    # modes: two blocks of steps at the default size, 77 at 1000 entries (the last
+    # short).  Its drift is roundoff, so random data at c=0.3 (22 steps, 8 a block)
+    # checks that each entry takes the right power and the last one P(h_last lam).
+    monkeypatch.setattr(timestepping, "_LOG_ENTRIES", entries)
+    mesh, space = uniform_mesh(40, (0.0, 2.0 * np.pi)), SpaceKind("P1D", 2)
+    op = SpatialOperator(mesh, space)
+    u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
+    if data == "random":
+        u0 = u0.like(np.random.default_rng(3).standard_normal(u0.coeffs.shape))
+    cfg = IntegrationConfig(t_final=1.0, c=c)
+    modes = []
+    propagate = op.propagate
+
+    def spy(coeffs, gain):
+        return propagate(coeffs, lambda lam, z: modes.append((lam.copy(), z.copy())) or gain(lam, z))
+
+    monkeypatch.setattr(op, "propagate", spy)
+    log = []
+    integrate(op, u0, cfg, energy_log=log)
+    dt = cfg.resolve_dt(mesh.min_width)
+    nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    h_last = cfg.t_final - sum([dt] * (nsteps - 1))
+    assert len(log) == nsteps + 1
+    rk4 = lambda z: sum(g * z**j for j, g in enumerate(stability_coefficients(SCHEMES["rk4"])))
+    loop = np.zeros(nsteps)
+    for lam, z in modes:
+        weight = np.abs(z) ** 2
+        for n in range(nsteps):
+            weight *= np.abs(rk4((dt if n < nsteps - 1 else h_last) * lam)) ** 2
+            loop[n] += weight.sum()
+    np.testing.assert_allclose(log[1:], loop, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("kind", ["Q2D", "P2D", "P1D"])
 def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatch):
     # rk4 at c = 0.5 is unstable for k = 2: the march hands the level to the steps
