@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .study import ConfigError, dump_field, dump_mesh, load_config, run_study
+from .study import ConfigError, _resolve_out_dir, dump_field, dump_mesh, load_config, run_study
 from .timestepping import IntegrationDivergedError
 from .verify import run_checks, run_suite
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             print()
             print(table.to_markdown_text(), end="")
             if cfg.out_dir is not None:
-                print(f"(tables written under {cfg.out_dir})")
+                print(f"(tables written under {_resolve_out_dir(cfg)})")
         elif args.command == "dump-mesh":
             for path in dump_mesh(cfg, args.out):
                 print(path)

@@ -11,16 +11,18 @@ integrals) with (u_t, v) = +b_{i,j}(u, v).
 The form is written twice.  The RHS map folds the diagonal inverse mass
 matrix into constant reference stencil matrices: on any mesh the modal time
 derivative of a cell is a fixed linear combination of its own and neighbor
-coefficients scaled by 1/h, so one matrix triple serves every cell of an
-axis, and each axis assembles it once into a sparse 1D matrix
-(`SpatialOperator.factors`).  `SpatialOperator.matrix` is L of u' = L u as
-one CSR matrix on the flattened coefficients: the axis's matrix in 1D, and
-on a 2D tensor mesh the Kronecker sum L = Lx (x) I + I (x) Ly restricted to
-the space's degrees.  `SpatialOperator.propagate` diagonalises the same L,
-with its mass-scaled skew form: Q2D by a dense eigenbasis of each factor (L
-is diagonal on their product), P1D and P2D on uniform axes by the Bloch
-symbol of each wavenumber, written once for any number of axes from the
-`_stencil_1d` blocks.  The time integrator marches with one or the other.
+coefficients scaled by 1/h, so one block triple (own, right, left) serves
+every cell of an axis.  `_axis_blocks` restricts that triple to a space's
+basis once per axis, with the other axes' degrees as spectators, and every
+fast route reads it: `SpatialOperator.matrix` assembles it over the mesh
+into L of u' = L u as one CSR matrix on the flattened coefficients (on a 2D
+tensor mesh the Kronecker sum L = Lx (x) I + I (x) Ly restricted to the
+space's degrees), `SpatialOperator.factors` into the 1D operator of each
+axis, and `SpatialOperator.propagate` into the Bloch symbol of each
+wavenumber.  `propagate` diagonalises L with its mass-scaled skew form:
+Q2D by a dense eigenbasis of each factor (L is diagonal on their product),
+P1D and P2D on uniform axes by the Bloch symbols, written once for any
+number of axes.  The time integrator marches with one or the other.
 The reference form `cell_form` evaluates (u_t, v) on one cell by quadrature
 from the tables of `_form_tables`; `field_form` applies it to a field with
 the field's own central fluxes.  The superconvergence probes compare the
@@ -104,26 +106,45 @@ def _stencil_1d(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return own * scale, right * scale, left * scale
 
 
-def _axis_matrix(axis: Mesh1D, k: int) -> sparse.csr_matrix:
-    """L of one periodic 1D axis as a CSR matrix on the flattened (cell, mode) coefficients.
+@lru_cache(maxsize=None)
+def _axis_blocks(space: SpaceKind) -> tuple[np.ndarray, ...]:
+    """Per axis, the `_stencil_1d` blocks (own, right, left) on the space's basis, shaped (3, dof, dof).
 
-    Block-circulant: cell j couples to itself and its two periodic
-    neighbours through the `_stencil_1d` blocks, with block row j scaled
-    by 1/h_j.  Structural zeros of the blocks are dropped.
+    Entry [s, m, n] is block s between the axis's degrees of basis m and n
+    where their degrees on the other axes agree (those are spectators), and
+    0 where they do not.  In 1D there are no spectators.
     """
-    n, d = axis.num_cells, k + 1
-    cells = np.arange(n)
-    modes = np.arange(d)
-    blocks = np.stack(_stencil_1d(k))  # (own, right, left), each (d, d)
-    nbrs = np.stack([cells, (cells + 1) % n, (cells - 1) % n])  # (3, n)
-    rows = cells[None, :, None, None] * d + modes[None, None, :, None]
-    cols = nbrs[:, :, None, None] * d + modes[None, None, None, :]
-    vals = blocks[:, None, :, :] / axis.widths[None, :, None, None]
-    rows, cols = np.broadcast_arrays(rows, cols)
-    # duplicate (row, col) pairs, which N <= 2 produces, are summed
-    mat = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n * d, n * d))
-    mat.eliminate_zeros()
-    return mat
+    degrees = _axis_degrees(space)
+    same = degrees[:, :, None] == degrees[:, None, :]
+    stencil = np.stack(_stencil_1d(space.degree))
+    return tuple(stencil[:, deg[:, None], deg] * np.delete(same, a, axis=0).all(axis=0) for a, deg in enumerate(degrees))
+
+
+def _assemble(mesh: Mesh1D | TensorMesh2D, space: SpaceKind) -> sparse.csr_matrix:
+    """L as a CSR matrix on the flattened coefficients (cells..., dof), one term per axis.
+
+    Along each axis a cell couples to itself and to its two periodic
+    neighbours through `_axis_blocks`, with each block row divided by the
+    cell's width on that axis.  Each term sums its duplicate entries (an
+    axis of N <= 2 cells makes them) and drops its zeros; the terms are
+    added in axis order.
+    """
+    cells = tuple(axis.num_cells for axis in mesh.axes)
+    flat = np.arange(np.prod(cells)).reshape(cells)
+    size = flat.size * space.dof
+    terms = []
+    for a, (axis, blocks) in enumerate(zip(mesh.axes, _axis_blocks(space))):
+        s, m, n = np.nonzero(blocks)
+        nbrs = np.stack([flat, np.roll(flat, -1, axis=a), np.roll(flat, 1, axis=a)]).reshape(3, -1)
+        widths = np.expand_dims(axis.widths, tuple(b for b in range(len(cells)) if b != a))
+        rows = flat.reshape(-1, 1) * space.dof + m
+        cols = nbrs.T[:, s] * space.dof + n
+        vals = blocks[s, m, n] / np.broadcast_to(widths, cells).reshape(-1, 1)
+        term = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
+        term.eliminate_zeros()
+        terms.append(term)
+        del rows, cols, vals  # not alive while the terms are added: that sum is the peak of a 2D build
+    return sum(terms[1:], terms[0])
 
 
 def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +161,9 @@ def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class SpatialOperator:
     """The semi-discrete operator L with du/dt = L(u) on a periodic mesh.
 
-    On the tensor layout of the coefficients (`to_tensor`) L is the
-    Kronecker sum of the per-axis 1D operators, L = Lx (x) I + I (x) Ly.
+    L is the sum over the axes of one term per axis, each built from that
+    axis's block triple in `_axis_blocks`: on a 2D tensor mesh the Kronecker
+    sum Lx (x) I + I (x) Ly restricted to the space's degrees.
     """
 
     def __init__(self, mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
@@ -151,57 +173,13 @@ class SpatialOperator:
 
     @cached_property
     def factors(self) -> tuple[sparse.csr_matrix, ...]:
-        """The 1D operator of each mesh axis (`_axis_matrix`)."""
-        return tuple(_axis_matrix(axis, self.space.degree) for axis in self.mesh.axes)
+        """The 1D operator of each mesh axis, on that axis's flattened (cell, degree) coefficients."""
+        return tuple(_assemble(axis, SpaceKind("P1D", self.space.degree)) for axis in self.mesh.axes)
 
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
-        """L as a CSR matrix on the flattened coefficients (cells..., dof).
-
-        In 2D it is the Kronecker sum Lx (x) I + I (x) Ly on the tensor
-        layout, with rows and columns taken in the order of `from_tensor`:
-        P2D keeps only its own degrees, out of which the factors would raise,
-        and only the entries between those degrees are ever formed.
-        """
-        if self.space.dimension == 1:
-            return self.factors[0]
-        k1, dof, (nx, ny) = self.space.degree + 1, self.space.dof, self.mesh.num_cells
-        index = np.full((k1, k1), -1)
-        index[tuple(_axis_degrees(self.space))] = np.arange(dof)  # index[a, b]: the basis of degrees (a, b), or -1
-        # per axis: its degree first in the lookup, the cell stride along it, the cells across it
-        axes = [(index, ny, np.arange(ny)), (index.T, 1, ny * np.arange(nx))]
-        terms = []
-        for factor, (lookup, stride, across) in zip(self.factors, axes):
-            # an entry of the axis's matrix couples equal degrees of the other axis, in the same cell across it
-            coo = factor.tocoo()
-            (cell, deg), (cell2, deg2) = np.divmod(coo.row, k1), np.divmod(coo.col, k1)
-            entry, other = np.nonzero((lookup[deg] >= 0) & (lookup[deg2] >= 0))
-            rows = (cell[entry, None] * stride + across) * dof + lookup[deg[entry], other][:, None]
-            cols = (cell2[entry, None] * stride + across) * dof + lookup[deg2[entry], other][:, None]
-            vals = np.broadcast_to(coo.data[entry, None], rows.shape).ravel()
-            terms.append(sparse.csr_matrix((vals, (rows.ravel(), cols.ravel())), shape=(nx * ny * dof,) * 2))
-        return terms[0] + terms[1]
-
-    @cached_property
-    def _tensor_index(self) -> np.ndarray:
-        """Position of each basis function in the full (k+1)^d tensor index set."""
-        return np.ravel_multi_index(tuple(_axis_degrees(self.space)), (self.space.degree + 1,) * self.space.dimension)
-
-    def to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients (cells..., dof) as W[i(k+1)+a, j(k+1)+b] = u_ij,ab (flat in 1D, 0 off a P2D space)."""
-        cells = coeffs.shape[:-1]
-        d, k1 = len(cells), self.space.degree + 1
-        full = np.zeros(cells + (k1**d,))
-        full[..., self._tensor_index] = coeffs
-        interleaved = [i for axis in range(d) for i in (axis, d + axis)]
-        return full.reshape(cells + (k1,) * d).transpose(interleaved).reshape([n * k1 for n in cells])
-
-    def from_tensor(self, w: np.ndarray) -> np.ndarray:
-        """The coefficients (cells..., dof) of a tensor layout; inverse of `to_tensor`."""
-        cells = tuple(axis.num_cells for axis in self.mesh.axes)
-        d, k1 = len(cells), self.space.degree + 1
-        split = w.reshape([m for n in cells for m in (n, k1)]).transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-        return split.reshape(cells + (k1**d,))[..., self._tensor_index]
+        """L as a CSR matrix on the flattened coefficients (cells..., dof), assembled by `_assemble`."""
+        return _assemble(self.mesh, self.space)
 
     def apply_rhs(self, u: ModalField) -> ModalField:
         """Modal image of the time derivative: (du/dt, v) tested over the basis."""
@@ -214,7 +192,8 @@ class SpatialOperator:
     @property
     def spectral_route(self) -> str | None:
         """How `propagate` diagonalises L: "axes", "bloch", or None where it does not."""
-        if self.space.kind == "Q2D" and max(f.shape[0] for f in self.factors) <= _AXIS_EIGEN_CAP:
+        widest = max(axis.num_cells for axis in self.mesh.axes) * (self.space.degree + 1)
+        if self.space.kind == "Q2D" and widest <= _AXIS_EIGEN_CAP:
             return "axes"  # L = Lx (+) Ly is diagonal on a product of per-axis eigenbases
         uniform = all(np.ptp(axis.widths) <= _UNIFORM_RTOL * axis.widths.mean() for axis in self.mesh.axes)
         if self.space.kind != "Q2D" and uniform:
@@ -247,26 +226,27 @@ class SpatialOperator:
         """
         if self.spectral_route == "axes":
             (lx, vx, dx), (ly, vy, dy) = self._axis_bases
+            # the coefficients u_ij,ab as W[i(k+1)+a, j(k+1)+b], the layout of the factors' Kronecker product
+            (nx, ny), k1 = coeffs.shape[:-1], self.space.degree + 1
+            w = coeffs.reshape(nx, ny, k1, k1).transpose(0, 2, 1, 3).reshape(nx * k1, ny * k1)
             # V_x^H W conj(V_y) = conj(V_x^T W V_y) for a real W, with no conjugated copy of V
-            z = vx.T @ (dx[:, None] * self.to_tensor(coeffs) * dy) @ vy
+            z = vx.T @ (dx[:, None] * w * dy) @ vy
             z = gain(lx[:, None] + ly, np.conjugate(z, out=z))
-            return None if z is None else self.from_tensor((vx @ z @ vy.T).real / dx[:, None] / dy)
+            if z is None:
+                return None
+            w = (vx @ z @ vy.T).real / dx[:, None] / dy
+            return w.reshape(nx, k1, ny, k1).transpose(0, 2, 1, 3).reshape(coeffs.shape)
         if self.spectral_route != "bloch":
             raise ValueError("L has no diagonalising basis on this mesh and space")
         # Uniform axes: a Fourier transform over the cells turns L into one symbol per
-        # wavenumber, the sum over the axes of each axis's symbol restricted to the
-        # space's degrees (those of the other axes are spectators; in 1D there are none).
-        degrees = _axis_degrees(self.space)
-        same = degrees[:, :, None] == degrees[:, None, :]
+        # wavenumber, the sum over the axes of each axis's block triple at that wavenumber.
         widths = [axis.widths.mean() for axis in self.mesh.axes]
         cells, d = coeffs.shape[:-1], len(widths)
-        own, right, left = _stencil_1d(self.space.degree)
         terms = []
-        for a, (n, width, deg) in enumerate(zip(cells, widths, degrees)):
+        for a, (n, width, (own, right, left)) in enumerate(zip(cells, widths, _axis_blocks(self.space))):
             phase = np.exp(2j * np.pi * np.fft.fftfreq(n))[:, None, None]
-            symbol = ((own + right * phase + left * phase.conj()) / width)[:, deg[:, None], deg]
-            spectators = np.delete(same, a, axis=0).all(axis=0)
-            terms.append(np.expand_dims(symbol * spectators, tuple(b for b in range(d) if b != a)))
+            symbol = (own + right * phase + left * phase.conj()) / width
+            terms.append(np.expand_dims(symbol, tuple(b for b in range(d) if b != a)))
         scale = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 2**d)
         u_hat = np.fft.fftn(coeffs, axes=tuple(range(d)), norm="ortho")
         rows = max(1, _BLOCH_ENTRIES // (np.prod(cells[1:], dtype=int) * self.space.dof**2))

@@ -170,6 +170,8 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not of the form key=value")
         key, value = (part.strip() for part in ov.split("=", 1))
+        if not key or not value:
+            raise ConfigError(f"override {ov!r}: empty key or value")
         pairs[key] = value
 
     problem = _require(pairs, "problem", "missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")")
@@ -390,6 +392,9 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
         mesh = build_mesh(cfg, n)
         u0 = l2_project(prob.initial, mesh, space)
         tcfg = IntegrationConfig(t_final=cfg.t_final, c=cfg.time_c, scheme=cfg.scheme)
+        dt = tcfg.resolve_dt(mesh.min_width)
+        if not (dt > 0 and math.isfinite(cfg.t_final / dt)):
+            raise ConfigError(f"time.T/time.c: the step count T/dt is not finite at N={n} (dt = c * min h = {dt:.3g})")
         # the operator picks the route: one rk4 factor per mode where L has a diagonalising
         # basis (Q2D; P1D, P2D on uniform axes), else P(hL) in 1D and the stages on L in 2D
         u = integrate(SpatialOperator(mesh, space), u0, tcfg)

@@ -123,19 +123,6 @@ def test_tensor_apply_matches_kron_on_index_set(kind, k):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("kind", ["Q2D", "P2D"])
-def test_tensor_layout_puts_cell_and_degree_on_each_axis(kind):
-    mesh, space = _mesh_2d(), SpaceKind(kind, 2)
-    op = SpatialOperator(mesh, space)
-    c = np.random.default_rng(0).standard_normal((*mesh.num_cells, space.dof))
-    w = op.to_tensor(c)
-    assert w.shape == (7 * 3, 5 * 3)
-    for n, (a, b) in enumerate(space.degrees):
-        np.testing.assert_array_equal(w[a::3, b::3], c[..., n])
-    assert np.count_nonzero(w) == c.size  # P2D: the degrees outside the space are 0
-    np.testing.assert_array_equal(op.from_tensor(w), c)
-
-
 def test_apply_rhs_linearity_and_free_stream():
     mesh = alpha_mesh(10, 0.1, (0.0, TWO_PI))
     space = SpaceKind("P1D", 2)
@@ -261,9 +248,13 @@ def _kron_then_select(op):
     lx, ly = op.factors
     eye_x, eye_y = (sparse.identity(f.shape[0], format="csr") for f in op.factors)
     full = sparse.kron(lx, eye_y, format="csr") + sparse.kron(eye_x, ly, format="csr")
-    order = op.from_tensor(np.arange(full.shape[0]).reshape(lx.shape[0], ly.shape[0])).ravel()
+    # basis (a, b) of cell (i, j) is row (i(k+1) + a) ny(k+1) + j(k+1) + b of the Kronecker product
+    k1, (nx, ny) = op.space.degree + 1, op.mesh.num_cells
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    a, b = np.array(op.space.degrees).T
+    order = ((i[:, None] * k1 + a) * ny * k1 + j[:, None] * k1 + b).ravel()
     out = full[order][:, order]
-    out.sort_indices()  # the column slice leaves each row in the tensor layout's column order
+    out.sort_indices()  # the column slice leaves each row in the Kronecker product's column order
     return out
 
 
@@ -274,11 +265,19 @@ _AXES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(_AXES))
-@pytest.mark.parametrize("kind, k", [("Q2D", 1), ("Q2D", 2), ("P2D", 1), ("P2D", 2), ("P2D", 3)])
-def test_2d_matrix_is_assembled_on_the_index_set_alone(kind, k, family):
-    # N = 2 along y: both neighbours of a cell are one cell, and their blocks add
-    op = SpatialOperator(tensor_mesh(_AXES[family](5), _AXES[family](2)), SpaceKind(kind, k))
+@pytest.mark.parametrize(
+    "family, nx, ny",
+    [
+        *((family, 5, 2) for family in sorted(_AXES)),
+        *((family, nx, ny) for family in ("uniform", "random") for nx, ny in ((5, 1), (1, 3))),
+    ],
+)
+@pytest.mark.parametrize("kind, k", [("Q2D", 1), ("Q2D", 2), ("Q2D", 4), ("P2D", 1), ("P2D", 2), ("P2D", 3), ("P2D", 4)])
+def test_2d_matrix_is_assembled_on_the_index_set_alone(kind, k, family, nx, ny):
+    # N = 2: both neighbours of a cell are one cell, and their blocks add; N = 1: the cell
+    # is its own neighbour, and all three blocks sum into one entry, in the order of the
+    # 1D factor (at k = 4 another order rounds differently)
+    op = SpatialOperator(tensor_mesh(_AXES[family](nx), _AXES[family](ny)), SpaceKind(kind, k))
     expected = _kron_then_select(op)
     for part in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(op.matrix, part), getattr(expected, part))

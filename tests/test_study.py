@@ -462,6 +462,12 @@ class TestCli:
         assert cli.main(["run", str(path), "--set", "space.degree=2"]) == 0
         assert (tmp_path / "res" / "advect1d_expsin_P1D2_uniform.csv").is_file()
 
+    def test_run_logs_the_rebased_output_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        path = self._write(tmp_path, _with(BASE_1D, **{"output.dir": "sub/res"}))
+        assert cli.main(["run", str(path)]) == 0
+        assert f"(tables written under {tmp_path / 'root' / 'sub' / 'res'})" in capsys.readouterr().out
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         path = self._write(tmp_path, _with(BASE_1D, **{"mesh.spice": "hot"}))
         assert cli.main(["run", str(path)]) == 1
@@ -550,6 +556,10 @@ class TestInputHoles:
             ("time.c=nan", "time.c"),
             ("study.ns=10,10", "study.ns"),  # wrote nan rates
             ("study.ns=20,10", "study.ns"),
+            ("time.c=1e-320", "time.T/time.c"),  # T/dt overflowed in math.ceil
+            ("time.T=1e308", "time.T/time.c"),
+            ("output.dir=", "override 'output.dir='"),  # wrote the tables into the working directory
+            ("=x", "override '=x'"),
         ],
     )
     def test_rejected_naming_the_key(self, tmp_path, capsys, override, key):
