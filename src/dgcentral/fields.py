@@ -115,8 +115,11 @@ def sample(f: Callable, mesh: Mesh1D | TensorMesh2D, *xi) -> np.ndarray:
     """f at the reference points xi (one array per axis) mapped into every cell.
 
     The result has shape cells + points, e.g. (Nx, Ny, Qx, Qy) in 2D.  f gets
-    one broadcastable coordinate array per axis; reference points +-1 map
-    exactly onto the mesh's stored nodes.
+    one broadcastable coordinate array per axis, (Nx, 1, Qx, 1) and
+    (1, Ny, 1, Qy) in 2D; reference points +-1 map exactly onto the mesh's
+    stored nodes.  A separable f is cheapest written as a combination of
+    per-axis factors, so that only the last product fills the full grid (see
+    `study.PROBLEMS["advect2d_sin"]`).
     """
     axes = mesh.axes
     if len(xi) != len(axes):

@@ -22,7 +22,10 @@ axis, and `SpatialOperator.propagate` into the Bloch symbol of each
 wavenumber.  `propagate` diagonalises L with its mass-scaled skew form:
 Q2D by a dense eigenbasis of each factor (L is diagonal on their product),
 P1D and P2D on uniform axes by the Bloch symbols, written once for any
-number of axes.  The time integrator marches with one or the other.
+number of axes.  L is real, so the symbol at -xi is the conjugate of the one
+at xi (Zhong & Shu, CMAME 2011): the Bloch route keeps the half spectrum
+xi_0 >= 0 of a real transform on cell axis 0.  The time integrator marches
+with one or the other.
 The reference form `cell_form` evaluates (u_t, v) on one cell by quadrature
 from the tables of `_form_tables`; `field_form` applies it to a field with
 the field's own central fluxes.  The superconvergence probes compare the
@@ -208,11 +211,11 @@ class SpatialOperator:
         axes of equal widths share one basis object: each distinct axis is
         diagonalised once.
         """
-        bases = {}
-        for axis, mat in zip(self.mesh.axes, self.factors):
+        space, bases = SpaceKind("P1D", self.space.degree), {}
+        for axis in self.mesh.axes:
             if axis.widths.tobytes() not in bases:
-                scale = np.sqrt(mass_weights(SpaceKind("P1D", self.space.degree), axis)).ravel()
-                bases[axis.widths.tobytes()] = _skew_eigh(mat.toarray(), scale) + (scale,)
+                scale = np.sqrt(mass_weights(space, axis)).ravel()
+                bases[axis.widths.tobytes()] = _skew_eigh(_assemble(axis, space).toarray(), scale) + (scale,)
         return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
     def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray | None:
@@ -240,24 +243,32 @@ class SpatialOperator:
             raise ValueError("L has no diagonalising basis on this mesh and space")
         # Uniform axes: a Fourier transform over the cells turns L into one symbol per
         # wavenumber, the sum over the axes of each axis's block triple at that wavenumber.
+        # The coefficients are real, so the modes at -xi are the conjugates of those at xi:
+        # the real transform on cell axis 0 keeps xi_0 >= 0 only.
         widths = [axis.widths.mean() for axis in self.mesh.axes]
         cells, d = coeffs.shape[:-1], len(widths)
         terms = []
         for a, (n, width, (own, right, left)) in enumerate(zip(cells, widths, _axis_blocks(self.space))):
-            phase = np.exp(2j * np.pi * np.fft.fftfreq(n))[:, None, None]
+            phase = np.exp(2j * np.pi * (np.fft.rfftfreq(n) if a == 0 else np.fft.fftfreq(n)))[:, None, None]
             symbol = (own + right * phase + left * phase.conj()) / width
             terms.append(np.expand_dims(symbol, tuple(b for b in range(d) if b != a)))
-        scale = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 2**d)
-        u_hat = np.fft.fftn(coeffs, axes=tuple(range(d)), norm="ortho")
+        axes = (*range(1, d), 0)  # rfftn takes the real transform on its last axis
+        u_hat = np.fft.rfftn(coeffs, axes=axes, norm="ortho")
+        mass = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 2**d)
+        # a row 0 < xi_0 < N_0/2 stands for itself and its conjugate partner: weighting it
+        # by sqrt(2) in z keeps sum |z|^2 the discrete energy
+        xi0 = np.arange(len(u_hat)).reshape((-1,) + (1,) * d)
+        scale = np.where((xi0 > 0) & (2 * xi0 < cells[0]), np.sqrt(2.0), 1.0) * mass
         rows = max(1, _BLOCH_ENTRIES // (np.prod(cells[1:], dtype=int) * self.space.dof**2))
-        for start in range(0, cells[0], rows):
-            lam, vecs = _skew_eigh(sum(terms[1:], terms[0][start : start + rows]), scale)
-            z = (vecs.conj().swapaxes(-1, -2) @ (scale * u_hat[start : start + rows])[..., None])[..., 0]
+        for start in range(0, len(u_hat), rows):
+            block = slice(start, start + rows)
+            lam, vecs = _skew_eigh(sum(terms[1:], terms[0][block]), mass)
+            z = (vecs.conj().swapaxes(-1, -2) @ (scale[block] * u_hat[block])[..., None])[..., 0]
             z = gain(lam, z)
             if z is None:
                 return None
-            u_hat[start : start + rows] = (vecs @ z[..., None])[..., 0] / scale
-        return np.fft.ifftn(u_hat, axes=tuple(range(d)), norm="ortho").real
+            u_hat[block] = (vecs @ z[..., None])[..., 0] / scale[block]
+        return np.fft.irfftn(u_hat, s=[cells[a] for a in axes], axes=axes, norm="ortho")
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
     if op.spectral_route is None:
         return None
     gammas = stability_coefficients(scheme)[::-1]
-    energies = np.zeros(nsteps)
+    energies = np.zeros(nsteps) if log is not None else None
 
     def gain(lam, z):
         # P(dt lam) and P(h_last lam) by Horner's rule in one stacked buffer; z is overwritten
@@ -322,9 +322,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
     dt = cfg.resolve_dt(u0.mesh.min_width if is_field else None)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    t_last = 0.0  # where the last step starts, summed as the steps sum it
-    for _ in range(nsteps - 1):
-        t_last += dt
+    t_last = (nsteps - 1) * dt  # where the last step starts
     h_last = cfg.t_final - t_last
     scheme = SCHEMES[cfg.scheme]
     log = energy_log if is_field else None

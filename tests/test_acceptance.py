@@ -2,7 +2,7 @@
 
 One test per claim; `pytest -v tests/test_acceptance.py` prints one pass/fail
 line for each.  The studies here run the same ladders as the shipped configs
-(desk scale, T=1, c=0.01) and take about 8 s in total on a 2-vCPU host.
+(desk scale, T=1, c=0.01) and take about 7 s in total on a 2-vCPU host.
 Every table is guarded by the re-quadrature check: raising the error
 quadrature by two orders must not move E2 by more than 0.1%, so the reported
 digits measure the discretization, not the error integration.

@@ -328,6 +328,10 @@ def _uniform_mesh_2d():
     return tensor_mesh(uniform_mesh(6, (0.0, TWO_PI)), uniform_mesh(5, (0.0, TWO_PI)))
 
 
+def _odd_first_axis_mesh_2d():
+    return tensor_mesh(uniform_mesh(5, (0.0, TWO_PI)), uniform_mesh(6, (0.0, TWO_PI)))
+
+
 def _square_alpha_mesh_2d():
     return tensor_mesh(alpha_mesh(7, 0.2, (0.0, TWO_PI)), alpha_mesh(7, 0.2, (0.0, TWO_PI)))
 
@@ -345,8 +349,9 @@ def _shifted_domains_mesh_2d():
         ("Q2D", _shifted_domains_mesh_2d, "axes"),
         ("Q2D", _uniform_mesh_2d, "axes"),
         ("P2D", _uniform_mesh_2d, "bloch"),
+        ("P2D", _odd_first_axis_mesh_2d, "bloch"),
     ],
-    ids=["Q2D-alpha-random", "Q2D-alpha-square", "Q2D-shifted-domains", "Q2D-uniform", "P2D-uniform"],
+    ids=["Q2D-alpha-random", "Q2D-alpha-square", "Q2D-shifted-domains", "Q2D-uniform", "P2D-uniform", "P2D-uniform-5x6"],
 )
 @pytest.mark.parametrize("k", range(5))
 def test_propagate_diagonalises_l(kind, mesh, route, k):
@@ -375,10 +380,17 @@ def test_axes_of_equal_widths_share_one_eigenbasis(mesh, shared, monkeypatch):
     assert len(calls) == (1 if shared else 2)
 
 
-@pytest.mark.parametrize("kind, mesh", [("Q2D", _mesh_2d), ("P2D", _uniform_mesh_2d)], ids=["axes", "bloch"])
+# The Bloch route keeps xi_0 >= 0 and weights the rows that stand for a conjugate pair:
+# none at N_0 = 1 and 2, all but xi_0 = 0 at odd N_0, all but xi_0 = 0 and N_0/2 at even N_0.
+@pytest.mark.parametrize(
+    "kind, mesh",
+    [("Q2D", _mesh_2d), ("P2D", _uniform_mesh_2d), ("P2D", _odd_first_axis_mesh_2d)]
+    + [("P1D", lambda n=n: uniform_mesh(n, (0.0, TWO_PI))) for n in (1, 2, 9, 16)],
+    ids=["axes", "bloch", "bloch-5x6", "bloch-N1", "bloch-N2", "bloch-N9", "bloch-N16"],
+)
 def test_propagate_coordinates_carry_the_energy_and_can_be_abandoned(kind, mesh):
     space = SpaceKind(kind, 2)
-    u = l2_project(lambda x, y: np.exp(np.sin(x) + np.cos(y)), mesh(), space)
+    u = l2_project(lambda *x: np.exp(np.sin(x[0]) + np.cos(x[-1])), mesh(), space)
     op = SpatialOperator(u.mesh, space)
     seen = []
     op.propagate(u.coeffs, lambda lam, z: seen.append(np.sum(np.abs(z) ** 2)) or z)
@@ -393,7 +405,7 @@ def test_bloch_blocks_do_not_change_the_result(monkeypatch):
     monkeypatch.setattr(operators, "_BLOCH_ENTRIES", 1)  # one xi row per block
     blocks = []
     rows = SpatialOperator(mesh, space).propagate(c, lambda lam, z: blocks.append(lam.shape) or np.exp(lam) * z)
-    assert blocks == [(1, 5, space.dof)] * 6
+    assert blocks == [(1, 5, space.dof)] * 4  # xi_0 = 0..3 of N_0 = 6
     np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-15 * np.max(np.abs(whole)))
 
 

@@ -1,9 +1,12 @@
-"""Package surface: every exported name resolves, no module imports a name it never uses, and every name the bench traces exists."""
+"""Package surface: every exported name resolves, no module imports a name it never uses, every name the bench traces exists, and the CLI starts without scipy.linalg."""
 
 import ast
 import functools
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import dgcentral
@@ -64,3 +67,12 @@ def test_bench_trace_boundaries_exist():
 
     missing = [f"{owner}.{attr}" for owner, attr in pairs if not hasattr(resolve(owner), attr)]
     assert missing == []
+
+
+def test_the_cli_imports_without_scipy_linalg():
+    # scipy.linalg would add about 0.5 s and 8 MB to every start-up; no route needs it
+    src = str(Path(dgcentral.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dgcentral.cli; print('scipy.linalg' in sys.modules, dgcentral.cli.__file__)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["False", str(Path(src) / "dgcentral" / "cli.py")]

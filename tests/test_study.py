@@ -1,6 +1,7 @@
 """Config parsing, study runner, output files, and the CLI front end."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcentral import cli, verify
-from dgcentral.fields import Problem, l2_project
+from dgcentral.fields import Problem, l2_project, sample
 from dgcentral.mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, uniform_mesh
 from dgcentral.operators import SpatialOperator
 from dgcentral.study import (
@@ -226,6 +227,28 @@ class TestShippedConfigs:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_advect2d_sin_per_axis_form_is_the_direct_sine(t):
+    # `sample` hands each axis its own array, shaped (Nx, 1, Qx, 1) and (1, Ny, 1, Qy)
+    prob = PROBLEMS["advect2d_sin"]
+    dom = (0.0, 2.0 * np.pi)
+    mesh = TensorMesh2D(random_mesh(7, 0.3, 1, dom), random_mesh(6, 0.3, 2, dom))
+    points = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 4))
+    cases = [
+        (sample(prob.initial, mesh, *points), sample(lambda x, y: np.sin(x + y), mesh, *points)),
+        (
+            sample(lambda x, y: prob.exact(x, y, t), mesh, *points),
+            sample(lambda x, y: np.sin(x + y - 2.0 * t), mesh, *points),
+        ),
+    ]
+    for got, want in cases:
+        assert got.shape == (7, 6, 5, 4) and got.dtype == float and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+    for x, y in [(1.3, 4.1), (np.float64(6.2), np.float64(0.0))]:
+        for got, want in [(prob.initial(x, y), np.sin(x + y)), (prob.exact(x, y, t), np.sin(x + y - 2.0 * t))]:
+            assert np.ndim(got) == 0 and abs(got - want) <= 2e-15
 
 
 class TestBuildMesh:
@@ -570,6 +593,15 @@ class TestInputHoles:
         err = capsys.readouterr().err
         assert f"config error: {key}:" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_shipped_config_with_uncountable_steps_exits_1(self, tmp_path, capsys):
+        # T/dt = 1.6e300: the run used to hang summing the start of the last step
+        out = tmp_path / "res"
+        config = Path(__file__).resolve().parents[1] / "configs" / "advect1d_uniform_p2.cfg"
+        args = ["run", str(config), "--set", "study.ns=10", "--set", "time.c=1e-300"]
+        assert cli.main(args + ["--set", f"output.dir={out}"]) == 1
+        assert "config error: time.T/time.c: the step count T/dt = 1.59e+300 at N=10 exceeds 2**53" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
