@@ -14,13 +14,13 @@ derivative of a cell is a fixed linear combination of its own and neighbor
 coefficients scaled by 1/h, so one block triple (own, right, left) serves
 every cell of an axis.  `_axis_blocks` restricts that triple to a space's
 basis once per axis, with the other axes' degrees as spectators, and every
-fast route reads it: `SpatialOperator.matrix` assembles it over the mesh
-into L of u' = L u as one CSR matrix on the flattened coefficients (on a 2D
-tensor mesh the Kronecker sum L = Lx (x) I + I (x) Ly restricted to the
-space's degrees), `SpatialOperator.factors` into the 1D operator of each
-axis, and `SpatialOperator.propagate` into the Bloch symbol of each
-wavenumber.  `propagate` diagonalises L with its mass-scaled skew form:
-Q2D by a dense eigenbasis of each factor (L is diagonal on their product),
+fast route reads it: `_axis_terms` lays it over the mesh as one term of L of
+u' = L u per axis, on the flattened coefficients (on a 2D tensor mesh the
+Kronecker sum L = Lx (x) I + I (x) Ly restricted to the space's degrees),
+which `SpatialOperator.matrix` sums into a CSR matrix and `_axis_bases` into
+a dense one per axis, and `SpatialOperator.propagate` reads it as the Bloch
+symbol of each wavenumber.  `propagate` diagonalises L with its mass-scaled
+skew form: Q2D by a dense eigenbasis of each axis's L (diagonal on their product),
 P1D and P2D on uniform axes by the Bloch symbols, written once for any
 number of axes.  L is real, so the symbol at -xi is the conjugate of the one
 at xi (Zhong & Shu, CMAME 2011): the Bloch route keeps the half spectrum
@@ -39,7 +39,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .basis import (
     default_rule,
@@ -123,30 +122,35 @@ def _axis_blocks(space: SpaceKind) -> tuple[np.ndarray, ...]:
     return tuple(stencil[:, deg[:, None], deg] * np.delete(same, a, axis=0).all(axis=0) for a, deg in enumerate(degrees))
 
 
-def _assemble(mesh: Mesh1D | TensorMesh2D, space: SpaceKind) -> sparse.csr_matrix:
-    """L as a CSR matrix on the flattened coefficients (cells..., dof), one term per axis.
+def _axis_terms(mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
+    """Per axis, the (rows, cols, vals) triplets of its term of L on the flattened coefficients (cells..., dof).
 
     Along each axis a cell couples to itself and to its two periodic
-    neighbours through `_axis_blocks`, with each block row divided by the
-    cell's width on that axis.  Each term sums its duplicate entries (an
-    axis of N <= 2 cells makes them) and drops its zeros; the terms are
-    added in axis order.
+    neighbours through `_axis_blocks`, each block row divided by the cell's
+    width on that axis.  An axis of N <= 2 cells repeats (row, col) pairs.
     """
     cells = tuple(axis.num_cells for axis in mesh.axes)
     flat = np.arange(np.prod(cells)).reshape(cells)
-    size = flat.size * space.dof
-    terms = []
     for a, (axis, blocks) in enumerate(zip(mesh.axes, _axis_blocks(space))):
         s, m, n = np.nonzero(blocks)
         nbrs = np.stack([flat, np.roll(flat, -1, axis=a), np.roll(flat, 1, axis=a)]).reshape(3, -1)
-        widths = np.expand_dims(axis.widths, tuple(b for b in range(len(cells)) if b != a))
-        rows = flat.reshape(-1, 1) * space.dof + m
-        cols = nbrs.T[:, s] * space.dof + n
-        vals = blocks[s, m, n] / np.broadcast_to(widths, cells).reshape(-1, 1)
-        term = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
-        term.eliminate_zeros()
-        terms.append(term)
-        del rows, cols, vals  # not alive while the terms are added: that sum is the peak of a 2D build
+        widths = np.broadcast_to(np.expand_dims(axis.widths, tuple(b for b in range(len(cells)) if b != a)), cells)
+        yield flat.reshape(-1, 1) * space.dof + m, nbrs.T[:, s] * space.dof + n, blocks[s, m, n] / widths.reshape(-1, 1)
+
+
+def _assemble(mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
+    """L as a CSR matrix, the one CSR consumer of `_axis_terms`; scipy.sparse is imported here, on first use.
+
+    Each term sums its duplicate entries and drops its zeros; the terms are added in axis order.
+    """
+    from scipy import sparse
+
+    size = int(np.prod(mesh.num_cells)) * space.dof
+    terms = []
+    for rows, cols, vals in _axis_terms(mesh, space):
+        terms.append(sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)))
+        terms[-1].eliminate_zeros()
+        del rows, cols, vals  # not alive for the next term, nor in the sum of the terms (the peak of a 2D build)
     return sum(terms[1:], terms[0])
 
 
@@ -162,12 +166,7 @@ def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class SpatialOperator:
-    """The semi-discrete operator L with du/dt = L(u) on a periodic mesh.
-
-    L is the sum over the axes of one term per axis, each built from that
-    axis's block triple in `_axis_blocks`: on a 2D tensor mesh the Kronecker
-    sum Lx (x) I + I (x) Ly restricted to the space's degrees.
-    """
+    """The semi-discrete operator L with du/dt = L(u) on a periodic mesh: the sum of the terms of `_axis_terms`."""
 
     def __init__(self, mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
         space.axes_of(mesh)
@@ -175,12 +174,7 @@ class SpatialOperator:
         self.space = space
 
     @cached_property
-    def factors(self) -> tuple[sparse.csr_matrix, ...]:
-        """The 1D operator of each mesh axis, on that axis's flattened (cell, degree) coefficients."""
-        return tuple(_assemble(axis, SpaceKind("P1D", self.space.degree)) for axis in self.mesh.axes)
-
-    @cached_property
-    def matrix(self) -> sparse.csr_matrix:
+    def matrix(self):
         """L as a CSR matrix on the flattened coefficients (cells..., dof), assembled by `_assemble`."""
         return _assemble(self.mesh, self.space)
 
@@ -215,7 +209,10 @@ class SpatialOperator:
         for axis in self.mesh.axes:
             if axis.widths.tobytes() not in bases:
                 scale = np.sqrt(mass_weights(space, axis)).ravel()
-                bases[axis.widths.tobytes()] = _skew_eigh(_assemble(axis, space).toarray(), scale) + (scale,)
+                mat = np.zeros((scale.size,) * 2)
+                for rows, cols, vals in _axis_terms(axis, space):  # one term, summed as `_assemble` sums it
+                    np.add.at(mat, (rows, cols), vals)
+                bases[axis.widths.tobytes()] = _skew_eigh(mat, scale) + (scale,)
         return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
     def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray | None:
@@ -229,7 +226,7 @@ class SpatialOperator:
         """
         if self.spectral_route == "axes":
             (lx, vx, dx), (ly, vy, dy) = self._axis_bases
-            # the coefficients u_ij,ab as W[i(k+1)+a, j(k+1)+b], the layout of the factors' Kronecker product
+            # the coefficients u_ij,ab as W[i(k+1)+a, j(k+1)+b], the layout of the Kronecker product of the axes' L
             (nx, ny), k1 = coeffs.shape[:-1], self.space.degree + 1
             w = coeffs.reshape(nx, ny, k1, k1).transpose(0, 2, 1, 3).reshape(nx * k1, ny * k1)
             # V_x^H W conj(V_y) = conj(V_x^T W V_y) for a real W, with no conjugated copy of V

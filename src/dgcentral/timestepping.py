@@ -27,7 +27,8 @@ P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid; every
 * P(hL): a ``scipy.sparse`` matrix L, or a 1D `SpatialOperator` that the
   spectral march declines (alpha and random meshes).  P(dt L) - I is formed
   once (and once more for a shortened last step), and a step is one sparse
-  matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.
+  matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.  It and
+  the stages on an assembled L are the routes that import ``scipy.sparse``.
 * stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
   field, scalar or custom state) takes it, and so does a 2D
   `SpatialOperator` that the spectral march declines, as the matvec of its
@@ -50,10 +51,10 @@ Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fields import ModalField, mass_weights
 from .operators import SpatialOperator
@@ -198,13 +199,15 @@ def stability_coefficients(scheme: RKScheme) -> np.ndarray:
     return np.array(gammas)
 
 
-def step_increment(mat, h: float, scheme: RKScheme) -> sparse.csr_matrix:
-    """P(hL) - I for a sparse L, by Horner's rule: a step of `scheme` is u + (P(hL) - I) u.
+def step_increment(mat, h: float, scheme: RKScheme):
+    """P(hL) - I as a CSR matrix for a sparse L, by Horner's rule: a step of `scheme` is u + (P(hL) - I) u.
 
     Storing P(hL) itself would round its diagonal 1 + O(h) every time in the
     same direction, a bias that accumulates over the steps (the cell
     averages of a P4 run then drift by ~5e-13 instead of ~3e-15).
     """
+    from scipy import sparse
+
     gammas = stability_coefficients(scheme)
     hl = sparse.csr_matrix(mat) * h
     eye = sparse.identity(hl.shape[0], format="csr")
@@ -347,7 +350,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
         if isinstance(rhs, SpatialOperator):
             mat = rhs.matrix
             advance = _stage_step(lambda arr: (mat @ arr.ravel()).reshape(arr.shape), scheme)
-        elif sparse.issparse(rhs):
+        elif (sparse := sys.modules.get("scipy.sparse")) and sparse.issparse(rhs):  # a matrix passed in loaded it
             advance = _matrix_step(rhs, scheme)
         else:
             advance = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme)

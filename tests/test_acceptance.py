@@ -31,6 +31,7 @@ from dgcentral.verify import (
 )
 
 TWO_PI = 2.0 * np.pi
+ROOT = Path(__file__).resolve().parents[1]  # the checkout, whatever the working directory
 
 
 def _table(cfg: StudyConfig, paper_scale: bool = False):
@@ -41,7 +42,7 @@ def _table(cfg: StudyConfig, paper_scale: bool = False):
 
 def _shipped(name: str) -> StudyConfig:
     # strip output.dir so acceptance runs leave no files behind
-    return replace(load_config(Path("configs") / name), out_dir=None)
+    return replace(load_config(ROOT / "configs" / name), out_dir=None)
 
 
 def _cfg_1d(degree: int, family: str, ns: tuple[int, ...], **kw) -> StudyConfig:
@@ -197,7 +198,7 @@ def test_criterion_09_projection_properties():
 
 
 def test_criterion_10_paper_scale_regime_is_documented_not_reproduced():
-    readme = " ".join(Path("README.md").read_text().split())
+    readme = " ".join((ROOT / "README.md").read_text().split())
     assert "double precision" in readme
     assert "--paper-scale" in readme
 

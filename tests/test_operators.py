@@ -245,8 +245,9 @@ def test_2d_matrix_is_the_kron_sum_on_index_set(kind, k):
 
 def _kron_then_select(op):
     """The 2D L assembled the long way: both Kronecker terms over all (k+1)^2 tensor degrees, summed, then sliced."""
-    lx, ly = op.factors
-    eye_x, eye_y = (sparse.identity(f.shape[0], format="csr") for f in op.factors)
+    factors = [operators._assemble(axis, SpaceKind("P1D", op.space.degree)) for axis in op.mesh.axes]
+    lx, ly = factors
+    eye_x, eye_y = (sparse.identity(f.shape[0], format="csr") for f in factors)
     full = sparse.kron(lx, eye_y, format="csr") + sparse.kron(eye_x, ly, format="csr")
     # basis (a, b) of cell (i, j) is row (i(k+1) + a) ny(k+1) + j(k+1) + b of the Kronecker product
     k1, (nx, ny) = op.space.degree + 1, op.mesh.num_cells
@@ -263,6 +264,19 @@ _AXES = {
     "alpha": lambda n: alpha_mesh(n, 0.2, (0.0, TWO_PI)),
     "random": lambda n: random_mesh(n, 0.4, n, (0.0, TWO_PI)),
 }
+
+
+@pytest.mark.parametrize("family", sorted(_AXES))
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("k", range(5))
+def test_dense_axis_matrix_equals_the_csr_one(family, n, k, monkeypatch):
+    # the per-axis eigenbases diagonalise a dense L summed from the same triplets as the CSR
+    # assembly; N <= 2 repeats (row, col) pairs, which both must sum in the same order
+    axis, dense = _AXES[family](n), []
+    monkeypatch.setattr(operators, "_skew_eigh", lambda mat, scale: dense.append(mat) or (None, None))
+    SpatialOperator(tensor_mesh(axis, axis), SpaceKind("Q2D", k))._axis_bases
+    assert len(dense) == 1  # the two axes are equal, so one is diagonalised
+    np.testing.assert_array_equal(dense[0], operators._assemble(axis, SpaceKind("P1D", k)).toarray())
 
 
 @pytest.mark.parametrize(
@@ -306,9 +320,9 @@ def test_mass_times_each_2d_factor_is_exactly_skew(k):
     # skew factors make the 2D energy identity exact for every u; for P2D the
     # restriction to the index set commutes with the diagonal M
     mesh = _mesh_2d()
-    op = SpatialOperator(mesh, SpaceKind("P2D", k))
-    assert len(op.factors) == 2
-    for axis, factor in zip(mesh.axes, op.factors):
+    assert len(mesh.axes) == 2
+    for axis in mesh.axes:
+        factor = operators._assemble(axis, SpaceKind("P1D", k))
         _assert_exactly_skew(factor, np.outer(0.5 * axis.widths, _mass_vector("P1D", k)).ravel())
 
 

@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves, no module imports a name it never uses, every name the bench traces exists, and the CLI starts without scipy.linalg."""
+"""Package surface: every exported name resolves, no module imports a name it never uses, every name the bench traces exists, and the CLI and the spectral routes start without scipy.sparse or scipy.linalg."""
 
 import ast
 import functools
@@ -69,10 +69,57 @@ def test_bench_trace_boundaries_exist():
     assert missing == []
 
 
-def test_the_cli_imports_without_scipy_linalg():
-    # scipy.linalg would add about 0.5 s and 8 MB to every start-up; no route needs it
+def _fresh_python(code: str) -> list[str]:
+    """Run `code` in a new interpreter that imports this checkout's package; return its printed words."""
     src = str(Path(dgcentral.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, dgcentral.cli; print('scipy.linalg' in sys.modules, dgcentral.cli.__file__)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
-    assert out == ["False", str(Path(src) / "dgcentral" / "cli.py")]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_the_cli_imports_without_scipy_linalg():
+    # scipy.linalg would add about 0.5 s and 8 MB to every start-up; no route needs it
+    out = _fresh_python("import sys, dgcentral.cli; print('scipy.linalg' in sys.modules, dgcentral.cli.__file__)")
+    assert out == ["False", str(Path(dgcentral.__file__).resolve().parent / "cli.py")]
+
+
+_LOADED = "print(*(name in sys.modules for name in ('scipy.sparse', 'scipy.linalg')))"
+
+
+def test_the_cli_imports_without_scipy_sparse():
+    # scipy.sparse is about 0.25 s of start-up; only the routes that build a CSR matrix load it
+    assert _fresh_python(f"import sys, dgcentral.cli; {_LOADED}") == ["False", "False"]
+
+
+def test_spectral_studies_run_without_scipy_sparse():
+    # a uniform P2 ladder (the Bloch route) and an alpha Q2 ladder (the per-axis eigenbases)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from dgcentral.study import load_config, run_study\n"
+        "for name in ('advect1d_uniform_p2.cfg', 'advect2d_alpha_q2.cfg'):\n"
+        f"    table = run_study(replace(load_config({str(configs)!r} + '/' + name), out_dir=None))\n"
+        "    print(len(table.ns))\n"
+        f"{_LOADED}\n"
+    )
+    assert _fresh_python(code) == ["6", "5", "False", "False"]
+
+
+def test_an_alpha_p2_level_loads_scipy_sparse_and_steps_on_its_matrix():
+    # the P(hL) route builds its CSR matrix, and so imports scipy.sparse, on first use
+    code = """
+import sys
+import numpy as np
+from dgcentral.fields import SpaceKind, l2_project
+from dgcentral.mesh import alpha_mesh
+from dgcentral.operators import SpatialOperator
+from dgcentral.timestepping import IntegrationConfig, integrate
+mesh, space = alpha_mesh(20, 0.1, (0.0, 2.0 * np.pi)), SpaceKind("P1D", 2)
+u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
+op, cfg = SpatialOperator(mesh, space), IntegrationConfig(t_final=0.1)
+before = "scipy.sparse" in sys.modules
+u = integrate(op, u0, cfg)
+print(before, "scipy.sparse" in sys.modules, op.spectral_route)
+print(np.array_equal(u.coeffs, integrate(op.matrix, u0, cfg).coeffs))
+"""
+    assert _fresh_python(code) == ["False", "True", "None", "True"]

@@ -215,9 +215,7 @@ class TestSerializeRoundTrip:
 
 class TestShippedConfigs:
     def test_all_configs_parse(self):
-        import pathlib
-
-        paths = sorted(pathlib.Path("configs").glob("*.cfg"))
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
         assert len(paths) == 7
         for path in paths:
             cfg = load_config(path)

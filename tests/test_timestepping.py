@@ -235,6 +235,27 @@ def test_matrix_step_equals_one_stage_loop_step(name):
         assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
 
 
+def test_a_csr_matrix_passed_in_takes_the_p_hl_route(monkeypatch):
+    # integrate finds scipy.sparse in sys.modules (the matrix passed in loaded it) and
+    # forms P(hL) - I once per distinct step size
+    op, u0 = _alpha_operator()
+    dt = 0.01 * u0.mesh.min_width
+    cfg = IntegrationConfig(t_final=7.37 * dt)
+    steps = []
+
+    def counted(mat, h, scheme):
+        steps.append(h)
+        return step_increment(mat, h, scheme)
+
+    monkeypatch.setattr(timestepping, "step_increment", counted)
+    u = integrate(op.matrix, u0, cfg)
+    assert steps == [dt, pytest.approx(0.37 * dt, rel=1e-12)]
+    # a 1D operator that the spectral march declines steps the same way, on its own matrix
+    assert op.spectral_route is None
+    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, u.coeffs)
+    assert steps[2:] == steps[:2]
+
+
 @pytest.mark.usefixtures("low_order_schemes")
 def test_step_increment_is_the_polynomial_in_hl_minus_identity():
     op, _ = _alpha_operator(k=1, n=5)
