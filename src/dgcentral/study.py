@@ -299,8 +299,8 @@ def serialize_config(cfg: StudyConfig) -> str:
 
 def load_config(path: str | Path, overrides: tuple[str, ...] = ()) -> StudyConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text, overrides)
 

@@ -25,10 +25,12 @@ P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid; every
   A level where an applied factor grows, |P(h lam)| > 1, is stepped below
   instead, reporting the growth as any stepped run does; L is built only then.
 * P(hL): a ``scipy.sparse`` matrix L, or a 1D `SpatialOperator` that the
-  spectral march declines (alpha and random meshes).  P(dt L) - I is formed
-  once (and once more for a shortened last step), and a step is one sparse
-  matvec and an add, u + (P(hL) - I) u.  P(hL) couples 2s+1 cells.  It and
-  the stages on an assembled L are the routes that import ``scipy.sparse``.
+  spectral march declines (alpha and random meshes).  Q = P(dt L) - I is
+  formed once (and once more for a shortened last step), and Q2 = P(dt L)^2
+  - I = 2Q + QQ once from it.  Full steps go in pairs, one sparse matvec and
+  an add per pair, u + Q2 u; an odd one and the last step take u + Q u, and a
+  run with an energy log steps singly.  P(hL) couples 2s+1 cells, Q2 4s+1.
+  It and the stages on an assembled L are the routes that import ``scipy.sparse``.
 * stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
   field, scalar or custom state) takes it, and so does a 2D
   `SpatialOperator` that the spectral march declines, as the matvec of its
@@ -36,11 +38,11 @@ P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid; every
   (2s+1)^2 patch of cells and fill in.
 
 All routes keep the same non-finite check and energy log; the spectral
-route checks the final state and writes the log in closed form.  For field
-states, a final discrete energy above the initial one by more than
-`ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`: the
-central-flux operator is skew in the mass inner product, so a stable step
-never raises the energy.
+route checks the final state and writes the log in closed form, and paired
+P(hL) steps check after each pair.  For field states, a final discrete
+energy above the initial one by more than `ENERGY_GROWTH_TOL` (relative)
+raises `IntegrationDivergedError`: the central-flux operator is skew in the
+mass inner product, so a stable step never raises the energy.
 
 Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 
@@ -214,38 +216,53 @@ def step_increment(mat, h: float, scheme: RKScheme):
     out = gammas[-1] * eye
     for gamma in gammas[-2:0:-1]:
         out = gamma * eye + hl @ out
-    out = (hl @ out).tocsr()
+    return _canonical(hl @ out)
+
+
+def _canonical(mat):
+    """`mat` as CSR without stored zeros, in the column order that fixes the matvec's summation (and last bits)."""
+    out = mat.tocsr()
     out.eliminate_zeros()
-    # canonical column order, so the matvec's summation order (and its last
-    # bits) does not depend on how the sparse product happened to order rows
     out.sort_indices()
     return out
 
 
-def _stage_step(f, scheme: RKScheme):
-    """One explicit RK step of u' = f(u) through the tableau's stages."""
+def _pair_increment(q):
+    """P(hL)^2 - I = 2Q + Q Q from Q = P(hL) - I; like Q, it stores no identity."""
+    return _canonical(2.0 * q + q @ q)
 
-    def step(state, h):
-        stages = []
-        for s in range(scheme.stages):
-            y = state
-            for m in range(s):
-                if scheme.a[s, m] != 0.0:
-                    y = y + (h * scheme.a[s, m]) * stages[m]
-            stages.append(np.asarray(f(y), dtype=float))
-        return state + h * sum(w * ks for w, ks in zip(scheme.b, stages))
+
+def _stage_step(f, scheme: RKScheme):
+    """`n` explicit RK steps of size h of u' = f(u), each through the tableau's stages."""
+
+    def step(state, h, n):
+        for _ in range(n):
+            stages = []
+            for s in range(scheme.stages):
+                y = state
+                for m in range(s):
+                    if scheme.a[s, m] != 0.0:
+                        y = y + (h * scheme.a[s, m]) * stages[m]
+                stages.append(np.asarray(f(y), dtype=float))
+            state = state + h * sum(w * ks for w, ks in zip(scheme.b, stages))
+        return state
 
     return step
 
 
 def _matrix_step(mat, scheme: RKScheme):
-    """One step of u' = L u as u <- P(hL) u, one P per distinct step size."""
+    """`n` = 1 or 2 steps of size h of u' = L u as u + (P(hL)^n - I) u, each increment formed once per h."""
     cache = {}
 
-    def step(state, h):
-        if h not in cache:
-            cache[h] = step_increment(mat, h, scheme)
-        return state + (cache[h] @ state.ravel()).reshape(state.shape)
+    def increment(h, n):
+        if (h, 1) not in cache:
+            cache[h, 1] = step_increment(mat, h, scheme)
+        if (h, n) not in cache:
+            cache[h, n] = _pair_increment(cache[h, 1])
+        return cache[h, n]
+
+    def step(state, h, n):
+        return state + (increment(h, n) @ state.ravel()).reshape(state.shape)
 
     return step
 
@@ -342,28 +359,30 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
         marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme, log)
     if marched is not None:
         state, t = marched, t_last + h_last
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise IntegrationDivergedError(nsteps, t)
     else:
         if isinstance(rhs, SpatialOperator) and rhs.space.dimension == 1:
             rhs = rhs.matrix  # P(hL); L, as below in 2D, is built only once the spectral march has declined
+        span = 1  # full steps per advance: P(hL) takes them in pairs unless each needs a log entry
         if isinstance(rhs, SpatialOperator):
             mat = rhs.matrix
             advance = _stage_step(lambda arr: (mat @ arr.ravel()).reshape(arr.shape), scheme)
         elif (sparse := sys.modules.get("scipy.sparse")) and sparse.issparse(rhs):  # a matrix passed in loaded it
-            advance = _matrix_step(rhs, scheme)
+            advance, span = _matrix_step(rhs, scheme), 1 if log is not None else 2
         else:
             advance = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme)
-        t = 0.0
+        t, step = 0.0, 0
         # overflow in a blowing-up state is reported via IntegrationDivergedError,
         # not as a numpy warning mid-stage
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(nsteps):
+            while step < nsteps:
+                n = span if step + span < nsteps else 1  # the last step, of h_last, is always taken alone
                 h = dt if step < nsteps - 1 else h_last
-                state = advance(state, h)
-                t += h
-                if not np.all(np.isfinite(state)):
-                    raise IntegrationDivergedError(step + 1, t)
+                state = advance(state, h, n)
+                step, t = step + n, t + n * h
+                if not np.isfinite(state).all():
+                    raise IntegrationDivergedError(step, t)
                 if log is not None:
                     log.append(energy(state))
     if not is_field:

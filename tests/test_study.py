@@ -628,6 +628,14 @@ class TestInputHoles:
         assert cli.main([command, str(path), "--set", f"output.dir={blocker / 'res'}"]) == 1
         assert "config error: output.dir:" in capsys.readouterr().err
 
+    def test_a_config_file_that_is_not_utf8_text_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "study.cfg"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe")
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: cannot read config file {path}:" in err
+        assert "Traceback" not in err
+
     def test_2d_random_mesh_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="mesh.seed"):
             parse_config(_with(BASE_2D.replace("uniform", "random"), **{"mesh.fraction": "0.3", "mesh.seed": "-1"}))

@@ -227,8 +227,9 @@ def test_matrix_step_equals_one_stage_loop_step(name):
     mat = op.matrix
     v0 = u0.coeffs.ravel()
     dt = 0.01 * u0.mesh.min_width
-    # a full step, then a full step followed by a shortened last one
-    for t_final in (dt, 1.37 * dt):
+    # a full step, a full step followed by a shortened last one, then paired
+    # full steps with an odd or even count left before the last step
+    for t_final in (dt, 1.37 * dt, 5.37 * dt, 6.37 * dt, 8 * dt):
         cfg = IntegrationConfig(t_final=t_final, scheme=name, dt=dt)
         fast = integrate(mat, v0, cfg)
         stages = integrate(lambda v: mat @ v, v0, cfg)
@@ -237,23 +238,29 @@ def test_matrix_step_equals_one_stage_loop_step(name):
 
 def test_a_csr_matrix_passed_in_takes_the_p_hl_route(monkeypatch):
     # integrate finds scipy.sparse in sys.modules (the matrix passed in loaded it) and
-    # forms P(hL) - I once per distinct step size
+    # forms P(hL) - I once per distinct step size, and the pair increment once per run
     op, u0 = _alpha_operator()
     dt = 0.01 * u0.mesh.min_width
     cfg = IntegrationConfig(t_final=7.37 * dt)
-    steps = []
+    steps, pairs = [], []
 
     def counted(mat, h, scheme):
         steps.append(h)
         return step_increment(mat, h, scheme)
 
+    pair_increment = timestepping._pair_increment
     monkeypatch.setattr(timestepping, "step_increment", counted)
+    monkeypatch.setattr(timestepping, "_pair_increment", lambda q: pairs.append(q) or pair_increment(q))
     u = integrate(op.matrix, u0, cfg)
     assert steps == [dt, pytest.approx(0.37 * dt, rel=1e-12)]
+    assert len(pairs) == 1
     # a 1D operator that the spectral march declines steps the same way, on its own matrix
     assert op.spectral_route is None
     np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, u.coeffs)
-    assert steps[2:] == steps[:2]
+    assert steps[2:] == steps[:2] and len(pairs) == 2
+    # a run that logs every step forms no pair
+    integrate(op, u0, cfg, energy_log=[])
+    assert len(pairs) == 2
 
 
 @pytest.mark.usefixtures("low_order_schemes")
@@ -263,6 +270,41 @@ def test_step_increment_is_the_polynomial_in_hl_minus_identity():
     expected = hl + hl @ hl / 2 + hl @ hl @ hl / 6 + hl @ hl @ hl @ hl / 24
     np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["rk4"]).toarray(), expected, rtol=0, atol=1e-14)
     np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["euler"]).toarray(), hl, rtol=0, atol=1e-15)
+
+
+@pytest.mark.usefixtures("low_order_schemes")
+@pytest.mark.parametrize("name", _ALL_NAMES)
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize(
+    "mesh",
+    # 4s+1 = 17 cells (rk4) wrap these periodic meshes, so the square sums duplicate entries
+    [alpha_mesh(2, 0.1, (0.0, 1.0)), alpha_mesh(4, 0.1, (0.0, 1.0)), random_mesh(3, 0.3, 5, (0.0, 1.0)), random_mesh(7, 0.3, 5, (0.0, 1.0))],
+    ids=["alpha2", "alpha4", "random3", "random7"],
+)
+def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh):
+    mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
+    q = step_increment(mat, 0.1 * mesh.min_width, SCHEMES[name])
+    pair = timestepping._pair_increment(q)
+    step = np.identity(mat.shape[0]) + q.toarray()
+    expected = step @ step - np.identity(mat.shape[0])
+    assert pair.has_sorted_indices and np.all(pair.data != 0.0)
+    assert np.max(np.abs(pair.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("family", ["alpha", "random"])
+def test_paired_march_equals_the_single_steps_of_a_logged_run(k, family):
+    # an energy log needs an entry per step, so the logged run takes every step alone
+    mesh = alpha_mesh(40, 0.1, (0.0, 2.0 * np.pi)) if family == "alpha" else random_mesh(40, 0.3, 11, (0.0, 2.0 * np.pi))
+    space = SpaceKind("P1D", k)
+    op, u0 = SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
+    assert op.spectral_route is None
+    cfg = IntegrationConfig(t_final=1.0)
+    log = []
+    single = integrate(op, u0, cfg, energy_log=log).coeffs
+    paired = integrate(op, u0, cfg).coeffs
+    assert len(log) == math.ceil(1.0 / (0.01 * mesh.min_width)) + 1
+    assert np.max(np.abs(paired - single)) <= 1e-13 * np.max(np.abs(single))
 
 
 def test_matrix_path_conserves_mass_to_roundoff():
@@ -346,8 +388,9 @@ def test_stepped_2d_route_equals_one_stage_loop_step(name, kind, monkeypatch):
     _stepped(monkeypatch)
     op, u0 = _operator_2d(kind)
     dt = 0.05 * u0.mesh.min_width
-    # a full step, then a full step followed by a shortened last one
-    for t_final in (dt, 1.37 * dt):
+    # a full step, a full step followed by a shortened last one, then paired
+    # full steps with an odd or even count left before the last step
+    for t_final in (dt, 1.37 * dt, 5.37 * dt, 6.37 * dt, 8 * dt):
         cfg = IntegrationConfig(t_final=t_final, scheme=name, dt=dt)
         fast = integrate(op, u0.coeffs, cfg)
         stages = integrate(lambda v: op.apply_rhs(u0.like(v)).coeffs, u0.coeffs, cfg)
