@@ -25,12 +25,10 @@ P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid; every
   A level where an applied factor grows, |P(h lam)| > 1, is stepped below
   instead, reporting the growth as any stepped run does; L is built only then.
 * P(hL): a ``scipy.sparse`` matrix L, or a 1D `SpatialOperator` that the
-  spectral march declines (alpha and random meshes).  Q = P(dt L) - I is
-  formed once (and once more for a shortened last step), and Q2 = P(dt L)^2
-  - I = 2Q + QQ once from it.  Full steps go in pairs, one sparse matvec and
-  an add per pair, u + Q2 u; an odd one and the last step take u + Q u, and a
-  run with an energy log steps singly.  P(hL) couples 2s+1 cells, Q2 4s+1.
-  It and the stages on an assembled L are the routes that import ``scipy.sparse``.
+  spectral march declines (alpha and random meshes).  A pair of full steps is
+  one CSR kernel call with Q2 = P(dt L)^2 - I (4s+1 cells wide, formed once)
+  and an add; any other step is s products with L on the vector.  It and the
+  stages on an assembled L are the routes that import ``scipy.sparse``.
 * stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
   field, scalar or custom state) takes it, and so does a 2D
   `SpatialOperator` that the spectral march declines, as the matvec of its
@@ -251,18 +249,30 @@ def _stage_step(f, scheme: RKScheme):
 
 
 def _matrix_step(mat, scheme: RKScheme):
-    """`n` = 1 or 2 steps of size h of u' = L u as u + (P(hL)^n - I) u, each increment formed once per h."""
-    cache = {}
+    """`n` = 1 or 2 steps of size h of u' = L u, the increment added last.  One step is Horner's rule on the vector.
 
-    def increment(h, n):
-        if (h, 1) not in cache:
-            cache[h, 1] = step_increment(mat, h, scheme)
-        if (h, n) not in cache:
-            cache[h, n] = _pair_increment(cache[h, 1])
-        return cache[h, n]
+    A pair is scipy's `@` arithmetic, in place: the CSR kernel adds Q2 u (Q2 = P(hL)^2 - I, formed once per h) into a
+    buffer zeroed first, which is then added into u.  Summing from u would bring back the bias `step_increment` avoids.
+    """
+    from scipy.sparse import _sparsetools
+
+    gammas, pairs, out = stability_coefficients(scheme), {}, np.empty(mat.shape[0])
 
     def step(state, h, n):
-        return state + (increment(h, n) @ state.ravel()).reshape(state.shape)
+        if state.dtype != np.float64 or not state.flags.c_contiguous or state.size != out.size:
+            raise ValueError(f"P(hL) steps a C-contiguous float64 state of {out.size} entries")  # the kernel trusts it
+        u = state.reshape(-1)
+        if n == 1:  # u + hL(g1 u + hL(g2 u + ... + gs hL u)): the last pass, g0 = 1, adds the increment to u
+            w = gammas[-1] * u
+            for gamma in gammas[-2::-1]:
+                w = gamma * u + h * (mat @ w)
+            return w.reshape(state.shape)
+        if h not in pairs:
+            pairs[h] = _pair_increment(step_increment(mat, h, scheme))
+        out.fill(0.0)
+        _sparsetools.csr_matvec(out.size, out.size, pairs[h].indptr, pairs[h].indices, pairs[h].data, u, out)
+        u += out
+        return state
 
     return step
 

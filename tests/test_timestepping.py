@@ -237,8 +237,8 @@ def test_matrix_step_equals_one_stage_loop_step(name):
 
 
 def test_a_csr_matrix_passed_in_takes_the_p_hl_route(monkeypatch):
-    # integrate finds scipy.sparse in sys.modules (the matrix passed in loaded it) and
-    # forms P(hL) - I once per distinct step size, and the pair increment once per run
+    # integrate finds scipy.sparse in sys.modules (the matrix passed in loaded it) and forms
+    # P(dt L) - I and the pair increment once per run; single steps take products with L alone
     op, u0 = _alpha_operator()
     dt = 0.01 * u0.mesh.min_width
     cfg = IntegrationConfig(t_final=7.37 * dt)
@@ -252,15 +252,15 @@ def test_a_csr_matrix_passed_in_takes_the_p_hl_route(monkeypatch):
     monkeypatch.setattr(timestepping, "step_increment", counted)
     monkeypatch.setattr(timestepping, "_pair_increment", lambda q: pairs.append(q) or pair_increment(q))
     u = integrate(op.matrix, u0, cfg)
-    assert steps == [dt, pytest.approx(0.37 * dt, rel=1e-12)]
+    assert steps == [dt]
     assert len(pairs) == 1
     # a 1D operator that the spectral march declines steps the same way, on its own matrix
     assert op.spectral_route is None
     np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, u.coeffs)
-    assert steps[2:] == steps[:2] and len(pairs) == 2
-    # a run that logs every step forms no pair
+    assert steps == [dt, dt] and len(pairs) == 2
+    # a run that logs every step forms no increment at all
     integrate(op, u0, cfg, energy_log=[])
-    assert len(pairs) == 2
+    assert steps == [dt, dt] and len(pairs) == 2
 
 
 @pytest.mark.usefixtures("low_order_schemes")
@@ -272,16 +272,23 @@ def test_step_increment_is_the_polynomial_in_hl_minus_identity():
     np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["euler"]).toarray(), hl, rtol=0, atol=1e-15)
 
 
+# Q2 couples 4s+1 = 17 cells (rk4): it wraps the periodic meshes of N <= 8 and sums duplicate entries; N = 40 does not
+_WRAPPING_MESHES = {
+    "alpha2": alpha_mesh(2, 0.1, (0.0, 1.0)),
+    "alpha4": alpha_mesh(4, 0.1, (0.0, 1.0)),
+    "alpha40": alpha_mesh(40, 0.1, (0.0, 1.0)),
+    "random3": random_mesh(3, 0.3, 5, (0.0, 1.0)),
+    "random7": random_mesh(7, 0.3, 5, (0.0, 1.0)),
+    "random40": random_mesh(40, 0.3, 5, (0.0, 1.0)),
+}
+
+
 @pytest.mark.usefixtures("low_order_schemes")
 @pytest.mark.parametrize("name", _ALL_NAMES)
 @pytest.mark.parametrize("k", range(5))
-@pytest.mark.parametrize(
-    "mesh",
-    # 4s+1 = 17 cells (rk4) wrap these periodic meshes, so the square sums duplicate entries
-    [alpha_mesh(2, 0.1, (0.0, 1.0)), alpha_mesh(4, 0.1, (0.0, 1.0)), random_mesh(3, 0.3, 5, (0.0, 1.0)), random_mesh(7, 0.3, 5, (0.0, 1.0))],
-    ids=["alpha2", "alpha4", "random3", "random7"],
-)
+@pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
 def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh):
+    mesh = _WRAPPING_MESHES[mesh]
     mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
     q = step_increment(mat, 0.1 * mesh.min_width, SCHEMES[name])
     pair = timestepping._pair_increment(q)
@@ -305,6 +312,42 @@ def test_paired_march_equals_the_single_steps_of_a_logged_run(k, family):
     paired = integrate(op, u0, cfg).coeffs
     assert len(log) == math.ceil(1.0 / (0.01 * mesh.min_width)) + 1
     assert np.max(np.abs(paired - single)) <= 1e-13 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
+def test_a_paired_advance_is_the_kernel_product_added_to_the_state(k, mesh):
+    # the kernel adds into its buffer: each pair must start that buffer from zero, as `@` starts its result
+    mesh = _WRAPPING_MESHES[mesh]
+    mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
+    dt = 0.01 * mesh.min_width
+    q2 = timestepping._pair_increment(step_increment(mat, dt, SCHEMES["rk4"]))
+    advance = timestepping._matrix_step(mat, SCHEMES["rk4"])
+    x = np.random.default_rng(k).standard_normal((mat.shape[0] // (k + 1), k + 1))
+    for _ in range(3):
+        before = x.ravel().copy()
+        assert advance(x, dt, 2) is x
+        assert np.array_equal(x.ravel(), before + q2 @ before)
+
+
+def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
+    from scipy.sparse import _sparsetools
+
+    calls = []
+    matvec = _sparsetools.csr_matvec
+    monkeypatch.setattr(_sparsetools, "csr_matvec", lambda *args: calls.append(args) or matvec(*args))
+    op, u0 = _alpha_operator()
+    advance = timestepping._matrix_step(op.matrix, SCHEMES["rk4"])
+    dt = 0.01 * u0.mesh.min_width
+    size = u0.coeffs.size
+    for state in (np.ones(size + 3), np.ones(size - 3), np.ones(size, dtype=np.float32), np.ones(2 * size)[::2]):
+        before = state.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            advance(state, dt, 2)
+        assert not calls
+        np.testing.assert_array_equal(state, before)
+    advance(np.ones(size), dt, 2)
+    assert len(calls) == 1
 
 
 def test_matrix_path_conserves_mass_to_roundoff():
