@@ -72,13 +72,13 @@ __all__ = [
 ]
 
 # Widest axis (cells x (k+1)) that `propagate` diagonalises densely; wider Q2D
-# axes take the stages on the assembled L.  The eigenbasis costs O(width^3)
+# axes step P(hL) on the assembled L.  The eigenbasis costs O(width^3)
 # time and two dense complex width^2 matrices per axis.  Measured up to this
 # width (rk4, T = 1, c = 0.01, 2-vCPU host): a Q2 alpha N=682 level (2046
 # wide) marched in 38.5 s against an estimated 68 min of Horner steps on the
-# per-axis factors, and at 1539 wide it matched those steps to 5e-14.  The
-# stage steps that replaced them take about twice as long (Q2 alpha N=33:
-# 0.65 s against 0.31 s); no shipped config reaches this width.
+# per-axis factors, and at 1539 wide it matched those steps to 5e-14.  P(hL)
+# steps a Q2 alpha N=33 level in 0.38 s, against 4 ms on its eigenbasis; no
+# shipped config reaches this width.
 _AXIS_EIGEN_CAP = 2048
 
 # Relative spread of an axis's widths below which the axis counts as uniform,

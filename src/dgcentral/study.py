@@ -412,7 +412,7 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
                 f" more steps than float64 can count (dt = c * min h = {dt:.3g})"
             )
         # the operator picks the route: one rk4 factor per mode where L has a diagonalising
-        # basis (Q2D; P1D, P2D on uniform axes), else P(hL) in 1D and the stages on L in 2D
+        # basis (Q2D; P1D, P2D on uniform axes), else P(hL) on the assembled L
         u = integrate(SpatialOperator(mesh, space), u0, tcfg)
         samples = error_samples(prob.exact, u, cfg.t_final)  # one sample for E2 and EA
         e2 = error_l2(prob.exact, u, cfg.t_final, samples=samples)

@@ -15,25 +15,23 @@ for every dt.
 
 For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
 gamma_0 = 1 and gamma_j = b^T A^(j-1) 1, so a run of n steps computes
-P(h_last L) P(dt L)^(n-1) u0.  Three routes, one time grid; every
-`SpatialOperator` is offered to the first:
+P(h_last L) P(dt L)^(n-1) u0.  A `SpatialOperator` takes the first of two
+routes that accepts it, a callable the stages; all keep one time grid:
 
-* spectral: a `SpatialOperator` with a diagonalising basis (Q2D; P1D and P2D
-  on uniform axes; see `SpatialOperator.propagate`).  The whole run is one
+* spectral: an operator with a diagonalising basis (Q2D; P1D and P2D on
+  uniform axes; see `SpatialOperator.propagate`).  The whole run is one
   factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps; the power
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
   A level where an applied factor grows, |P(h lam)| > 1, is stepped below
   instead, reporting the growth as any stepped run does; L is built only then.
-* P(hL): a ``scipy.sparse`` matrix L, or a 1D `SpatialOperator` that the
-  spectral march declines (alpha and random meshes).  A pair of full steps is
-  one CSR kernel call with Q2 = P(dt L)^2 - I (4s+1 cells wide, formed once)
-  and an add; any other step is s products with L on the vector.  It and the
-  stages on an assembled L are the routes that import ``scipy.sparse``.
-* stages: one RHS call per stage of the tableau.  A callable ``rhs`` (any
-  field, scalar or custom state) takes it, and so does a 2D
-  `SpatialOperator` that the spectral march declines, as the matvec of its
-  assembled L (`SpatialOperator.matrix`): a 2D P(hL) would couple a
-  (2s+1)^2 patch of cells and fill in.
+* P(hL): every operator that the spectral march declines, on its assembled L
+  (`SpatialOperator.matrix`).  A step is Horner's rule on the vector, s
+  products with L.  In 1D a run without an energy log takes pairs of full
+  steps as one CSR kernel call with Q2 = P(dt L)^2 - I (4s+1 cells wide,
+  formed once) and an add; a 2D Q2 would fill in.  It is the one route
+  that imports ``scipy.sparse``.
+* stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
+  call per stage of the tableau.
 
 All routes keep the same non-finite check and energy log; the spectral
 route checks the final state and writes the log in closed form, and paired
@@ -51,7 +49,6 @@ Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +196,15 @@ def stability_coefficients(scheme: RKScheme) -> np.ndarray:
     return np.array(gammas)
 
 
+def _horner_increment(apply, x, gammas):
+    """(P(z) - 1) x = z(g1 x + ... + z gs x) by Horner's rule (no g0 x); apply(q) is z q, which the next pass adds into."""
+    q = apply(gammas[-1] * x)
+    for gamma in gammas[-2:0:-1]:
+        q += gamma * x
+        q = apply(q)
+    return q
+
+
 def step_increment(mat, h: float, scheme: RKScheme):
     """P(hL) - I as a CSR matrix for a sparse L, by Horner's rule: a step of `scheme` is u + (P(hL) - I) u.
 
@@ -208,13 +214,9 @@ def step_increment(mat, h: float, scheme: RKScheme):
     """
     from scipy import sparse
 
-    gammas = stability_coefficients(scheme)
     hl = sparse.csr_matrix(mat) * h
     eye = sparse.identity(hl.shape[0], format="csr")
-    out = gammas[-1] * eye
-    for gamma in gammas[-2:0:-1]:
-        out = gamma * eye + hl @ out
-    return _canonical(hl @ out)
+    return _canonical(_horner_increment(lambda q: hl @ q, eye, stability_coefficients(scheme)))
 
 
 def _canonical(mat):
@@ -231,25 +233,23 @@ def _pair_increment(q):
 
 
 def _stage_step(f, scheme: RKScheme):
-    """`n` explicit RK steps of size h of u' = f(u), each through the tableau's stages."""
+    """One explicit RK step of size h of u' = f(u) through the tableau's stages (`n` is 1: only P(hL) pairs steps)."""
 
     def step(state, h, n):
-        for _ in range(n):
-            stages = []
-            for s in range(scheme.stages):
-                y = state
-                for m in range(s):
-                    if scheme.a[s, m] != 0.0:
-                        y = y + (h * scheme.a[s, m]) * stages[m]
-                stages.append(np.asarray(f(y), dtype=float))
-            state = state + h * sum(w * ks for w, ks in zip(scheme.b, stages))
-        return state
+        stages = []
+        for s in range(scheme.stages):
+            y = state
+            for m in range(s):
+                if scheme.a[s, m] != 0.0:
+                    y = y + (h * scheme.a[s, m]) * stages[m]
+            stages.append(np.asarray(f(y), dtype=float))
+        return state + h * sum(w * ks for w, ks in zip(scheme.b, stages))
 
     return step
 
 
 def _matrix_step(mat, scheme: RKScheme):
-    """`n` = 1 or 2 steps of size h of u' = L u, the increment added last.  One step is Horner's rule on the vector.
+    """`n` = 1 or 2 steps of size h of u' = L u, the increment added last.  One step is `_horner_increment` on u.
 
     A pair is scipy's `@` arithmetic, in place: the CSR kernel adds Q2 u (Q2 = P(hL)^2 - I, formed once per h) into a
     buffer zeroed first, which is then added into u.  Summing from u would bring back the bias `step_increment` avoids.
@@ -262,11 +262,8 @@ def _matrix_step(mat, scheme: RKScheme):
         if state.dtype != np.float64 or not state.flags.c_contiguous or state.size != out.size:
             raise ValueError(f"P(hL) steps a C-contiguous float64 state of {out.size} entries")  # the kernel trusts it
         u = state.reshape(-1)
-        if n == 1:  # u + hL(g1 u + hL(g2 u + ... + gs hL u)): the last pass, g0 = 1, adds the increment to u
-            w = gammas[-1] * u
-            for gamma in gammas[-2::-1]:
-                w = gamma * u + h * (mat @ w)
-            return w.reshape(state.shape)
+        if n == 1:
+            return (u + _horner_increment(lambda w: h * (mat @ w), u, gammas)).reshape(state.shape)
         if h not in pairs:
             pairs[h] = _pair_increment(step_increment(mat, h, scheme))
         out.fill(0.0)
@@ -303,16 +300,15 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
     """
     if op.spectral_route is None:
         return None
-    gammas = stability_coefficients(scheme)[::-1]
+    gammas = stability_coefficients(scheme)
     energies = np.zeros(nsteps) if log is not None else None
 
     def gain(lam, z):
-        # P(dt lam) and P(h_last lam) by Horner's rule in one stacked buffer; z is overwritten
+        # P(dt lam) and P(h_last lam) by Horner's rule in one stacked buffer; z is overwritten, and x holds the power
         x = np.multiply.outer([dt, h_last], lam)
-        p = np.full_like(x, gammas[0])
-        for c in gammas[1:]:
-            p *= x
-            p += c
+        p = np.empty_like(x)  # P - 1, then P
+        _horner_increment(lambda q: np.multiply(q, x, out=p), 1.0, gammas)
+        p += 1.0
         full, last = p
         applied = p if nsteps > 1 else last  # P(dt lam) is raised to nsteps - 1
         if np.max(np.abs(applied)) > 1.0 + _GAIN_ROUNDOFF:
@@ -339,10 +335,11 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
 def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     """March u' = rhs(u) from 0 to cfg.t_final; returns the final state.
 
-    `rhs` is a callable, a `scipy.sparse` matrix L (then u' = L u on the
-    flattened state) or a `SpatialOperator`; the module docstring gives the
-    route each one takes.  `u0` may be a ModalField (a callable rhs maps
-    fields to fields) or any ndarray-like state.  If
+    `rhs` is a `SpatialOperator` (u' = L u, marched spectrally, else by
+    P(hL)) or a callable (the stages); the module docstring gives the
+    routes.  `u0` may be a ModalField (a callable rhs maps fields to fields)
+    or any ndarray-like state; an operator needs a field on its own space and
+    mesh, or an array of its coefficients' shape (cells..., dof).  If
     `energy_log` is given and the state is a field, the squared L2 norm is
     appended at every step boundary, including t = 0.  For a field state a
     run whose final energy exceeds the initial energy by more than
@@ -366,22 +363,22 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     if isinstance(rhs, SpatialOperator):
         if is_field and u0.space != rhs.space:
             raise ValueError("field space does not match operator space")
+        if is_field and not all(np.array_equal(a.nodes, b.nodes) for a, b in zip(u0.mesh.axes, rhs.mesh.axes)):
+            raise ValueError("field mesh does not match operator mesh")
+        shape = tuple(axis.num_cells for axis in rhs.mesh.axes) + (rhs.space.dof,)
+        if state.shape != shape:
+            raise ValueError(f"state of shape {state.shape} does not match the operator's coefficients {shape}")
         marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme, log)
     if marched is not None:
         state, t = marched, t_last + h_last
         if not np.isfinite(state).all():
             raise IntegrationDivergedError(nsteps, t)
     else:
-        if isinstance(rhs, SpatialOperator) and rhs.space.dimension == 1:
-            rhs = rhs.matrix  # P(hL); L, as below in 2D, is built only once the spectral march has declined
-        span = 1  # full steps per advance: P(hL) takes them in pairs unless each needs a log entry
-        if isinstance(rhs, SpatialOperator):
-            mat = rhs.matrix
-            advance = _stage_step(lambda arr: (mat @ arr.ravel()).reshape(arr.shape), scheme)
-        elif (sparse := sys.modules.get("scipy.sparse")) and sparse.issparse(rhs):  # a matrix passed in loaded it
-            advance, span = _matrix_step(rhs, scheme), 1 if log is not None else 2
+        if isinstance(rhs, SpatialOperator):  # L is built only once the spectral march has declined
+            advance = _matrix_step(rhs.matrix, scheme)
+            span = 2 if rhs.space.dimension == 1 and log is None else 1  # full steps per advance
         else:
-            advance = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme)
+            advance, span = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 1
         t, step = 0.0, 0
         # overflow in a blowing-up state is reported via IntegrationDivergedError,
         # not as a numpy warning mid-stage

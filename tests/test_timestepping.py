@@ -5,7 +5,7 @@ import pytest
 
 from dgcentral import operators, timestepping
 from dgcentral.fields import SpaceKind, l2_project
-from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
+from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.metrics import error_cell_average, error_interface_flux, error_l2
 from dgcentral.operators import SpatialOperator
 from dgcentral.study import PROBLEMS
@@ -30,6 +30,7 @@ _LOW_ORDER = (
     RKScheme("heun", [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5], [0.0, 1.0], order=2),
 )
 _ALL_NAMES = ["euler", "heun", "ssprk3", "rk4"]
+_BOX = (0.0, 2.0 * np.pi)
 
 
 @pytest.fixture
@@ -186,7 +187,7 @@ class TestConfig:
             IntegrationConfig(t_final=1.0, scheme="nope")
 
 
-# -- the linear route: u <- P(hL) u with an assembled sparse L ----------------
+# -- the linear route: u <- P(hL) u on the assembled L of a declined operator ----
 
 
 def _alpha_operator(k=2, n=12):
@@ -223,23 +224,22 @@ def test_rk4_stability_coefficients():
 @pytest.mark.usefixtures("low_order_schemes")
 @pytest.mark.parametrize("name", _ALL_NAMES)
 def test_matrix_step_equals_one_stage_loop_step(name):
+    # coefficient arrays, not fields: euler and heun would trip the energy guard
     op, u0 = _alpha_operator()
-    mat = op.matrix
-    v0 = u0.coeffs.ravel()
     dt = 0.01 * u0.mesh.min_width
     # a full step, a full step followed by a shortened last one, then paired
     # full steps with an odd or even count left before the last step
     for t_final in (dt, 1.37 * dt, 5.37 * dt, 6.37 * dt, 8 * dt):
         cfg = IntegrationConfig(t_final=t_final, scheme=name, dt=dt)
-        fast = integrate(mat, v0, cfg)
-        stages = integrate(lambda v: mat @ v, v0, cfg)
+        fast = integrate(op, u0.coeffs, cfg)
+        stages = integrate(lambda v: op.apply_rhs(u0.like(v)).coeffs, u0.coeffs, cfg)
         assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
 
 
-def test_a_csr_matrix_passed_in_takes_the_p_hl_route(monkeypatch):
-    # integrate finds scipy.sparse in sys.modules (the matrix passed in loaded it) and forms
-    # P(dt L) - I and the pair increment once per run; single steps take products with L alone
+def test_a_declined_1d_operator_forms_one_pair_increment_per_run(monkeypatch):
+    # P(dt L) - I and the pair increment are formed once per run; single steps take products with L alone
     op, u0 = _alpha_operator()
+    assert op.spectral_route is None
     dt = 0.01 * u0.mesh.min_width
     cfg = IntegrationConfig(t_final=7.37 * dt)
     steps, pairs = [], []
@@ -251,16 +251,27 @@ def test_a_csr_matrix_passed_in_takes_the_p_hl_route(monkeypatch):
     pair_increment = timestepping._pair_increment
     monkeypatch.setattr(timestepping, "step_increment", counted)
     monkeypatch.setattr(timestepping, "_pair_increment", lambda q: pairs.append(q) or pair_increment(q))
-    u = integrate(op.matrix, u0, cfg)
+    integrate(op, u0, cfg)
     assert steps == [dt]
     assert len(pairs) == 1
-    # a 1D operator that the spectral march declines steps the same way, on its own matrix
-    assert op.spectral_route is None
-    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, u.coeffs)
-    assert steps == [dt, dt] and len(pairs) == 2
     # a run that logs every step forms no increment at all
     integrate(op, u0, cfg, energy_log=[])
-    assert steps == [dt, dt] and len(pairs) == 2
+    assert steps == [dt] and len(pairs) == 1
+
+
+@pytest.mark.parametrize("kind", ["P2D", "Q2D"])
+def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
+    # a 2D Q2 would fill in: every step is Horner's rule on the vector, logged or not
+    monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)  # Q2D off its per-axis eigenbases
+    formed = []
+    monkeypatch.setattr(timestepping, "step_increment", lambda *args: formed.append(args))
+    monkeypatch.setattr(timestepping, "_pair_increment", lambda *args: formed.append(args))
+    op, u0 = _operator_2d(kind)
+    assert op.spectral_route is None
+    cfg = IntegrationConfig(t_final=7.37 * 0.01 * u0.mesh.min_width)
+    for log in (None, []):
+        integrate(op, u0, cfg, energy_log=log)
+    assert formed == []
 
 
 @pytest.mark.usefixtures("low_order_schemes")
@@ -350,16 +361,18 @@ def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
     assert len(calls) == 1
 
 
-def test_matrix_path_conserves_mass_to_roundoff():
+def test_matrix_path_conserves_mass_to_roundoff(monkeypatch):
     # the cell averages are conserved exactly by L; P(hL) stored with its
     # identity drifted them by ~5e-13 over a P4 run
     mesh = uniform_mesh(80, (0.0, 2.0 * np.pi))
     space = SpaceKind("P1D", 4)
     u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
     op = SpatialOperator(mesh, space)
-    assert op.spectral_route == "bloch"
-    for rhs in (op.matrix, op):  # P(hL), then the Bloch route
-        u = integrate(rhs, u0, IntegrationConfig(t_final=1.0))
+    for route in ("bloch", None):  # the Bloch route, then P(hL) once the spectral march declines
+        if route is None:
+            _stepped(monkeypatch)
+        assert op.spectral_route == route
+        u = integrate(op, u0, IntegrationConfig(t_final=1.0))
         drift = abs(mesh.widths @ u.coeffs[:, 0] - mesh.widths @ u0.coeffs[:, 0])
         assert drift <= 1e-13  # the mass itself is about 8
 
@@ -367,15 +380,15 @@ def test_matrix_path_conserves_mass_to_roundoff():
 def test_matrix_path_is_bitwise_deterministic():
     op, u0 = _alpha_operator()
     cfg = IntegrationConfig(t_final=0.5)
-    a = integrate(op.matrix, u0, cfg)
-    b = integrate(SpatialOperator(u0.mesh, u0.space).matrix, u0, cfg)
+    a = integrate(op, u0, cfg)
+    b = integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_matrix_path_keeps_field_and_energy_log_semantics():
     op, u0 = _alpha_operator()
     log = []
-    u = integrate(op.matrix, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
+    u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
     assert u.space == u0.space and u.mesh is u0.mesh
     assert len(log) == 21  # t = 0 plus twenty steps
     assert energy_drift(log) < 1e-8
@@ -393,11 +406,12 @@ def test_energy_log_runs_from_the_initial_to_the_final_norm(route):
 
 
 def test_matrix_path_divergence_reports_step_and_time():
+    # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps, taken in pairs
     op, u0 = _alpha_operator()
     with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
-        integrate(1e155 * op.matrix, u0, IntegrationConfig(t_final=1.0, dt=0.1))
-    assert err.value.step >= 1
-    assert err.value.time == pytest.approx(0.1 * err.value.step)
+        integrate(op, u0, IntegrationConfig(t_final=1e6, dt=1e3))
+    assert 1 <= err.value.step < 1000
+    assert err.value.time == pytest.approx(1e3 * err.value.step)
 
 
 def _operator_2d(kind="Q2D", k=2):
@@ -414,13 +428,13 @@ def test_energy_growth_raises(route):
         rhs, u0 = _operator_2d("P2D")
     else:
         op, u0 = _alpha_operator()
-        rhs = op.matrix if route == "matrix" else op.apply_rhs
+        rhs = op if route == "matrix" else op.apply_rhs
     with pytest.raises(IntegrationDivergedError, match="energy grew") as err:
         integrate(rhs, u0, IntegrationConfig(t_final=0.5, scheme="euler"))
     assert err.value.time == pytest.approx(0.5)
 
 
-# -- the stepped 2D route: the stages on the assembled L -------------------------
+# -- the stepped 2D route: P(hL) on the assembled L, one step at a time ----------
 
 
 @pytest.mark.usefixtures("low_order_schemes")
@@ -461,6 +475,46 @@ def test_operator_route_rejects_a_field_of_another_space(kind):
         integrate(op, other, IntegrationConfig(t_final=0.1))
 
 
+_UNIFORM8 = uniform_mesh(8, _BOX)
+
+
+@pytest.mark.parametrize(
+    "op_mesh, field_mesh, kind",
+    [
+        (_UNIFORM8, uniform_mesh(16, _BOX), "P1D"),
+        (alpha_mesh(8, 0.1, _BOX), _UNIFORM8, "P1D"),
+        (tensor_mesh(*[uniform_mesh(4, _BOX)] * 2), tensor_mesh(*[uniform_mesh(6, _BOX)] * 2), "P2D"),
+    ],
+    ids=["bloch-N8-on-N16", "alpha-on-uniform", "P2D-4x4-on-6x6"],
+)
+def test_operator_route_rejects_a_field_of_another_mesh(op_mesh, field_mesh, kind):
+    # the operator's L would march the field's coefficients as if they lay on its own mesh
+    space = SpaceKind(kind, 2)
+    initial = np.sin if kind == "P1D" else (lambda x, y: np.sin(x + y))
+    cfg = IntegrationConfig(t_final=0.1)
+    with pytest.raises(ValueError, match="mesh"):
+        integrate(SpatialOperator(op_mesh, space), l2_project(initial, field_mesh, space), cfg)
+    # a mesh built again with the same nodes is the same mesh
+    if kind == "P1D":
+        integrate(SpatialOperator(op_mesh, space), l2_project(initial, Mesh1D(op_mesh.nodes.copy()), space), cfg)
+
+
+@pytest.mark.parametrize("route", ["bloch", "axes", "P(hL)-1d", "P(hL)-2d"])
+def test_operator_route_rejects_an_array_not_shaped_as_its_coefficients(route):
+    op, u0 = {
+        "bloch": lambda: _uniform_operator_1d(8),
+        "axes": lambda: _operator_2d("Q2D"),
+        "P(hL)-1d": _alpha_operator,
+        "P(hL)-2d": lambda: _operator_2d("P2D"),
+    }[route]()
+    assert op.spectral_route == (route if route in ("bloch", "axes") else None)
+    cfg = IntegrationConfig(t_final=0.1, dt=0.01)
+    for state in (u0.coeffs.ravel(), u0.coeffs[..., :-1]):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(op, state, cfg)
+    assert integrate(op, u0.coeffs, cfg).shape == u0.coeffs.shape
+
+
 def test_stepped_2d_route_divergence_reports_step_and_time():
     # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps
     op, u0 = _operator_2d("P2D")
@@ -483,7 +537,7 @@ def test_non_finite_terminal_time_and_step_are_rejected(kwargs):
 
 
 def _stepped(monkeypatch):
-    """Send every 2D operator to the stepped route, the stages on its assembled L, for the rest of the test."""
+    """Send every operator to the stepped route, P(hL) on its assembled L, for the rest of the test."""
     monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)
     monkeypatch.setattr(operators, "_UNIFORM_RTOL", -1.0)
 
@@ -504,7 +558,6 @@ def _longdouble_march(op, u0, cfg):
     return u0.like(w.astype(float).reshape(u0.coeffs.shape))
 
 
-_BOX = (0.0, 2.0 * np.pi)
 _SPECTRAL_LEVELS = {
     "Q2D-alpha-random": ("Q2D", 2, lambda: (alpha_mesh(6, 0.3, _BOX), random_mesh(5, 0.3, 7, _BOX))),
     "Q2D-alpha-odd": ("Q2D", 2, lambda: (alpha_mesh(7, 0.3, _BOX),) * 2),
@@ -614,8 +667,7 @@ def test_closed_form_energy_log_equals_the_per_step_loop(data, c, entries, monke
 
 @pytest.mark.parametrize("kind", ["Q2D", "P2D", "P1D"])
 def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatch):
-    # rk4 at c = 0.5 is unstable for k = 2: the march hands the level to the steps
-    # (the stages on the assembled L in 2D, P(hL) in 1D)
+    # rk4 at c = 0.5 is unstable for k = 2: the march hands the level to P(hL) on the assembled L
     space = SpaceKind(kind, 2)
     if kind == "P1D":
         u0 = _uniform_operator_1d(8)[1]
@@ -634,12 +686,22 @@ def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatc
     assert "energy grew" in errors[0][0]
 
 
-def test_p2d_on_a_random_mesh_steps_the_stages_on_its_matrix():
+def test_p2d_on_a_random_mesh_steps_horner_on_its_matrix():
+    # each step is u + hL(g1 u + hL(g2 u + ... + gs hL u)), the increment added to u last
     op, u0 = _operator_2d("P2D", 3)
     assert op.spectral_route is None
     cfg = IntegrationConfig(t_final=0.3)
-    stages = integrate(lambda u: u.like((op.matrix @ u.coeffs.ravel()).reshape(u.coeffs.shape)), u0, cfg)
-    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, stages.coeffs)
+    dt = cfg.resolve_dt(u0.mesh.min_width)
+    nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    gammas = stability_coefficients(SCHEMES["rk4"])
+    u = u0.coeffs.ravel()
+    for step in range(nsteps):
+        h = dt if step < nsteps - 1 else cfg.t_final - (nsteps - 1) * dt
+        q = gammas[4] * u
+        for gamma in gammas[3:0:-1]:
+            q = gamma * u + h * (op.matrix @ q)
+        u = u + h * (op.matrix @ q)
+    np.testing.assert_array_equal(integrate(op, u0, cfg).coeffs, u.reshape(u0.coeffs.shape))
 
 
 @pytest.mark.parametrize(
@@ -680,7 +742,7 @@ def test_power_by_squaring_matches_a_longdouble_reference(n):
     assert np.max(rel) <= 4 * (n + 1) * np.finfo(float).eps
 
 
-def test_a_mode_just_past_gain_roundoff_hands_the_level_to_the_stages(monkeypatch):
+def test_a_mode_just_past_gain_roundoff_hands_the_level_to_p_hl(monkeypatch):
     # a step 0.1% past rk4's limit |dt lam| <= 2 sqrt(2) on the imaginary axis: the fastest mode
     # grows by a factor 1 + growth per step, and the march declines once growth > _GAIN_ROUNDOFF
     mesh = tensor_mesh(uniform_mesh(8, _BOX), uniform_mesh(8, _BOX))
@@ -701,7 +763,7 @@ def test_a_mode_just_past_gain_roundoff_hands_the_level_to_the_stages(monkeypatc
     for nsteps, declined in ((2, True), (1, False)):
         args = (u0.coeffs, dt, nsteps, 0.5 * dt, SCHEMES["rk4"], None)
         assert (timestepping._spectral_march(SpatialOperator(mesh, space), *args) is None) == declined
-    # integrate then steps the stages on the assembled L, exactly as a level with no diagonalising basis
+    # integrate then steps P(hL) on the assembled L, exactly as a level with no diagonalising basis
     cfg = IntegrationConfig(t_final=3 * dt, dt=dt)
     op = SpatialOperator(mesh, space)
     stepped = integrate(op, u0, cfg)
