@@ -8,7 +8,7 @@ with the central flux {u} = (u^- + u^+)/2, and the scheme (u_t, v)_j = -a_j(u, v
 2D uses the analogous form b_{i,j} (volume term minus four edge-flux
 integrals) with (u_t, v) = +b_{i,j}(u, v).
 
-The form is written twice.  The RHS map folds the diagonal inverse mass
+The form is written once.  The RHS map folds the diagonal inverse mass
 matrix into constant reference stencil matrices: on any mesh the modal time
 derivative of a cell is a fixed linear combination of its own and neighbor
 coefficients scaled by 1/h, so one block triple (own, right, left) serves
@@ -26,37 +26,26 @@ number of axes.  L is real, so the symbol at -xi is the conjugate of the one
 at xi (Zhong & Shu, CMAME 2011): the Bloch route keeps the half spectrum
 xi_0 >= 0 of a real transform on cell axis 0.  The time integrator marches
 with one or the other.
-The reference form `cell_form` evaluates (u_t, v) on one cell by quadrature
-from the tables of `_form_tables`; `field_form` applies it to a field with
-the field's own central fluxes.  The superconvergence probes compare the
-reference form of a projected and of an exact solution, and the tests hold
-the assembled route to the reference form.
+The superconvergence probes read L too: `_tested` lays the block triple over
+one cell, giving (u_t, v) for every basis v, and `_form_residual` compares
+it for a projected solution and for the exact one.  The form evaluated by
+quadrature lives in the tests, as the oracle L is held to.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (
-    default_rule,
-    gauss_rule,
-    legendre_deriv_table,
-    legendre_table,
-    reference_operators,
-)
+from .basis import gauss_rule, legendre_table, reference_operators
 from .fields import (
     ModalField,
     SpaceKind,
-    GaussTable,
     _axis_degrees,
     _mass_vector,
-    _space_degrees,
-    gauss_table,
+    l2_project,
     mass_weights,
-    sample,
     shifted_projection_1d,
     shifted_projection_2d,
 )
@@ -64,8 +53,6 @@ from .mesh import Mesh1D, TensorMesh2D, tensor_mesh, uniform_mesh
 
 __all__ = [
     "SpatialOperator",
-    "cell_form",
-    "field_form",
     "superconvergence_residual_1d",
     "superconvergence_residual_2d",
     "flux_cancellation_residual_2d",
@@ -269,113 +256,33 @@ class SpatialOperator:
 
 
 # ---------------------------------------------------------------------------
-# Reference form by quadrature
-
-
-class _FormTables(NamedTuple):
-    """Reference-cell quadrature tables of `cell_form` for one space."""
-
-    vol: GaussTable  # the volume rule and the basis values on it
-    derivs: tuple  # per axis, the reference derivative of each basis, shaped like values
-    edge_nodes: np.ndarray  # transverse edge rule (one point in 1D)
-    edge_weights: np.ndarray
-    traces: dict  # side ("x+", "x-", "y+", "y-") -> (dof, q_edge) basis values on it
-
-
-@lru_cache(maxsize=None)
-def _form_tables(kind: str, k: int) -> _FormTables:
-    """The quadrature tables of the reference form; the only place traces are built."""
-    rule = default_rule(k)
-    vol = gauss_table(SpaceKind(kind, k), rule)
-    vals = legendre_table(k, rule.nodes)
-    ders = legendre_deriv_table(k, rule.nodes)
-    ref = reference_operators(k)
-    e_r, e_l = ref.edge_right, ref.edge_left
-    if kind == "P1D":
-        # the edge of a 1D cell is a single point with unit weight
-        traces = {"x+": e_r[:, None], "x-": e_l[:, None]}
-        return _FormTables(vol, (ders,), np.zeros(1), np.ones(1), traces)
-    a, b = np.array(_space_degrees(kind, k)).T
-    edge = gauss_rule(k + 2)
-    ev = legendre_table(k, edge.nodes)
-    traces = {
-        "x+": e_r[a, None] * ev[b],
-        "x-": e_l[a, None] * ev[b],
-        "y+": ev[a] * e_r[b, None],
-        "y-": ev[a] * e_l[b, None],
-    }
-    # d/dx and d/dy of L_a(x) L_b(y), flattened over the grid like vol.values
-    dx = (ders[a, :, None] * vals[b, None, :]).reshape(len(a), -1)
-    dy = (vals[a, :, None] * ders[b, None, :]).reshape(len(a), -1)
-    return _FormTables(vol, (dx, dy), edge.nodes, edge.weights, traces)
-
-
-def cell_form(space: SpaceKind, widths, u_vol: np.ndarray, fluxes: dict) -> np.ndarray:
-    """(u_t, v) on one cell for every basis function v, by quadrature.
-
-    `widths` holds the cell's width along each axis, `u_vol` the values of u
-    at the (flattened) volume points of `_form_tables`, and `fluxes` the
-    interface flux on each side ("x+", "x-", and in 2D "y+", "y-") at the
-    edge nodes.  Per axis
-    the form is the volume term (u, dv/dx) minus the outgoing flux times v on
-    the + side plus the incoming flux times v on the - side, scaled by the
-    half-widths of the other axes.  This is -a_j(u, v) in 1D and b_{i,j}(u, v)
-    in 2D.
-    """
-    t = _form_tables(space.kind, space.degree)
-    half = 0.5 * np.asarray(widths, dtype=float)
-    uw = u_vol * t.vol.weights
-    out = np.zeros(space.dof)
-    for axis, deriv in enumerate(t.derivs):
-        side = "xy"[axis]
-        flux_out = t.traces[side + "+"] @ (fluxes[side + "+"] * t.edge_weights)
-        flux_in = t.traces[side + "-"] @ (fluxes[side + "-"] * t.edge_weights)
-        volume = deriv @ uw
-        out += np.prod(np.delete(half, axis)) * (volume - flux_out + flux_in)
-    return out
-
-
-def field_form(u: ModalField, *cell: int) -> np.ndarray:
-    """`cell_form` of a field on one cell, with its own central fluxes (periodic wrap)."""
-    t = _form_tables(u.space.kind, u.space.degree)
-    axes = u.mesh.axes
-    if len(cell) != len(axes):
-        raise ValueError(f"a {len(axes)}D field takes {len(axes)} cell indices, got {len(cell)}")
-    own = u.coeffs[cell]
-
-    def neighbour(axis: int, step: int) -> np.ndarray:
-        index = list(cell)
-        index[axis] = (index[axis] + step) % axes[axis].num_cells
-        return u.coeffs[tuple(index)]
-
-    fluxes = {}
-    for axis, side in enumerate("xy"[: len(axes)]):
-        plus, minus = t.traces[side + "+"], t.traces[side + "-"]
-        fluxes[side + "+"] = 0.5 * (own @ plus + neighbour(axis, 1) @ minus)
-        fluxes[side + "-"] = 0.5 * (neighbour(axis, -1) @ plus + own @ minus)
-    widths = [ax.widths[i] for ax, i in zip(axes, cell)]
-    return cell_form(u.space, widths, own @ t.vol.values, fluxes)
-
-
-# ---------------------------------------------------------------------------
 # Superconvergence probes
 
 
-def _form_residual(proj: ModalField, f, cell: tuple) -> float:
-    """max over v of |(form of proj) - (form of f)| on one cell.
+def _tested(u: ModalField, cell: tuple) -> np.ndarray:
+    """(u_t, v) on one cell for every basis v: the mass times the cell's row of L u.
 
-    f is continuous, so its central flux is its trace.
+    Each axis's `_axis_blocks` triple meets the cell and its two periodic
+    neighbours on that axis, divided by the cell's width there, as
+    `_axis_terms` lays it over the whole mesh.
     """
-    t = _form_tables(proj.space.kind, proj.space.degree)
-    axes = proj.mesh.axes
-    fluxes = {}
-    for axis in range(len(axes)):
-        for sign, end in (("+", 1.0), ("-", -1.0)):
-            points = [end if d == axis else t.edge_nodes for d in range(len(axes))]
-            fluxes["xy"[axis] + sign] = sample(f, proj.mesh, *points)[cell].ravel()
-    widths = [ax.widths[i] for ax, i in zip(axes, cell)]
-    exact = cell_form(proj.space, widths, t.vol.sample(f, proj.mesh)[cell], fluxes)
-    return float(np.max(np.abs(field_form(proj, *cell) - exact)))
+    out = np.zeros(u.space.dof)
+    for a, (axis, blocks) in enumerate(zip(u.mesh.axes, _axis_blocks(u.space))):
+        nbrs = [u.coeffs[cell[:a] + ((cell[a] + s) % axis.num_cells,) + cell[a + 1 :]] for s in (0, 1, -1)]
+        out += sum(block @ nbr for block, nbr in zip(blocks, nbrs)) / axis.widths[cell[a]]
+    return out * mass_weights(u.space, u.mesh)[cell]
+
+
+def _form_residual(proj: ModalField, f, cell: tuple) -> float:
+    """max over the degree-k basis v of |(u_t, v) of proj - (u_t, v) of f| on one cell.
+
+    f = x^(k+1) lies in the degree-(k+1) space, where its L2 projection is f
+    itself and its central flux its trace; every degree-k basis function is
+    one of that space's too, so f's side is read off its rows of `_tested`.
+    """
+    up = l2_project(f, proj.mesh, SpaceKind(proj.space.kind, proj.space.degree + 1))
+    rows = [up.space.degrees.index(d) for d in proj.space.degrees]
+    return float(np.max(np.abs(_tested(proj, cell) - _tested(up, cell)[rows])))
 
 
 def superconvergence_residual_1d(k: int, widths: tuple[float, float, float] = (2.0, 2.0, 2.0)) -> float:
@@ -440,10 +347,10 @@ def flux_cancellation_residual_2d(k: int) -> float:
         return x ** (k + 1)
 
     proj = shifted_projection_2d(f, mesh, k)
-    t = _form_tables("Q2D", k)
+    edge = gauss_rule(k + 2)
     # the left and right limits on the edge between cells (1, 1) and (2, 1),
     # along which u is the constant x_edge^(k+1)
     x_edge = mesh.mesh_x.nodes[2]
-    summed = proj.coeffs[1, 1] @ t.traces["x+"] + proj.coeffs[2, 1] @ t.traces["x-"] - 2.0 * x_edge ** (k + 1)
-    moments = legendre_table(max(k - 1, 0), t.edge_nodes) @ (t.edge_weights * summed)
+    summed = proj.sample([1.0], edge.nodes)[1, 1, 0] + proj.sample([-1.0], edge.nodes)[2, 1, 0] - 2.0 * x_edge ** (k + 1)
+    moments = legendre_table(max(k - 1, 0), edge.nodes) @ (edge.weights * summed)
     return float(np.max(np.abs(moments)))

@@ -339,7 +339,8 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     P(hL)) or a callable (the stages); the module docstring gives the
     routes.  `u0` may be a ModalField (a callable rhs maps fields to fields)
     or any ndarray-like state; an operator needs a field on its own space and
-    mesh, or an array of its coefficients' shape (cells..., dof).  If
+    mesh, or an array of its coefficients' shape (cells..., dof), and the
+    dt rule reads the operator's mesh.  If
     `energy_log` is given and the state is a field, the squared L2 norm is
     appended at every step boundary, including t = 0.  For a field state a
     run whose final energy exceeds the initial energy by more than
@@ -347,7 +348,8 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     """
     is_field = isinstance(u0, ModalField)
     state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
-    dt = cfg.resolve_dt(u0.mesh.min_width if is_field else None)
+    mesh = rhs.mesh if isinstance(rhs, SpatialOperator) else getattr(u0, "mesh", None)  # a field's mesh is checked to be L's
+    dt = cfg.resolve_dt(None if mesh is None else mesh.min_width)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     t_last = (nsteps - 1) * dt  # where the last step starts
     h_last = cfg.t_final - t_last

@@ -10,7 +10,8 @@ Three suites, each a list of named checks with hard tolerances:
   weak form, and has translation-invariant error on uniform meshes.
 * ``superconvergence`` — the projected residual of x^{k+1} vanishes on
   uniform interior patches (1D and 2D), the across-edge flux moments cancel,
-  and the property demonstrably fails on a 1:2:1 patch.
+  and the property demonstrably fails on a 1:2:1 patch.  Both sides of the
+  residual are read off the stencil of the L that marches.
 
 ``run_checks`` returns the results and ``run_suite`` renders them as a
 pass/fail report; the CLI maps any failure to a dedicated exit code so

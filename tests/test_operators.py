@@ -1,19 +1,22 @@
-"""Semi-discrete operator: the quadrature reference form, duality with the
-modal RHS, conservation structure, and the uniform-patch superconvergence
-identities."""
+"""Semi-discrete operator: L held to the DG form evaluated by quadrature (the
+oracle, kept here), the per-cell form the probes read off L, conservation
+structure, and the uniform-patch superconvergence identities."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from dgcentral import operators
-from dgcentral.fields import ModalField, SpaceKind, _mass_vector, jacobian, l2_project
+from dgcentral.basis import default_rule, gauss_rule, legendre_deriv_table, legendre_table
+from dgcentral.fields import ModalField, SpaceKind, _axis_degrees, _mass_vector, jacobian, l2_project
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.operators import (
     SpatialOperator,
     _skew_eigh,
     _stencil_1d,
-    field_form,
+    _tested,
     flux_cancellation_residual_2d,
     superconvergence_residual_1d,
     superconvergence_residual_2d,
@@ -22,18 +25,46 @@ from dgcentral.operators import (
 TWO_PI = 2.0 * np.pi
 
 
-def _global_linear_field(mesh, k):
-    """Project f(x) = x exactly (degree >= 1 reproduces it per cell)."""
-    return l2_project(lambda x: x, mesh, SpaceKind("P1D", k))
+def _table(space, points, deriv=None):
+    """Every basis function, or its reference derivative along axis `deriv`, on the tensor grid of `points`: (dof, Q)."""
+    rows = [
+        (legendre_deriv_table if a == deriv else legendre_table)(space.degree, x)[deg]
+        for a, (deg, x) in enumerate(zip(_axis_degrees(space), points))
+    ]
+    return reduce(lambda p, q: (p[:, :, None] * q[:, None, :]).reshape(len(p), -1), rows)
+
+
+def _reference_form(u, cell):
+    """(u_t, v) on one cell for every basis v, by quadrature, with u's own central fluxes (periodic).
+
+    Per axis: the volume term (u, dv/dx) minus the outgoing flux times v on
+    the + face plus the incoming flux times v on the - face, scaled by the
+    half-widths of the other axes.  This is -a_j(u, v) in 1D and
+    b_{i,j}(u, v) in 2D.
+    """
+    space, axes = u.space, u.mesh.axes
+    vol, edge = default_rule(space.degree), gauss_rule(space.degree + 2)
+    grid, weights = [vol.nodes] * len(axes), reduce(np.multiply.outer, [vol.weights] * len(axes)).ravel()
+    half = np.array([0.5 * axis.widths[i] for axis, i in zip(axes, cell)])
+    own = u.coeffs[cell]
+    out = np.zeros(space.dof)
+    for a, axis in enumerate(axes):
+        right, left = (u.coeffs[cell[:a] + ((cell[a] + s) % axis.num_cells,) + cell[a + 1 :]] for s in (1, -1))
+        plus, minus = (_table(space, [np.array([end]) if b == a else edge.nodes for b in range(len(axes))]) for end in (1.0, -1.0))
+        face = reduce(np.multiply.outer, [np.ones(1) if b == a else edge.weights for b in range(len(axes))]).ravel()
+        flux_out, flux_in = 0.5 * (own @ plus + right @ minus), 0.5 * (left @ plus + own @ minus)
+        volume = _table(space, grid, deriv=a) @ (own @ _table(space, grid) * weights)
+        out += np.prod(np.delete(half, a)) * (volume - plus @ (flux_out * face) + minus @ (flux_in * face))
+    return out
 
 
 def test_form_of_x_against_one_is_minus_cell_width():
     # volume term vanishes for v = 1 and the central fluxes of a globally
     # continuous u reduce to point values: (u_t, 1)_j = -(x_{j+1/2} - x_{j-1/2})
     mesh = random_mesh(6, 0.3, 2, (0.0, 1.0))
-    u = _global_linear_field(mesh, 2)
+    u = l2_project(lambda x: x, mesh, SpaceKind("P1D", 2))  # degree >= 1 reproduces x per cell
     for j in range(1, mesh.num_cells - 1):  # interior cells: no periodic seam in x itself
-        assert field_form(u, j)[0] == pytest.approx(-mesh.widths[j], rel=1e-12)
+        assert _tested(u, (j,))[0] == pytest.approx(-mesh.widths[j], rel=1e-12)
 
 
 def test_form_of_constant_vanishes():
@@ -42,14 +73,7 @@ def test_form_of_constant_vanishes():
     ones[:, 0] = 1.0
     u = ModalField(SpaceKind("P1D", 3), mesh, ones)
     for j in range(8):
-        assert np.max(np.abs(field_form(u, j))) < 1e-14
-
-
-def test_form_rejects_wrong_cell_index_count():
-    mesh = tensor_mesh(uniform_mesh(3, (0.0, 1.0)), uniform_mesh(3, (0.0, 1.0)))
-    u = ModalField(SpaceKind("Q2D", 1), mesh, np.zeros((3, 3, 4)))
-    with pytest.raises(ValueError, match="2 cell indices"):
-        field_form(u, 1)
+        assert np.max(np.abs(_tested(u, (j,)))) < 1e-14
 
 
 # (mesh, space, seed, tolerance) on meshes small enough to check every cell
@@ -86,7 +110,37 @@ def test_apply_rhs_is_dual_to_reference_form(case):
             area = 0.5 * mesh.widths[cell[0]]
         else:
             area = 0.25 * mesh.mesh_x.widths[cell[0]] * mesh.mesh_y.widths[cell[1]]
-        np.testing.assert_allclose(area * mass * w.coeffs[cell], field_form(u, *cell), rtol=0, atol=tol)
+        np.testing.assert_allclose(area * mass * w.coeffs[cell], _reference_form(u, cell), rtol=0, atol=tol)
+
+
+# alpha and random axes, with 1- and 2-cell axes, where a cell's neighbours are itself or each other
+_TESTED_MESHES = {
+    "alpha-6": lambda: alpha_mesh(6, 0.2, (0.0, TWO_PI)),
+    "random-5": lambda: random_mesh(5, 0.3, 2, (0.0, TWO_PI)),
+    "alpha-1": lambda: alpha_mesh(1, 0.2, (0.0, TWO_PI)),
+    "random-2": lambda: random_mesh(2, 0.3, 4, (0.0, TWO_PI)),
+    "alpha-5xrandom-4": lambda: tensor_mesh(alpha_mesh(5, 0.2, (0.0, TWO_PI)), random_mesh(4, 0.3, 6, (0.0, TWO_PI))),
+    "alpha-1xrandom-3": lambda: tensor_mesh(alpha_mesh(1, 0.2, (0.0, TWO_PI)), random_mesh(3, 0.3, 7, (0.0, TWO_PI))),
+    "alpha-4xrandom-2": lambda: tensor_mesh(alpha_mesh(4, 0.2, (0.0, TWO_PI)), random_mesh(2, 0.3, 8, (0.0, TWO_PI))),
+    "alpha-2xrandom-1": lambda: tensor_mesh(alpha_mesh(2, 0.2, (0.0, TWO_PI)), random_mesh(1, 0.3, 9, (0.0, TWO_PI))),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [(kind, family) for family in _TESTED_MESHES for kind in (("Q2D", "P2D") if "x" in family else ("P1D",))],
+)
+@pytest.mark.parametrize("k", range(5))
+def test_tested_is_the_mass_times_each_row_of_l(kind, family, k):
+    # the probes lay L's blocks over one cell; on every cell (the periodic seam too) that is M L u
+    mesh, space = _TESTED_MESHES[family](), SpaceKind(kind, k)
+    cells = tuple(axis.num_cells for axis in mesh.axes)
+    u = ModalField(space, mesh, np.random.default_rng(k).standard_normal((*cells, space.dof)))
+    lu = (SpatialOperator(mesh, space).matrix @ u.coeffs.ravel()).reshape(u.coeffs.shape)
+    expected = lu * jacobian(mesh)[..., None] * _mass_vector(kind, k)
+    got = np.reshape([_tested(u, cell) for cell in np.ndindex(*cells)], expected.shape)
+    # L u is 0 to roundoff at k = 0 on a 1-cell axis, so the bound is absolute
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * max(1.0, np.max(np.abs(expected))))
 
 
 def _mesh_2d():

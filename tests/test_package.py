@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, and the CLI and the spectral routes start without scipy.sparse or scipy.linalg."""
+"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, and the CLI, the spectral routes and the superconvergence probes start without scipy.sparse or scipy.linalg."""
 
 import ast
 import functools
@@ -104,6 +104,17 @@ def test_spectral_studies_run_without_scipy_sparse():
         f"{_LOADED}\n"
     )
     assert _fresh_python(code) == ["6", "5", "False", "False"]
+
+
+def test_superconvergence_probes_run_without_scipy_sparse():
+    # the probes lay L's blocks over one cell; they build no CSR matrix
+    code = (
+        "import sys\n"
+        "from dgcentral.operators import flux_cancellation_residual_2d as f, superconvergence_residual_1d as s1, superconvergence_residual_2d as s2\n"
+        "print(s1(2) < 1e-12, s2(2) < 1e-11, f(2) < 1e-12)\n"
+        f"{_LOADED}\n"
+    )
+    assert _fresh_python(code) == ["True", "True", "True", "False", "False"]
 
 
 def test_an_alpha_p2_level_loads_scipy_sparse_and_steps_on_its_matrix():

@@ -499,20 +499,32 @@ def test_operator_route_rejects_a_field_of_another_mesh(op_mesh, field_mesh, kin
         integrate(SpatialOperator(op_mesh, space), l2_project(initial, Mesh1D(op_mesh.nodes.copy()), space), cfg)
 
 
-@pytest.mark.parametrize("route", ["bloch", "axes", "P(hL)-1d", "P(hL)-2d"])
+# an operator and a field on its mesh, per march route
+_ROUTE_OPERATORS = {
+    "bloch": lambda: _uniform_operator_1d(8),
+    "axes": lambda: _operator_2d("Q2D"),
+    "P(hL)-1d": _alpha_operator,
+    "P(hL)-2d": lambda: _operator_2d("P2D"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTE_OPERATORS))
 def test_operator_route_rejects_an_array_not_shaped_as_its_coefficients(route):
-    op, u0 = {
-        "bloch": lambda: _uniform_operator_1d(8),
-        "axes": lambda: _operator_2d("Q2D"),
-        "P(hL)-1d": _alpha_operator,
-        "P(hL)-2d": lambda: _operator_2d("P2D"),
-    }[route]()
+    op, u0 = _ROUTE_OPERATORS[route]()
     assert op.spectral_route == (route if route in ("bloch", "axes") else None)
     cfg = IntegrationConfig(t_final=0.1, dt=0.01)
     for state in (u0.coeffs.ravel(), u0.coeffs[..., :-1]):
         with pytest.raises(ValueError, match="shape"):
             integrate(op, state, cfg)
     assert integrate(op, u0.coeffs, cfg).shape == u0.coeffs.shape
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTE_OPERATORS))
+def test_operator_route_takes_dt_from_its_mesh_for_an_array(route):
+    # with no explicit dt the rule dt = c * min h reads the operator's mesh, which a field's must equal
+    op, u0 = _ROUTE_OPERATORS[route]()
+    cfg = IntegrationConfig(t_final=0.1)
+    np.testing.assert_array_equal(integrate(op, u0.coeffs, cfg), integrate(op, u0, cfg).coeffs)
 
 
 def test_stepped_2d_route_divergence_reports_step_and_time():
