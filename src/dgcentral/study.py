@@ -1,24 +1,15 @@
 """Configuration-driven convergence studies.
 
-A study config is a flat ``key = value`` text file with dotted sections::
+A study config is a flat ``key = value`` text file with dotted sections; `#`
+starts a comment, and the same ``key=value`` strings work as command-line
+overrides.  `_KEYS` lists every key once: the `StudyConfig` field it sets, how
+its text parses, whether it must be given, and the check its value must pass.
 
-    problem = advect1d_expsin
-    space.kind = P1D
-    space.degree = 2
-    mesh.family = alpha
-    mesh.alpha = 0.1
-    study.ns = 10,20,40,80,160,320
-    time.T = 1.0
-    time.c = 0.01
-    time.scheme = rk4
-    output.dir = results/alpha_k2
-
-`#` starts a comment; the same ``key=value`` strings work as command-line
-overrides.  For each N the runner builds the mesh, projects the initial
-data, integrates to T, and records E2/EA(/Ef); results go to
-``<label>.csv`` (full precision) and ``<label>.md`` (3 significant digits),
-written atomically.  Random-mesh studies also dump the realized node
-coordinates per level so the tables are auditable.
+For each N the runner builds the mesh, projects the initial data, integrates
+to T, and records E2/EA(/Ef); results go to ``<label>.csv`` (full precision)
+and ``<label>.md`` (3 significant digits), written atomically.  Random-mesh
+studies also dump the realized node coordinates per level so the tables are
+auditable.
 
 Resolution ladders are capped at desk scale (N <= 320 in 1D; N <= 128 in 2D
 for k <= 2, N <= 256 for higher degree) unless ``paper_scale`` is set, and
@@ -99,7 +90,7 @@ PROBLEMS: dict[str, Problem] = {
     ),
 }
 
-_FAMILIES = ("uniform", "alpha", "random")
+_FAMILIES = {"uniform": (), "alpha": ("mesh.alpha",), "random": ("mesh.fraction", "mesh.seed")}  # and their keys
 
 
 @dataclass(frozen=True)
@@ -139,162 +130,146 @@ class StudyConfig:
         return "_".join(parts)
 
 
-def _parse_pairs(text: str) -> dict[str, str]:
+def _parse_pairs(text: str, overrides: tuple[str, ...] = ()) -> dict[str, str]:
+    """The text's ``key = value`` lines, then the overrides; a later key wins.
+
+    `#` comments and blank lines are skipped in the text only: each override is one whole pair.
+    """
+    entries = [  # (pair, message if it has no '=', message if a side is empty)
+        (line, f"line {i}: expected 'key = value', got {raw!r}", f"line {i}: empty key or value in {raw!r}")
+        for i, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0]).strip()
+    ]
+    for ov in overrides:
+        entries.append((ov, f"override {ov!r} is not of the form key=value", f"override {ov!r}: empty key or value"))
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, no_equals, empty in entries:
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(no_equals)
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
+            raise ConfigError(empty)
         pairs[key] = value
     return pairs
 
 
-def _require(pairs: dict[str, str], key: str, why: str = "missing") -> str:
-    value = pairs.pop(key, None)
-    if value is None:
-        raise ConfigError(f"{key}: {why}")
-    return value
+@dataclass(frozen=True)
+class _Key:
+    """One config key: the StudyConfig field it sets, its text parse, whether it is required, and its check."""
+
+    name: str
+    field: str
+    parse: tuple  # (text -> value, raising ValueError; what the text must be, for the message)
+    required: str | None  # why an absent key is rejected; None: an absent key leaves the field's default
+    check: object = lambda value: None  # value -> why it is rejected, or None to accept it
 
 
-def _as_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+_TEXT, _INT, _FLOAT = (str, "text"), (int, "an integer"), (float, "a number")
+_NS = (lambda text: tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok), "comma-separated integers")
 
 
-def _as_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+def _positive_finite(x: float) -> str | None:
+    return None if math.isfinite(x) and x > 0 else "must be positive and finite"
+
+
+# Every config key, once, in the order serialize_config writes them.  domain.lo and domain.hi
+# together fill the one field `domain`.
+_KEYS = (
+    _Key("problem", "problem", _TEXT, "missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")",
+         lambda v: None if v in PROBLEMS else f"unknown id {v!r}; choose from {sorted(PROBLEMS)}"),
+    _Key("space.kind", "space_kind", _TEXT, "missing"),
+    _Key("space.degree", "degree", _INT, "missing"),
+    _Key("mesh.family", "family", _TEXT, f"expected one of {tuple(_FAMILIES)}, got None",
+         lambda v: None if v in _FAMILIES else f"expected one of {tuple(_FAMILIES)}, got {v!r}"),
+    _Key("mesh.alpha", "alpha", _FLOAT, "required for the alpha family",
+         lambda v: None if abs(v) < 1.0 else "must satisfy |alpha| < 1"),
+    _Key("mesh.fraction", "fraction", _FLOAT, "required for the random family",
+         lambda v: None if 0.0 <= v < 1.0 else "must lie in [0, 1)"),
+    _Key("mesh.seed", "seed", _INT, "required for the random family",
+         lambda v: None if v >= 0 else "must be a non-negative integer"),
+    _Key("study.ns", "ns", _NS, "missing (comma-separated cell counts)",
+         lambda v: None if v and min(v) >= 1 else "needs at least one positive cell count"),
+    _Key("time.T", "t_final", _FLOAT, None, _positive_finite),
+    _Key("time.c", "time_c", _FLOAT, None, _positive_finite),
+    _Key("time.scheme", "scheme", _TEXT, None,
+         lambda v: None if v in SCHEMES else f"unknown scheme {v!r}; registered: {sorted(SCHEMES)}"),
+    _Key("domain.lo", "domain", _FLOAT, None),
+    _Key("domain.hi", "domain", _FLOAT, None),
+    _Key("output.dir", "out_dir", _TEXT, None),
+)
+_FAMILY_KEYS = {name for names in _FAMILIES.values() for name in names}
+
+
+def _check_domain(cfg: StudyConfig) -> None:
+    """Reject a domain that is not finite, is empty, overflows, or cannot hold some level's N+1 nodes in float64.
+
+    A node lands within a few float64 spacings (at the largest |x|) of its exact place, plus h = width / N's rounding
+    summed over N steps; the narrowest cell, (1 - |alpha|) h or (1 - fraction) h, must exceed 16 spacings plus that.
+    """
+    lo, hi = cfg.problem_def.domain
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("domain.lo/domain.hi: must be finite")
+    if hi <= lo:
+        raise ConfigError("domain.hi: must exceed domain.lo")
+    edge = max(abs(lo), abs(hi))
+    if not math.isfinite(2.0 * edge):  # 2 edge bounds the width, and the sum of two nodes that gives a cell center
+        raise ConfigError(f"domain.lo/domain.hi: the width or a cell center of [{lo!r}, {hi!r}] overflows float64")
+    width = hi - lo
+    narrowest = (1.0 - max(abs(cfg.alpha or 0.0), cfg.fraction or 0.0)) * width  # times N
+    spacing = 16 * math.ulp(edge)
+    for n in cfg.ns:  # `n >= narrowest / spacing` first: an int beyond float range never reaches width / n
+        if n >= narrowest / spacing or narrowest / n <= spacing + n * math.ulp(width / n):
+            key = "study.ns" if cfg.domain is None else "domain.lo/domain.hi"
+            raise ConfigError(f"{key}: [{lo!r}, {hi!r}] holds too few floats for the {cfg.family} mesh at N={n}")
 
 
 def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
     """Parse config text plus ``key=value`` override strings into a StudyConfig."""
-    pairs = _parse_pairs(text)
-    for ov in overrides:
-        if "=" not in ov:
-            raise ConfigError(f"override {ov!r} is not of the form key=value")
-        key, value = (part.strip() for part in ov.split("=", 1))
-        if not key or not value:
-            raise ConfigError(f"override {ov!r}: empty key or value")
-        pairs[key] = value
+    pairs = _parse_pairs(text, overrides)
+    given: dict[str, object] = {}
+    for key in _KEYS:
+        if key.name in _FAMILY_KEYS and key.name not in _FAMILIES[given["mesh.family"]]:
+            continue  # another family's key stays in `pairs`, to be reported as unknown
+        if (raw := pairs.pop(key.name, None)) is None:
+            if key.required:
+                raise ConfigError(f"{key.name}: {key.required}")
+            continue
+        try:
+            value = key.parse[0](raw)
+        except ValueError:
+            raise ConfigError(f"{key.name}: expected {key.parse[1]}, got {raw!r}") from None
+        if why := key.check(value):
+            raise ConfigError(f"{key.name}: {why}")
+        given[key.name] = value
 
-    problem = _require(pairs, "problem", "missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")")
-    if problem not in PROBLEMS:
-        raise ConfigError(f"problem: unknown id {problem!r}; choose from {sorted(PROBLEMS)}")
-    prob = PROBLEMS[problem]
-
-    kind = _require(pairs, "space.kind")
-    degree = _as_int("space.degree", _require(pairs, "space.degree"))
+    problem, kind, ns = given["problem"], given["space.kind"], given["study.ns"]
     try:
-        space = SpaceKind(kind, degree)
+        space = SpaceKind(kind, given["space.degree"])
     except ValueError as exc:
         raise ConfigError(f"space: {exc}") from None
-    if space.dimension != prob.dimension:
-        raise ConfigError(
-            f"space.kind: {kind} is {space.dimension}D but problem {problem!r} is {prob.dimension}D"
-        )
-
-    family = pairs.pop("mesh.family", None)
-    if family not in _FAMILIES:
-        raise ConfigError(f"mesh.family: expected one of {_FAMILIES}, got {family!r}")
-    alpha = fraction = seed = None
-    if family == "alpha":
-        alpha = _as_float("mesh.alpha", _require(pairs, "mesh.alpha", "required for the alpha family"))
-        if not abs(alpha) < 1.0:
-            raise ConfigError("mesh.alpha: must satisfy |alpha| < 1")
-    elif family == "random":
-        fraction = _as_float("mesh.fraction", _require(pairs, "mesh.fraction", "required for the random family"))
-        seed = _as_int("mesh.seed", _require(pairs, "mesh.seed", "required for the random family"))
-        if not 0.0 <= fraction < 1.0:
-            raise ConfigError("mesh.fraction: must lie in [0, 1)")
-        if seed < 0:
-            raise ConfigError("mesh.seed: must be a non-negative integer")
-
-    ns_s = _require(pairs, "study.ns", "missing (comma-separated cell counts)")
-    try:
-        ns = tuple(int(tok) for tok in ns_s.replace(" ", "").split(",") if tok)
-    except ValueError:
-        raise ConfigError(f"study.ns: expected comma-separated integers, got {ns_s!r}") from None
-    if not ns or any(n < 1 for n in ns):
-        raise ConfigError("study.ns: needs at least one positive cell count")
+    if space.dimension != (dimension := PROBLEMS[problem].dimension):
+        raise ConfigError(f"space.kind: {kind} is {space.dimension}D but problem {problem!r} is {dimension}D")
     if any(a >= b for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"study.ns: cell counts must be strictly increasing, got {ns_s!r}")
-    if family == "alpha" and any(n < 2 for n in ns):
+        raise ConfigError(f"study.ns: cell counts must be strictly increasing, got {','.join(map(str, ns))!r}")
+    if given["mesh.family"] == "alpha" and ns[0] < 2:
         raise ConfigError("study.ns: alpha meshes need N >= 2")
-
-    t_final = _as_float("time.T", pairs.pop("time.T", "1.0"))
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ConfigError("time.T: must be positive and finite")
-    time_c = _as_float("time.c", pairs.pop("time.c", "0.01"))
-    if not (math.isfinite(time_c) and time_c > 0):
-        raise ConfigError("time.c: must be positive and finite")
-    scheme = pairs.pop("time.scheme", "rk4")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"time.scheme: unknown scheme {scheme!r}; registered: {sorted(SCHEMES)}")
-
-    domain = None
-    lo_s, hi_s = pairs.pop("domain.lo", None), pairs.pop("domain.hi", None)
-    if (lo_s is None) != (hi_s is None):
+    lo, hi = given.pop("domain.lo", None), given.pop("domain.hi", None)
+    if (lo is None) != (hi is None):
         raise ConfigError("domain.lo/domain.hi: provide both or neither")
-    if lo_s is not None:
-        domain = (_as_float("domain.lo", lo_s), _as_float("domain.hi", hi_s))
-        if not all(math.isfinite(x) for x in domain):
-            raise ConfigError("domain.lo/domain.hi: must be finite")
-        if domain[1] <= domain[0]:
-            raise ConfigError("domain.hi: must exceed domain.lo")
-
-    out_dir = pairs.pop("output.dir", None)
+    fields = {key.field: given[key.name] for key in _KEYS if key.name in given}
+    cfg = StudyConfig(**fields, domain=None if lo is None else (lo, hi))
+    _check_domain(cfg)
     if pairs:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(pairs)))
-    return StudyConfig(
-        problem=problem,
-        space_kind=kind,
-        degree=degree,
-        family=family,
-        ns=ns,
-        t_final=t_final,
-        time_c=time_c,
-        scheme=scheme,
-        alpha=alpha,
-        fraction=fraction,
-        seed=seed,
-        domain=domain,
-        out_dir=out_dir,
-    )
+    return cfg
 
 
 def serialize_config(cfg: StudyConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-    lines = [
-        f"problem = {cfg.problem}",
-        f"space.kind = {cfg.space_kind}",
-        f"space.degree = {cfg.degree}",
-        f"mesh.family = {cfg.family}",
-    ]
-    if cfg.alpha is not None:
-        lines.append(f"mesh.alpha = {cfg.alpha!r}")
-    if cfg.fraction is not None:
-        lines.append(f"mesh.fraction = {cfg.fraction!r}")
-    if cfg.seed is not None:
-        lines.append(f"mesh.seed = {cfg.seed}")
-    lines.append("study.ns = " + ",".join(str(n) for n in cfg.ns))
-    lines.append(f"time.T = {cfg.t_final!r}")
-    lines.append(f"time.c = {cfg.time_c!r}")
-    lines.append(f"time.scheme = {cfg.scheme}")
-    if cfg.domain is not None:
-        lines.append(f"domain.lo = {cfg.domain[0]!r}")
-        lines.append(f"domain.hi = {cfg.domain[1]!r}")
-    if cfg.out_dir is not None:
-        lines.append(f"output.dir = {cfg.out_dir}")
-    return "\n".join(lines) + "\n"
+    values = {key.name: getattr(cfg, key.field) for key in _KEYS}
+    values["study.ns"] = ",".join(map(str, cfg.ns))
+    values["domain.lo"], values["domain.hi"] = cfg.domain or (None, None)
+    return "".join(f"{name} = {value}\n" for name, value in values.items() if value is not None)
 
 
 def load_config(path: str | Path, overrides: tuple[str, ...] = ()) -> StudyConfig:

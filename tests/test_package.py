@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, and the CLI, the spectral routes and the superconvergence probes start without scipy.sparse or scipy.linalg."""
+"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, README's config block names the config table's keys, and the CLI, the spectral routes and the superconvergence probes start without scipy.sparse or scipy.linalg."""
 
 import ast
 import functools
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import dgcentral
+import dgcentral.study
 
 
 def test_every_exported_name_resolves():
@@ -68,6 +69,13 @@ def test_bench_trace_boundaries_exist():
 
     missing = [f"{owner}.{attr}" for owner, attr in pairs if not hasattr(resolve(owner), attr)]
     assert missing == []
+
+
+def test_readme_config_block_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    named = [line.lstrip("# ").split("=", 1)[0].strip() for line in block.splitlines()]
+    assert named == [key.name for key in dgcentral.study._KEYS]
 
 
 def _fresh_python(code: str) -> list[str]:

@@ -1,6 +1,10 @@
 """Config parsing, study runner, output files, and the CLI front end."""
 
+import contextlib
+import io
+import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ from dgcentral.study import (
     PROBLEMS,
     ConfigError,
     StudyConfig,
+    _KEYS,
     build_mesh,
     dump_field,
     dump_mesh,
@@ -54,6 +59,29 @@ time.c = 0.5
 
 def _with(base: str, **kv: str) -> str:
     return base + "".join(f"{k} = {v}\n" for k, v in kv.items())
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# float64 and int extremes, and non-ASCII text (Unicode digits parse as numbers)
+_EXTREMES = ["nan", "inf", "-inf", "0", "-0.0", "1e308", "-1e308", "5e-324", "-5e-324"]
+_EXTREMES += [str(2**64), str(-(10**30)), "é", "１２"]
+
+
+def _field_overrides() -> list[tuple[str, ...]]:
+    """Per field of the config table, each way to set its keys to an extreme or to a shipped config's value."""
+    pools = {key.name: dict.fromkeys(_EXTREMES) for key in _KEYS}
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        for line in serialize_config(load_config(path)).splitlines():
+            name, value = line.split(" = ")
+            pools[name][value] = None
+    fields: dict[str, list[str]] = {}
+    for key in _KEYS:
+        fields.setdefault(key.field, []).append(key.name)
+    return [
+        tuple(f"{name}={value}" for name, value in zip(names, values))
+        for names in fields.values()
+        for values in itertools.product(*(pools[name] for name in names))
+    ]
 
 
 class TestParseConfig:
@@ -153,6 +181,24 @@ class TestParseConfig:
                 "must exceed",
             ),
             (_with(BASE_1D, **{"mesh.spice": "hot"}), "unknown config keys"),
+            # another family's mesh key is unknown, not ignored
+            (
+                _with(BASE_1D.replace("uniform", "alpha"), **{"mesh.alpha": "0.1", "mesh.seed": "1"}),
+                "^unknown config keys: mesh.seed$",
+            ),
+            # the width overflows to inf; N+1 float64 nodes do not fit between 1e300 and the next-but-one float
+            (
+                _with(BASE_1D, **{"domain.lo": "-1e308", "domain.hi": "1e308"}),
+                r"^domain.lo/domain.hi: the width or a cell center of \[-1e\+308, 1e\+308\] overflows float64$",
+            ),
+            (
+                _with(BASE_1D, **{"domain.lo": "1e300", "domain.hi": "1.0000000000000002e300"}),
+                r"^domain.lo/domain.hi: \[1e\+300, 1.0000000000000002e\+300\] holds too few floats for the uniform mesh at N=8$",
+            ),
+            (
+                _with(BASE_1D.replace("study.ns = 8", "study.ns = 4,10000000000000000000")),
+                r"^study.ns: \[0.0, 6.28\d+\] holds too few floats for the uniform mesh at N=10000000000000000000$",
+            ),
         ],
     )
     def test_rejects_invalid(self, text, match):
@@ -162,6 +208,20 @@ class TestParseConfig:
     def test_rejects_malformed_override(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config(BASE_1D, overrides=("study.ns:4",))
+
+    @pytest.mark.parametrize(
+        ("override", "message"),
+        [
+            ("study.ns:4", "override 'study.ns:4' is not of the form key=value"),
+            ("=x", "override '=x': empty key or value"),
+            ("output.dir=", "override 'output.dir=': empty key or value"),
+            ("#", "override '#' is not of the form key=value"),  # an override is not a config line: no comments
+        ],
+    )
+    def test_malformed_override_message(self, override, message):
+        with pytest.raises(ConfigError) as raised:
+            parse_config(BASE_1D, overrides=(override,))
+        assert str(raised.value) == message
 
 
 class TestSerializeRoundTrip:
@@ -182,6 +242,7 @@ class TestSerializeRoundTrip:
 
     @given(
         degree=st.integers(min_value=0, max_value=4),
+        space=st.sampled_from([("advect1d_expsin", "P1D"), ("advect2d_sin", "Q2D"), ("advect2d_sin", "P2D")]),
         family=st.sampled_from(["uniform", "alpha", "random"]),
         alpha=st.floats(min_value=-0.9, max_value=0.9, allow_nan=False),
         fraction=st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
@@ -190,24 +251,28 @@ class TestSerializeRoundTrip:
         ns=st.lists(st.integers(min_value=2, max_value=5000), min_size=1, max_size=6, unique=True).map(sorted),
         t_final=st.floats(min_value=1e-3, max_value=50.0, allow_nan=False),
         time_c=st.floats(min_value=1e-4, max_value=2.0, allow_nan=False),
+        scheme=st.sampled_from(["rk4", "ssprk3"]),
         with_domain=st.booleans(),
+        lo=st.floats(min_value=-1e3, max_value=1e3),
+        width=st.floats(min_value=1e-2, max_value=1e3),
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip_is_identity(
-        self, degree, family, alpha, fraction, seed, ns, t_final, time_c, with_domain
+        self, degree, space, family, alpha, fraction, seed, ns, t_final, time_c, scheme, with_domain, lo, width
     ):
         cfg = StudyConfig(
-            problem="advect1d_expsin",
-            space_kind="P1D",
+            problem=space[0],
+            space_kind=space[1],
             degree=degree,
             family=family,
             ns=tuple(ns),
             t_final=t_final,
             time_c=time_c,
+            scheme=scheme,
             alpha=alpha if family == "alpha" else None,
             fraction=fraction if family == "random" else None,
             seed=seed if family == "random" else None,
-            domain=(-2.5, 7.25) if with_domain else None,
+            domain=(lo, lo + width) if with_domain else None,
             out_dir="results/prop" if with_domain else None,
         )
         assert parse_config(serialize_config(cfg)) == cfg
@@ -318,8 +383,12 @@ class TestRunStudy:
 
     @pytest.mark.parametrize(
         "base, overrides",
-        [(BASE_1D, ()), (BASE_2D, ("mesh.family=alpha", "mesh.alpha=0.3", "study.ns=5", "time.c=0.1"))],
-        ids=["1d", "2d"],
+        [
+            (BASE_1D, ()),
+            (BASE_2D, ("mesh.family=alpha", "mesh.alpha=0.3", "study.ns=5", "time.c=0.1")),
+            (BASE_1D, ("study.ns=8,",)),  # an empty token is dropped: study.ns parses to (8,)
+        ],
+        ids=["1d", "2d", "1d-trailing-comma"],
     )
     def test_error_columns_match_direct_computation(self, tmp_path, base, overrides):
         # run_study samples the exact solution once for E2 and EA; the digits are those of the standalone norms
@@ -577,6 +646,7 @@ class TestInputHoles:
             ("time.c=nan", "time.c"),
             ("study.ns=10,10", "study.ns"),  # wrote nan rates
             ("study.ns=20,10", "study.ns"),
+            ("study.ns=4,10000000000000000000", "study.ns"),  # wrote the N=4 table; dump-mesh crashed in linspace
             ("time.c=1e-320", "time.T/time.c"),  # T/dt overflowed in math.ceil
             ("time.T=1e308", "time.T/time.c"),
             ("output.dir=", "override 'output.dir='"),  # wrote the tables into the working directory
@@ -590,6 +660,23 @@ class TestInputHoles:
         assert cli.main(["run", str(path), "--set", override]) == 1
         err = capsys.readouterr().err
         assert f"config error: {key}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "dump-mesh"])
+    @pytest.mark.parametrize(
+        ("lo", "hi"), [("-1e308", "1e308"), ("1e300", "1.0000000000000002e300")], ids=["wide", "narrow"]
+    )
+    def test_a_domain_that_cannot_hold_the_mesh_exits_1_before_any_level(
+        self, tmp_path, capsys, monkeypatch, command, lo, hi
+    ):
+        # the width overflows, or N+1 distinct float64 nodes do not fit: both used to crash in Mesh1D
+        monkeypatch.setattr("dgcentral.study.build_mesh", lambda *a: pytest.fail("a level ran"))
+        out = tmp_path / "res"
+        args = [command, str(CONFIGS / "advect1d_uniform_p2.cfg"), "--set", f"domain.lo={lo}", "--set", f"domain.hi={hi}"]
+        assert cli.main(args + ["--set", f"output.dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: domain.lo/domain.hi: ")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -635,6 +722,16 @@ class TestInputHoles:
         err = capsys.readouterr().err
         assert f"config error: cannot read config file {path}:" in err
         assert "Traceback" not in err
+
+    @given(config=st.sampled_from(sorted(CONFIGS.glob("*.cfg"))), overrides=st.sampled_from(_field_overrides()))
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    def test_dump_mesh_exits_cleanly_on_extreme_overrides(self, config, overrides):
+        # dump-mesh builds every level's mesh and marches none; an override of study.ns replaces 4,8
+        args = ["dump-mesh", str(config), "--set", "study.ns=4,8", *(arg for ov in overrides for arg in ("--set", ov))]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(args + ["--out", out]) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     def test_2d_random_mesh_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="mesh.seed"):
