@@ -55,6 +55,9 @@ DESK_CAP_1D = 320
 DESK_CAP_2D_LOW = 128  # k <= 2
 DESK_CAP_2D_HIGH = 256
 ERROR_FLOOR = 100.0 * np.finfo(float).eps
+# The tests march every route up to degree 4 and check the Legendre basis against numpy up to degree 8; the
+# basis tables grow as k^2 (74.5 GiB at k = 100000), so a config may not ask for more.
+MAX_DEGREE = 8
 
 
 class ConfigError(ValueError):
@@ -178,7 +181,8 @@ _KEYS = (
     _Key("problem", "problem", _TEXT, "missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")",
          lambda v: None if v in PROBLEMS else f"unknown id {v!r}; choose from {sorted(PROBLEMS)}"),
     _Key("space.kind", "space_kind", _TEXT, "missing"),
-    _Key("space.degree", "degree", _INT, "missing"),
+    _Key("space.degree", "degree", _INT, "missing",
+         lambda v: None if v <= MAX_DEGREE else f"must be at most {MAX_DEGREE}, got {v}"),
     _Key("mesh.family", "family", _TEXT, f"expected one of {tuple(_FAMILIES)}, got None",
          lambda v: None if v in _FAMILIES else f"expected one of {tuple(_FAMILIES)}, got {v!r}"),
     _Key("mesh.alpha", "alpha", _FLOAT, "required for the alpha family",

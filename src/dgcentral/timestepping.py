@@ -26,16 +26,18 @@ routes that accepts it, a callable the stages; all keep one time grid:
   instead, reporting the growth as any stepped run does; L is built only then.
 * P(hL): every operator that the spectral march declines, on its assembled L
   (`SpatialOperator.matrix`).  A step is Horner's rule on the vector, s
-  products with L.  In 1D a run without an energy log takes pairs of full
-  steps as one CSR kernel call with Q2 = P(dt L)^2 - I (4s+1 cells wide,
-  formed once) and an add; a 2D Q2 would fill in.  It is the one route
-  that imports ``scipy.sparse``.
+  products with L.  In 1D a run without an energy log takes its full steps
+  but the odd one in pairs, all in one call: a pair is one call of scipy's
+  DIA kernel with Q2 = P(dt L)^2 - I (4s+1 cells wide, formed once and
+  stored as its diagonals, the periodic wrap included) and an add; a 2D Q2
+  would fill in.  It is the one route that imports ``scipy.sparse``.
 * stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
   call per stage of the tableau.
 
 All routes keep the same non-finite check and energy log; the spectral
 route checks the final state and writes the log in closed form, and paired
-P(hL) steps check after each pair.  For field states, a final discrete
+P(hL) steps check after each pair (u . 0, NaN exactly when u holds an inf or
+a NaN).  For field states, a final discrete
 energy above the initial one by more than `ENERGY_GROWTH_TOL` (relative)
 raises `IntegrationDivergedError`: the central-flux operator is skew in the
 mass inner product, so a stable step never raises the energy.
@@ -248,27 +250,55 @@ def _stage_step(f, scheme: RKScheme):
     return step
 
 
-def _matrix_step(mat, scheme: RKScheme):
-    """`n` = 1 or 2 steps of size h of u' = L u, the increment added last.  One step is `_horner_increment` on u.
+def _band(mat):
+    """The diagonals of a square CSR `mat` as (offsets, data) for scipy's DIA kernel, offsets ascending.
 
-    A pair is scipy's `@` arithmetic, in place: the CSR kernel adds Q2 u (Q2 = P(hL)^2 - I, formed once per h) into a
-    buffer zeroed first, which is then added into u.  Summing from u would bring back the bias `step_increment` avoids.
+    data[d, j] = mat[j - offsets[d], j]: the kernel reads a diagonal by column, and a periodic band's wrap-around
+    entries are diagonals of offset near -n or +n.  A presence mask over the 2n - 1 possible offsets, and its
+    cumulative sum, give each entry its row of `data`.
+    """
+    n, cols = mat.shape[0], mat.indices
+    # one index array of the entries' size, reused in place; intp, which take and put read without a converted copy
+    slot = np.repeat(np.arange(n - 1, -1, -1, dtype=np.intp), np.diff(mat.indptr))
+    slot += cols  # offset + n - 1
+    present = np.zeros(2 * n - 1, dtype=bool)
+    present[slot] = True
+    data = np.zeros((np.count_nonzero(present), n))
+    np.take(np.cumsum(present) - 1, slot, out=slot, mode="clip")  # the entry's diagonal
+    slot *= n
+    slot += cols  # its flat index in `data`
+    np.put(data, slot, mat.data)
+    return np.flatnonzero(present) - (n - 1), data
+
+
+def _matrix_step(mat, scheme: RKScheme):
+    """`n` steps of size h of u' = L u, the increment added last: one step is `_horner_increment` on u, and an even
+    `n` is n/2 pairs, u in place.
+
+    A pair is scipy's `@` arithmetic: the DIA kernel adds Q2 u (Q2 = P(hL)^2 - I, formed once per call) into a
+    buffer zeroed first, which is then added into u.  Summing from u would bring back the bias `step_increment`
+    avoids.  For one row, ascending offsets are ascending columns, the order in which the CSR kernel sums that row,
+    so both round alike (the band's stored zeros add signed zeros).  The first pair that leaves u non-finite
+    raises `IntegrationDivergedError`, the steps and time counted from the call's start.
     """
     from scipy.sparse import _sparsetools
 
-    gammas, pairs, out = stability_coefficients(scheme), {}, np.empty(mat.shape[0])
+    gammas, size = stability_coefficients(scheme), mat.shape[0]
 
     def step(state, h, n):
-        if state.dtype != np.float64 or not state.flags.c_contiguous or state.size != out.size:
-            raise ValueError(f"P(hL) steps a C-contiguous float64 state of {out.size} entries")  # the kernel trusts it
+        if state.dtype != np.float64 or not state.flags.c_contiguous or state.size != size:
+            raise ValueError(f"P(hL) steps a C-contiguous float64 state of {size} entries")  # the kernel trusts it
         u = state.reshape(-1)
         if n == 1:
             return (u + _horner_increment(lambda w: h * (mat @ w), u, gammas)).reshape(state.shape)
-        if h not in pairs:
-            pairs[h] = _pair_increment(step_increment(mat, h, scheme))
-        out.fill(0.0)
-        _sparsetools.csr_matvec(out.size, out.size, pairs[h].indptr, pairs[h].indices, pairs[h].data, u, out)
-        u += out
+        offsets, band = _band(_pair_increment(step_increment(mat, h, scheme)))
+        out, zeros = np.empty(size), np.zeros(size)
+        for pair in range(1, n // 2 + 1):
+            out.fill(0.0)
+            _sparsetools.dia_matvec(size, size, offsets.size, size, offsets, band, u, out)
+            u += out
+            if math.isnan(u.dot(zeros)):  # 0 * x is NaN exactly for an inf or NaN x, and a sum of zeros cannot overflow
+                raise IntegrationDivergedError(2 * pair, 2 * pair * h)
         return state
 
     return step
@@ -378,18 +408,20 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     else:
         if isinstance(rhs, SpatialOperator):  # L is built only once the spectral march has declined
             advance = _matrix_step(rhs.matrix, scheme)
-            span = 2 if rhs.space.dimension == 1 and log is None else 1  # full steps per advance
+            pairs = (nsteps - 1) // 2 if rhs.space.dimension == 1 and log is None else 0
         else:
-            advance, span = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 1
+            advance, pairs = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 0
         t, step = 0.0, 0
         # overflow in a blowing-up state is reported via IntegrationDivergedError,
         # not as a numpy warning mid-stage
         with np.errstate(over="ignore", invalid="ignore"):
-            while step < nsteps:
-                n = span if step + span < nsteps else 1  # the last step, of h_last, is always taken alone
+            if pairs:  # every full step but the odd one, from t = 0, in one call that checks each pair
+                step = 2 * pairs
+                state, t = advance(state, dt, step), step * dt
+            while step < nsteps:  # the odd full step and the last one, of h_last, or every step of the run
                 h = dt if step < nsteps - 1 else h_last
-                state = advance(state, h, n)
-                step, t = step + n, t + n * h
+                state = advance(state, h, 1)
+                step, t = step + 1, t + h
                 if not np.isfinite(state).all():
                     raise IntegrationDivergedError(step, t)
                 if log is not None:

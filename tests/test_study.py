@@ -20,6 +20,7 @@ from dgcentral.study import (
     DESK_CAP_1D,
     DESK_CAP_2D_LOW,
     ERROR_FLOOR,
+    MAX_DEGREE,
     OUTPUT_ROOT_ENV,
     PROBLEMS,
     ConfigError,
@@ -679,6 +680,21 @@ class TestInputHoles:
         assert err.startswith("config error: domain.lo/domain.hi: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "dump-field", "dump-mesh"])
+    @pytest.mark.parametrize("degree", [str(10**30), str(MAX_DEGREE + 1)])
+    def test_a_degree_above_the_cap_exits_1_before_any_level(self, tmp_path, capsys, monkeypatch, command, degree):
+        # 10**30 escaped as a numpy ValueError from the Gauss rule; 100000 asked for a 74.5 GiB basis table
+        monkeypatch.setattr("dgcentral.study.build_mesh", lambda *a: pytest.fail("a level ran"))
+        out = tmp_path / "res"
+        args = [command, str(CONFIGS / "advect1d_uniform_p2.cfg"), "--set", f"space.degree={degree}"]
+        assert cli.main(args + ["--set", f"output.dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: space.degree: must be at most {MAX_DEGREE}, got {degree}\n"
+        assert not out.exists()
+
+    def test_the_highest_degree_parses(self):
+        assert parse_config(BASE_1D, overrides=(f"space.degree={MAX_DEGREE}",)).degree == MAX_DEGREE
 
     def test_shipped_config_with_uncountable_steps_exits_1(self, tmp_path, capsys):
         # T/dt = 1.6e300: the run used to hang summing the start of the last step

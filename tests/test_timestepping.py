@@ -309,6 +309,24 @@ def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh):
     assert np.max(np.abs(pair.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
+def test_the_band_holds_the_pair_increment_exactly(k, mesh):
+    # N = 2 and 4 wrap the band onto itself: every offset from -(n-1) to n-1 is one diagonal
+    mesh = _WRAPPING_MESHES[mesh]
+    mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
+    pair = timestepping._pair_increment(step_increment(mat, 0.01 * mesh.min_width, SCHEMES["rk4"]))
+    offsets, data = timestepping._band(pair)
+    n = mat.shape[0]
+    assert np.all(np.diff(offsets) > 0) and data.shape == (offsets.size, n)
+    dense = np.zeros((n, n))
+    for offset, diagonal in zip(offsets, data):
+        cols = np.arange(max(0, offset), min(n, n + offset))
+        dense[cols - offset, cols] = diagonal[cols]
+    assert np.array_equal(dense, pair.toarray())
+    assert np.count_nonzero(data) == pair.nnz
+
+
 @pytest.mark.parametrize("k", [0, 2, 4])
 @pytest.mark.parametrize("family", ["alpha", "random"])
 def test_paired_march_equals_the_single_steps_of_a_logged_run(k, family):
@@ -345,8 +363,8 @@ def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
     from scipy.sparse import _sparsetools
 
     calls = []
-    matvec = _sparsetools.csr_matvec
-    monkeypatch.setattr(_sparsetools, "csr_matvec", lambda *args: calls.append(args) or matvec(*args))
+    matvec = _sparsetools.dia_matvec
+    monkeypatch.setattr(_sparsetools, "dia_matvec", lambda *args: calls.append(args) or matvec(*args))
     op, u0 = _alpha_operator()
     advance = timestepping._matrix_step(op.matrix, SCHEMES["rk4"])
     dt = 0.01 * u0.mesh.min_width
@@ -410,8 +428,41 @@ def test_matrix_path_divergence_reports_step_and_time():
     op, u0 = _alpha_operator()
     with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
         integrate(op, u0, IntegrationConfig(t_final=1e6, dt=1e3))
-    assert 1 <= err.value.step < 1000
+    assert err.value.step == 22  # the 11th pair is the first whose state overflows
     assert err.value.time == pytest.approx(1e3 * err.value.step)
+
+
+def test_an_unstable_alpha_level_reports_the_pair_that_overflows():
+    # rk4 at k = 2 is stable up to c ~ 0.35: at c = 0.5 the paired march overflows before T = 100
+    op, u0 = _alpha_operator(n=40)
+    with pytest.raises(IntegrationDivergedError) as err:
+        integrate(op, u0, IntegrationConfig(t_final=100.0, c=0.5))
+    assert str(err.value) == "non-finite state detected at step 452 (t = 31.95)"
+    assert err.value.step == 452
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pair", [1, 5])
+def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monkeypatch):
+    # the kernel writes `value` into one entry of its product at the given pair (1-based), as an overflow would
+    from scipy.sparse import _sparsetools
+
+    calls = []
+    matvec = _sparsetools.dia_matvec
+
+    def seeded(*args):
+        calls.append(None)
+        matvec(*args)
+        if len(calls) == pair:
+            args[-1][7] = value
+
+    monkeypatch.setattr(_sparsetools, "dia_matvec", seeded)
+    op, u0 = _alpha_operator()
+    dt = 0.01 * u0.mesh.min_width
+    with pytest.raises(IntegrationDivergedError, match=f"non-finite state detected at step {2 * pair} ") as err:
+        integrate(op, u0, IntegrationConfig(t_final=20.37 * dt))
+    assert len(calls) == pair
+    assert err.value.time == pytest.approx(2 * pair * dt)
 
 
 def _operator_2d(kind="Q2D", k=2):
