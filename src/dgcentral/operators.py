@@ -25,7 +25,7 @@ P1D and P2D on uniform axes by the Bloch symbols, written once for any
 number of axes.  L is real, so the symbol at -xi is the conjugate of the one
 at xi (Zhong & Shu, CMAME 2011): the Bloch route keeps the half spectrum
 xi_0 >= 0 of a real transform on cell axis 0.  The time integrator marches
-with one or the other.
+with one or the other, and in 1D builds P(hL) from the triple itself.
 The superconvergence probes read L too: `_tested` lays the block triple over
 one cell, giving (u_t, v) for every basis v, and `_form_residual` compares
 it for a projected solution and for the exact one.  The form evaluated by

@@ -390,8 +390,7 @@ def run_study(cfg: StudyConfig, paper_scale: bool = False, log=None) -> Converge
                 f"time.T/time.c: the step count T/dt = {steps:.3g} at N={n} exceeds 2**53,"
                 f" more steps than float64 can count (dt = c * min h = {dt:.3g})"
             )
-        # the operator picks the route: one rk4 factor per mode where L has a diagonalising
-        # basis (Q2D; P1D, P2D on uniform axes), else P(hL) on the assembled L
+        # the operator picks the route (`timestepping`): one factor per mode on a diagonalising basis, else P(hL)
         u = integrate(SpatialOperator(mesh, space), u0, tcfg)
         samples = error_samples(prob.exact, u, cfg.t_final)  # one sample for E2 and EA
         e2 = error_l2(prob.exact, u, cfg.t_final, samples=samples)

@@ -24,23 +24,22 @@ routes that accepts it, a callable the stages; all keep one time grid:
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
   A level where an applied factor grows, |P(h lam)| > 1, is stepped below
   instead, reporting the growth as any stepped run does; L is built only then.
-* P(hL): every operator that the spectral march declines, on its assembled L
-  (`SpatialOperator.matrix`).  A step is Horner's rule on the vector, s
-  products with L.  In 1D a run without an energy log takes its full steps
-  but the odd one in pairs, all in one call: a pair is one call of scipy's
-  DIA kernel with Q2 = P(dt L)^2 - I (4s+1 cells wide, formed once and
-  stored as its diagonals, the periodic wrap included) and an add; a 2D Q2
-  would fill in.  It is the one route that imports ``scipy.sparse``.
+* P(hL): every operator that the spectral march declines.  In 1D, Q1 = P(hL) - I
+  and Q2 = P(dt L)^2 - I = 2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and
+  the cell widths as per-cell row blocks and applied as dense row tiles; full
+  steps but the odd one go in pairs by Q2 unless the run logs its energy.  In
+  2D a step is Horner's rule on the vector with the CSR L (a 2D Q2 would fill
+  in), the one march route that imports ``scipy.sparse``.
 * stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
   call per stage of the tableau.
 
 All routes keep the same non-finite check and energy log; the spectral
 route checks the final state and writes the log in closed form, and paired
-P(hL) steps check after each pair (u . 0, NaN exactly when u holds an inf or
-a NaN).  For field states, a final discrete
-energy above the initial one by more than `ENERGY_GROWTH_TOL` (relative)
-raises `IntegrationDivergedError`: the central-flux operator is skew in the
-mass inner product, so a stable step never raises the energy.
+1D P(hL) steps check after each pair (u . 0, NaN exactly when u holds an inf
+or a NaN).  For field states, a final discrete energy above the initial one by
+more than `ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`:
+the central-flux operator is skew in the mass inner product, so a stable
+step never raises the energy.
 
 Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 
@@ -50,13 +49,15 @@ Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import ModalField, mass_weights
-from .operators import SpatialOperator
+from .operators import SpatialOperator, _axis_blocks
 
 __all__ = [
     "RKScheme",
@@ -65,7 +66,6 @@ __all__ = [
     "SCHEMES",
     "register_scheme",
     "stability_coefficients",
-    "step_increment",
     "integrate",
     "energy_drift",
 ]
@@ -80,6 +80,8 @@ _GAIN_ROUNDOFF = 1e-13
 
 # Entries (steps x modes) in a block of the closed-form energy log.
 _LOG_ENTRIES = 1 << 16
+
+_TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: fastest measured at P2 and P4 (3 to 10 within ~10%)
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -207,33 +209,6 @@ def _horner_increment(apply, x, gammas):
     return q
 
 
-def step_increment(mat, h: float, scheme: RKScheme):
-    """P(hL) - I as a CSR matrix for a sparse L, by Horner's rule: a step of `scheme` is u + (P(hL) - I) u.
-
-    Storing P(hL) itself would round its diagonal 1 + O(h) every time in the
-    same direction, a bias that accumulates over the steps (the cell
-    averages of a P4 run then drift by ~5e-13 instead of ~3e-15).
-    """
-    from scipy import sparse
-
-    hl = sparse.csr_matrix(mat) * h
-    eye = sparse.identity(hl.shape[0], format="csr")
-    return _canonical(_horner_increment(lambda q: hl @ q, eye, stability_coefficients(scheme)))
-
-
-def _canonical(mat):
-    """`mat` as CSR without stored zeros, in the column order that fixes the matvec's summation (and last bits)."""
-    out = mat.tocsr()
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
-def _pair_increment(q):
-    """P(hL)^2 - I = 2Q + Q Q from Q = P(hL) - I; like Q, it stores no identity."""
-    return _canonical(2.0 * q + q @ q)
-
-
 def _stage_step(f, scheme: RKScheme):
     """One explicit RK step of size h of u' = f(u) through the tableau's stages (`n` is 1: only P(hL) pairs steps)."""
 
@@ -250,54 +225,81 @@ def _stage_step(f, scheme: RKScheme):
     return step
 
 
-def _band(mat):
-    """The diagonals of a square CSR `mat` as (offsets, data) for scipy's DIA kernel, offsets ascending.
+def _step_band(op: SpatialOperator, h: float, gammas) -> np.ndarray:
+    """Q1 = P(hL) - I of a 1D operator as row blocks (cells, dof, 2s + 1, dof): [j, :, s + d] couples cell j to j + d.
 
-    data[d, j] = mat[j - offsets[d], j]: the kernel reads a diagonal by column, and a periodic band's wrap-around
-    entries are diagonals of offset near -n or +n.  A presence mask over the 2n - 1 possible offsets, and its
-    cumulative sum, give each entry its row of `data`.
+    hL q is one product of the `_axis_blocks` triple with q and its shifts along cells and offsets, scaled by
+    h / h_j on row j.  Q1 stores no identity: P(hL)'s diagonal 1 + O(h) would round alike every step, a bias
+    that accumulates (~5e-13 in a P4 run's cell averages instead of ~3e-15).
     """
-    n, cols = mat.shape[0], mat.indices
-    # one index array of the entries' size, reused in place; intp, which take and put read without a converted copy
-    slot = np.repeat(np.arange(n - 1, -1, -1, dtype=np.intp), np.diff(mat.indptr))
-    slot += cols  # offset + n - 1
-    present = np.zeros(2 * n - 1, dtype=bool)
-    present[slot] = True
-    data = np.zeros((np.count_nonzero(present), n))
-    np.take(np.cumsum(present) - 1, slot, out=slot, mode="clip")  # the entry's diagonal
-    slot *= n
-    slot += cols  # its flat index in `data`
-    np.put(data, slot, mat.data)
-    return np.flatnonzero(present) - (n - 1), data
+    dof, cells, s = op.space.dof, op.mesh.num_cells, len(gammas) - 1
+    blocks, scale = np.concatenate(_axis_blocks(op.space)[0], axis=1), (h / op.mesh.widths)[:, None, None]
+    own, right, left = stack = np.zeros((3, dof, cells, 2 * s + 1, dof))  # the rows' degrees first while building
+
+    def apply(q):  # hL q, written over q
+        own[...] = q
+        right[:, :-1, 1:], right[:, -1:, 1:] = q[:, 1:, :-1], q[:, :1, :-1]  # q[j + 1, d - 1]
+        left[:, 1:, :-1], left[:, :1, :-1] = q[:, :-1, 1:], q[:, -1:, 1:]  # q[j - 1, d + 1]
+        np.matmul(blocks, stack.reshape(3 * dof, -1), out=q.reshape(dof, -1))
+        q *= scale
+        return q
+
+    eye = np.zeros_like(own)
+    eye[:, :, s] = np.identity(dof)[:, None]
+    return np.ascontiguousarray(_horner_increment(apply, eye, gammas).transpose(1, 0, 2, 3))
 
 
-def _matrix_step(mat, scheme: RKScheme):
-    """`n` steps of size h of u' = L u, the increment added last: one step is `_horner_increment` on u, and an even
-    `n` is n/2 pairs, u in place.
+def _pair_band(q: np.ndarray) -> np.ndarray:
+    """Q2 = P(hL)^2 - I = 2 Q1 + Q1 Q1 from Q1's row blocks (`_step_band`), 4s + 1 cells wide."""
+    cells, dof, width = q.shape[:3]
+    halo = np.take(q.reshape(cells, dof, -1), np.arange(-(width // 2), cells + width // 2) % cells, axis=0)
+    out = np.zeros((cells, dof, 2 * width - 1, dof))
+    out[:, :, width // 2 : width // 2 + width] = 2.0 * q
+    for d in range(width):  # the blocks of offset d - s meet the row of the cell they couple to, halo[j + d]
+        out[:, :, d : d + width] += (q[:, :, d] @ halo[d : d + cells]).reshape(q.shape)
+    return out
 
-    A pair is scipy's `@` arithmetic: the DIA kernel adds Q2 u (Q2 = P(hL)^2 - I, formed once per call) into a
-    buffer zeroed first, which is then added into u.  Summing from u would bring back the bias `step_increment`
-    avoids.  For one row, ascending offsets are ascending columns, the order in which the CSR kernel sums that row,
-    so both round alike (the band's stored zeros add signed zeros).  The first pair that leaves u non-finite
+
+def _row_tiles(band: np.ndarray):
+    """Row blocks (cells, dof, 2w + 1, dof) as dense tiles of c = `_TILE_CELLS` cells, their input index, u += band u.
+
+    Tile t maps cells t c - w .. t c + c - 1 + w of u extended periodically, u[index] (wrapping as often as
+    needed), to its c cells.  One matmul into a reused buffer, added into u; u . 0 is NaN iff u is not finite.
+    """
+    cells, dof, width = band.shape[:3]
+    c, w, count = _TILE_CELLS, width // 2, -(-cells // _TILE_CELLS)
+    tiles = np.zeros((count * c, dof, c + 2 * w, dof))
+    for i in range(c):
+        tiles[i:cells:c, :, i : i + width] = band[i::c]
+    tiles, index = tiles.reshape(count, c * dof, -1), np.arange(-w * dof, (count * c + w) * dof) % (cells * dof)
+    ext, out, zeros = np.empty(index.size), np.empty((count, c * dof, 1)), np.zeros(cells * dof)
+    windows, product = sliding_window_view(ext, tiles.shape[2])[:: c * dof, :, None], out.reshape(-1)[: cells * dof]
+
+    def apply(u):
+        u.take(index, out=ext)
+        np.matmul(tiles, windows, out=out)
+        u += product
+        return math.isnan(u.dot(zeros))
+
+    return tiles, index, apply
+
+
+def _tiled_step(op: SpatialOperator, scheme: RKScheme):
+    """`n` steps of size h of u' = L u in 1D, u in place: Q1 if n = 1, else n/2 pairs by Q2 (`_row_tiles`).
+
+    Q1 is built once per distinct h, Q2 and the tiles of each once.  The first pair that leaves u non-finite
     raises `IntegrationDivergedError`, the steps and time counted from the call's start.
     """
-    from scipy.sparse import _sparsetools
-
-    gammas, size = stability_coefficients(scheme), mat.shape[0]
+    gammas, size = stability_coefficients(scheme), op.mesh.num_cells * op.space.dof
+    band = functools.cache(lambda h: _step_band(op, h, gammas))
+    kernel = functools.cache(lambda h, paired: _row_tiles(_pair_band(band(h)) if paired else band(h))[2])
 
     def step(state, h, n):
         if state.dtype != np.float64 or not state.flags.c_contiguous or state.size != size:
-            raise ValueError(f"P(hL) steps a C-contiguous float64 state of {size} entries")  # the kernel trusts it
-        u = state.reshape(-1)
-        if n == 1:
-            return (u + _horner_increment(lambda w: h * (mat @ w), u, gammas)).reshape(state.shape)
-        offsets, band = _band(_pair_increment(step_increment(mat, h, scheme)))
-        out, zeros = np.empty(size), np.zeros(size)
-        for pair in range(1, n // 2 + 1):
-            out.fill(0.0)
-            _sparsetools.dia_matvec(size, size, offsets.size, size, offsets, band, u, out)
-            u += out
-            if math.isnan(u.dot(zeros)):  # 0 * x is NaN exactly for an inf or NaN x, and a sum of zeros cannot overflow
+            raise ValueError(f"P(hL) steps a C-contiguous float64 state of {size} entries")  # it is stepped in place
+        apply, u = kernel(h, n > 1), state.reshape(-1)
+        for pair in range(1, max(1, n // 2) + 1):  # Q1 once, or Q2 n/2 times
+            if apply(u) and n > 1:  # a single step is checked by its caller, which knows its step
                 raise IntegrationDivergedError(2 * pair, 2 * pair * h)
         return state
 
@@ -406,14 +408,15 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
         if not np.isfinite(state).all():
             raise IntegrationDivergedError(nsteps, t)
     else:
-        if isinstance(rhs, SpatialOperator):  # L is built only once the spectral march has declined
-            advance = _matrix_step(rhs.matrix, scheme)
-            pairs = (nsteps - 1) // 2 if rhs.space.dimension == 1 and log is None else 0
-        else:
+        if not isinstance(rhs, SpatialOperator):
             advance, pairs = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 0
+        elif rhs.space.dimension == 1:
+            advance, pairs = _tiled_step(rhs, scheme), (nsteps - 1) // 2 if log is None else 0
+        else:  # Horner's rule on the vector with the CSR L, assembled only once the spectral march declined
+            mat, gammas, pairs = rhs.matrix, stability_coefficients(scheme), 0
+            advance = lambda u, h, n: u + _horner_increment(lambda w: h * (mat @ w.ravel()).reshape(w.shape), u, gammas)
         t, step = 0.0, 0
-        # overflow in a blowing-up state is reported via IntegrationDivergedError,
-        # not as a numpy warning mid-stage
+        # overflow in a blowing-up state is reported via IntegrationDivergedError, not as a numpy warning mid-stage
         with np.errstate(over="ignore", invalid="ignore"):
             if pairs:  # every full step but the odd one, from t = 0, in one call that checks each pair
                 step = 2 * pairs
@@ -428,13 +431,11 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
                     log.append(energy(state))
     if not is_field:
         return state
-    growth = energy(state) - energy0
+    with np.errstate(over="ignore"):  # a finite but huge state has an infinite energy, reported as growth
+        growth = energy(state) - energy0
     if growth > ENERGY_GROWTH_TOL * energy0:
-        raise IntegrationDivergedError(
-            nsteps,
-            t,
-            f"discrete energy grew by {growth / energy0:.3e} relative (unstable step; reduce time.c)",
-        )
+        reason = f"discrete energy grew by {growth / energy0:.3e} relative (unstable step; reduce time.c)"
+        raise IntegrationDivergedError(nsteps, t, reason)
     return u0.like(state)
 
 

@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, README's config block names the config table's keys, and the CLI, the spectral routes and the superconvergence probes start without scipy.sparse or scipy.linalg."""
+"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, README's config block names the config table's keys, and the CLI, the spectral routes, the 1D P(hL) route and the superconvergence probes run without scipy.sparse or scipy.linalg."""
 
 import ast
 import functools
@@ -95,7 +95,7 @@ _LOADED = "print(*(name in sys.modules for name in ('scipy.sparse', 'scipy.linal
 
 
 def test_the_cli_imports_without_scipy_sparse():
-    # scipy.sparse is about 0.25 s of start-up; only the routes that build a CSR matrix load it
+    # scipy.sparse is about 0.25 s of start-up; only 2D P(hL) and verify's skew checks build a CSR matrix and load it
     assert _fresh_python(f"import sys, dgcentral.cli; {_LOADED}") == ["False", "False"]
 
 
@@ -125,21 +125,16 @@ def test_superconvergence_probes_run_without_scipy_sparse():
     assert _fresh_python(code) == ["True", "True", "True", "False", "False"]
 
 
-def test_an_alpha_p2_level_loads_scipy_sparse_and_steps_on_its_matrix():
-    # the P(hL) route builds its CSR matrix, and so imports scipy.sparse, on first use
-    code = """
-import sys
-import numpy as np
-from dgcentral.fields import SpaceKind, l2_project
-from dgcentral.mesh import alpha_mesh
-from dgcentral.operators import SpatialOperator
-from dgcentral.timestepping import IntegrationConfig, integrate
-mesh, space = alpha_mesh(20, 0.1, (0.0, 2.0 * np.pi)), SpaceKind("P1D", 2)
-u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
-op, cfg = SpatialOperator(mesh, space), IntegrationConfig(t_final=0.1, dt=0.01 * mesh.min_width)
-before = "scipy.sparse" in sys.modules
-u = integrate(op, u0, cfg)
-print(before, "scipy.sparse" in sys.modules, op.spectral_route)
-print(np.array_equal(u.coeffs, integrate(op, u0.coeffs, cfg)))
-"""
-    assert _fresh_python(code) == ["False", "True", "None", "True"]
+def test_the_1d_p_hl_studies_run_without_scipy_sparse():
+    # alpha and random P2 ladders march P(hL) on row tiles built from L's blocks, with no CSR matrix
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from dgcentral.study import load_config, run_study\n"
+        "for name in ('advect1d_alpha_p2.cfg', 'advect1d_random_p2.cfg'):\n"
+        f"    table = run_study(replace(load_config({str(configs)!r} + '/' + name), out_dir=None))\n"
+        "    print(len(table.ns))\n"
+        f"{_LOADED}\n"
+    )
+    assert _fresh_python(code) == ["6", "6", "False", "False"]

@@ -18,7 +18,6 @@ from dgcentral.timestepping import (
     integrate,
     register_scheme,
     stability_coefficients,
-    step_increment,
 )
 
 
@@ -236,27 +235,23 @@ def test_matrix_step_equals_one_stage_loop_step(name):
         assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
 
 
-def test_a_declined_1d_operator_forms_one_pair_increment_per_run(monkeypatch):
-    # P(dt L) - I and the pair increment are formed once per run; single steps take products with L alone
+def test_a_declined_1d_operator_builds_each_step_once_per_run(monkeypatch):
+    # Q1 = P(hL) - I is built once per distinct h of the run, and the pair increment once, from Q1 at dt
     op, u0 = _alpha_operator()
     assert op.spectral_route is None
     dt = 0.01 * u0.mesh.min_width
     cfg = IntegrationConfig(t_final=7.37 * dt)
+    h_last = cfg.t_final - 7 * dt
     steps, pairs = [], []
-
-    def counted(mat, h, scheme):
-        steps.append(h)
-        return step_increment(mat, h, scheme)
-
-    pair_increment = timestepping._pair_increment
-    monkeypatch.setattr(timestepping, "step_increment", counted)
-    monkeypatch.setattr(timestepping, "_pair_increment", lambda q: pairs.append(q) or pair_increment(q))
-    integrate(op, u0, cfg)
-    assert steps == [dt]
+    step_band, pair_band = timestepping._step_band, timestepping._pair_band
+    monkeypatch.setattr(timestepping, "_step_band", lambda op, h, gammas: steps.append(h) or step_band(op, h, gammas))
+    monkeypatch.setattr(timestepping, "_pair_band", lambda q: pairs.append(q) or pair_band(q))
+    integrate(op, u0, cfg)  # three pairs, the odd full step, and the shortened last step
+    assert steps == [dt, h_last]
     assert len(pairs) == 1
-    # a run that logs every step forms no increment at all
+    # a run that logs every step takes them all alone: it builds Q1 at each h, and no pair increment
     integrate(op, u0, cfg, energy_log=[])
-    assert steps == [dt] and len(pairs) == 1
+    assert steps == [dt, h_last] * 2 and len(pairs) == 1
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
@@ -264,8 +259,8 @@ def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
     # a 2D Q2 would fill in: every step is Horner's rule on the vector, logged or not
     monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)  # Q2D off its per-axis eigenbases
     formed = []
-    monkeypatch.setattr(timestepping, "step_increment", lambda *args: formed.append(args))
-    monkeypatch.setattr(timestepping, "_pair_increment", lambda *args: formed.append(args))
+    monkeypatch.setattr(timestepping, "_step_band", lambda *args: formed.append(args))
+    monkeypatch.setattr(timestepping, "_pair_band", lambda *args: formed.append(args))
     op, u0 = _operator_2d(kind)
     assert op.spectral_route is None
     cfg = IntegrationConfig(t_final=7.37 * 0.01 * u0.mesh.min_width)
@@ -274,13 +269,35 @@ def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
     assert formed == []
 
 
+def _dense(band):
+    """A band of row blocks (cells, dof, width, dof) as the square matrix it stands for, wrapped blocks summed."""
+    cells, dof, width = band.shape[:3]
+    out = np.zeros((cells, dof, cells, dof))
+    for j in range(cells):
+        for d in range(width):
+            out[j, :, (j + d - width // 2) % cells] += band[j, :, d]
+    return out.reshape(cells * dof, cells * dof)
+
+
+def _step_oracle(op, h, scheme):
+    """P(hL) - I by Horner's rule on the dense assembled L."""
+    hl = h * op.matrix.toarray()
+    gammas = stability_coefficients(scheme)
+    q = gammas[-1] * hl
+    for gamma in gammas[-2:0:-1]:
+        q = hl @ (q + gamma * np.identity(len(hl)))
+    return q
+
+
 @pytest.mark.usefixtures("low_order_schemes")
-def test_step_increment_is_the_polynomial_in_hl_minus_identity():
+def test_the_step_band_is_the_polynomial_in_hl_minus_identity():
     op, _ = _alpha_operator(k=1, n=5)
     hl = 0.3 * op.matrix.toarray()
     expected = hl + hl @ hl / 2 + hl @ hl @ hl / 6 + hl @ hl @ hl @ hl / 24
-    np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["rk4"]).toarray(), expected, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(step_increment(op.matrix, 0.3, SCHEMES["euler"]).toarray(), hl, rtol=0, atol=1e-15)
+    rk4, euler = (timestepping._step_band(op, 0.3, stability_coefficients(SCHEMES[name])) for name in ("rk4", "euler"))
+    assert rk4.shape == (5, 2, 9, 2) and euler.shape == (5, 2, 3, 2)  # 2s + 1 cells: one more a product with hL
+    np.testing.assert_allclose(_dense(rk4), expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_dense(euler), hl, rtol=0, atol=1e-15)
 
 
 # Q2 couples 4s+1 = 17 cells (rk4): it wraps the periodic meshes of N <= 8 and sums duplicate entries; N = 40 does not
@@ -300,31 +317,39 @@ _WRAPPING_MESHES = {
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
 def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh):
     mesh = _WRAPPING_MESHES[mesh]
-    mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
-    q = step_increment(mat, 0.1 * mesh.min_width, SCHEMES[name])
-    pair = timestepping._pair_increment(q)
-    step = np.identity(mat.shape[0]) + q.toarray()
-    expected = step @ step - np.identity(mat.shape[0])
-    assert pair.has_sorted_indices and np.all(pair.data != 0.0)
-    assert np.max(np.abs(pair.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
+    op = SpatialOperator(mesh, SpaceKind("P1D", k))
+    h, scheme = 0.1 * mesh.min_width, SCHEMES[name]
+    q = _step_oracle(op, h, scheme)
+    step = np.identity(len(q)) + q
+    expected = step @ step - np.identity(len(q))
+    pair = timestepping._pair_band(timestepping._step_band(op, h, stability_coefficients(scheme)))
+    assert pair.shape[2] == 4 * scheme.stages + 1
+    # relative to the size of the blocks summed: a wrapped mesh sums blocks of several offsets into one entry,
+    # and at k = 0 on N = 2 they cancel (L u_j = (u_j+1 - u_j-1) / 2h_j is 0) up to the roundoff of each block
+    assert np.max(np.abs(_dense(pair) - expected)) <= 1e-14 * np.max(_dense(np.abs(pair)))
 
 
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
-def test_the_band_holds_the_pair_increment_exactly(k, mesh):
-    # N = 2 and 4 wrap the band onto itself: every offset from -(n-1) to n-1 is one diagonal
+def test_the_row_tiles_hold_the_pair_increment_exactly(k, mesh):
+    # N = 2 and 4 wrap the band onto itself: the halo repeats the state, and each tile still holds its rows' blocks
     mesh = _WRAPPING_MESHES[mesh]
-    mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
-    pair = timestepping._pair_increment(step_increment(mat, 0.01 * mesh.min_width, SCHEMES["rk4"]))
-    offsets, data = timestepping._band(pair)
-    n = mat.shape[0]
-    assert np.all(np.diff(offsets) > 0) and data.shape == (offsets.size, n)
-    dense = np.zeros((n, n))
-    for offset, diagonal in zip(offsets, data):
-        cols = np.arange(max(0, offset), min(n, n + offset))
-        dense[cols - offset, cols] = diagonal[cols]
-    assert np.array_equal(dense, pair.toarray())
-    assert np.count_nonzero(data) == pair.nnz
+    op, gammas = SpatialOperator(mesh, SpaceKind("P1D", k)), stability_coefficients(SCHEMES["rk4"])
+    pair = timestepping._pair_band(timestepping._step_band(op, 0.01 * mesh.min_width, gammas))
+    tiles, index, _ = timestepping._row_tiles(pair)
+    cells, dof, width = pair.shape[:3]
+    c, w = timestepping._TILE_CELLS, width // 2
+    count = -(-cells // c)
+    assert tiles.shape == (count, c * dof, (c + 2 * w) * dof)
+    # the extended state is u periodically continued from cell -w, through the last tile's window
+    assert np.array_equal(index, np.arange(-w * dof, (count * c + w) * dof) % (cells * dof))
+    # row cell t c + i of tile t reads window cells i .. i + 2w: cells t c + i - w .. t c + i + w
+    blocks = tiles.reshape(count * c, dof, c + 2 * w, dof)
+    for row in range(count * c):
+        i = row % c
+        held = blocks[row, :, i : i + width]
+        assert np.array_equal(held, pair[row] if row < cells else np.zeros_like(held))
+        assert not np.any(blocks[row, :, :i]) and not np.any(blocks[row, :, i + width :])
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
@@ -345,28 +370,40 @@ def test_paired_march_equals_the_single_steps_of_a_logged_run(k, family):
 
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
-def test_a_paired_advance_is_the_kernel_product_added_to_the_state(k, mesh):
-    # the kernel adds into its buffer: each pair must start that buffer from zero, as `@` starts its result
+def test_a_paired_advance_is_the_pair_product_added_to_the_state(k, mesh):
+    # the product overwrites its buffer: each pair must start from none of the last one's product
     mesh = _WRAPPING_MESHES[mesh]
-    mat = SpatialOperator(mesh, SpaceKind("P1D", k)).matrix
+    op = SpatialOperator(mesh, SpaceKind("P1D", k))
     dt = 0.01 * mesh.min_width
-    q2 = timestepping._pair_increment(step_increment(mat, dt, SCHEMES["rk4"]))
-    advance = timestepping._matrix_step(mat, SCHEMES["rk4"])
-    x = np.random.default_rng(k).standard_normal((mat.shape[0] // (k + 1), k + 1))
+    q2 = _dense(timestepping._pair_band(timestepping._step_band(op, dt, stability_coefficients(SCHEMES["rk4"]))))
+    advance = timestepping._tiled_step(op, SCHEMES["rk4"])
+    x = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1))
     for _ in range(3):
         before = x.ravel().copy()
         assert advance(x, dt, 2) is x
-        assert np.array_equal(x.ravel(), before + q2 @ before)
+        assert np.max(np.abs(x.ravel() - (before + q2 @ before))) <= 1e-14 * np.max(np.abs(before))
+
+
+def _counted_products(monkeypatch, seed=None):
+    """Record every kernel product, a matmul of the tiles into a stack of columns; `seed(calls, out)` may alter it."""
+    calls, matmul = [], np.matmul
+
+    def counted(*args, **kwargs):
+        result = matmul(*args, **kwargs)
+        if "out" in kwargs and kwargs["out"].shape[-1] == 1:
+            calls.append(None)
+            if seed is not None:
+                seed(calls, kwargs["out"])
+        return result
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return calls
 
 
 def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
-    from scipy.sparse import _sparsetools
-
-    calls = []
-    matvec = _sparsetools.dia_matvec
-    monkeypatch.setattr(_sparsetools, "dia_matvec", lambda *args: calls.append(args) or matvec(*args))
+    calls = _counted_products(monkeypatch)
     op, u0 = _alpha_operator()
-    advance = timestepping._matrix_step(op.matrix, SCHEMES["rk4"])
+    advance = timestepping._tiled_step(op, SCHEMES["rk4"])
     dt = 0.01 * u0.mesh.min_width
     size = u0.coeffs.size
     for state in (np.ones(size + 3), np.ones(size - 3), np.ones(size, dtype=np.float32), np.ones(2 * size)[::2]):
@@ -377,6 +414,29 @@ def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
         np.testing.assert_array_equal(state, before)
     advance(np.ones(size), dt, 2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("logged", [False, True])
+@pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
+def test_the_tiled_march_matches_horner_steps_on_the_assembled_matrix(mesh, logged, k):
+    # the pairs (unlogged) and the single steps (logged) against s products with the CSR L per step
+    mesh = _WRAPPING_MESHES[mesh]
+    space = SpaceKind("P1D", k)
+    op, u0 = SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(2.0 * np.pi * x)), mesh, space)
+    assert op.spectral_route is None
+    cfg = IntegrationConfig(t_final=1.0)
+    dt = 0.01 * mesh.min_width
+    nsteps = math.ceil(1.0 / dt - 1e-12)
+    mat, gammas, expected = op.matrix, stability_coefficients(SCHEMES["rk4"]), u0.coeffs.ravel()
+    for step in range(nsteps):
+        h = dt if step < nsteps - 1 else 1.0 - (nsteps - 1) * dt
+        q = gammas[-1] * expected
+        for gamma in gammas[-2:0:-1]:
+            q = h * (mat @ q) + gamma * expected
+        expected = expected + h * (mat @ q)
+    tiled = integrate(op, u0, cfg, energy_log=[] if logged else None).coeffs.ravel()
+    assert np.max(np.abs(tiled - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_matrix_path_conserves_mass_to_roundoff(monkeypatch):
@@ -401,6 +461,7 @@ def test_matrix_path_is_bitwise_deterministic():
     a = integrate(op, u0, cfg)
     b = integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg)
     assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a.coeffs, integrate(op, u0.coeffs, cfg))  # a field and its coefficient array alike
 
 
 def test_matrix_path_keeps_field_and_energy_log_semantics():
@@ -441,22 +502,25 @@ def test_an_unstable_alpha_level_reports_the_pair_that_overflows():
     assert err.value.step == 452
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_finite_state_of_infinite_energy_reports_its_growth_without_a_warning():
+    # at c = 0.5 and T = 20 the state is still finite at T (it overflows at step 452), but its energy is not
+    op, u0 = _alpha_operator(n=40)
+    with pytest.raises(IntegrationDivergedError, match="energy grew by inf relative") as err:
+        integrate(op, u0, IntegrationConfig(t_final=20.0, c=0.5))
+    assert err.value.step == 283
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("pair", [1, 5])
 def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monkeypatch):
     # the kernel writes `value` into one entry of its product at the given pair (1-based), as an overflow would
-    from scipy.sparse import _sparsetools
 
-    calls = []
-    matvec = _sparsetools.dia_matvec
-
-    def seeded(*args):
-        calls.append(None)
-        matvec(*args)
+    def seed(calls, out):
         if len(calls) == pair:
-            args[-1][7] = value
+            out.reshape(-1)[7] = value
 
-    monkeypatch.setattr(_sparsetools, "dia_matvec", seeded)
+    calls = _counted_products(monkeypatch, seed)
     op, u0 = _alpha_operator()
     dt = 0.01 * u0.mesh.min_width
     with pytest.raises(IntegrationDivergedError, match=f"non-finite state detected at step {2 * pair} ") as err:
