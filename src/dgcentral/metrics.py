@@ -51,15 +51,15 @@ def error_l2(exact, u: ModalField, t: float, extra_order: int = 0, samples=None)
     return float(np.sqrt((diff @ g.weights).ravel() @ jacobian(u.mesh).ravel()))
 
 
-def _cell_average_errors(f, u: ModalField, extra_order: int = 0, samples=None) -> np.ndarray:
+def _cell_average_errors(f, u: ModalField, samples=None) -> np.ndarray:
     """Per cell, the average of f (by the error rule, from `samples` if given) minus that of u."""
-    g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
+    g = gauss_table(u.space, error_rule(u.space.degree))
     return 0.5 ** len(g.points) * ((g.sample(f, u.mesh) if samples is None else samples) @ g.weights) - u.coeffs[..., 0]
 
 
-def error_cell_average(exact, u: ModalField, t: float, extra_order: int = 0, samples=None) -> float:
+def error_cell_average(exact, u: ModalField, t: float, samples=None) -> float:
     """RMS of per-cell average errors (cell count normalization); `samples` as in `error_l2`."""
-    diff = _cell_average_errors(lambda *x: exact(*x, t), u, extra_order, samples)
+    diff = _cell_average_errors(lambda *x: exact(*x, t), u, samples)
     return float(np.sqrt(np.mean(diff**2)))
 
 

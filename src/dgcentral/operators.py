@@ -58,16 +58,6 @@ __all__ = [
     "flux_cancellation_residual_2d",
 ]
 
-# Widest axis (cells x (k+1)) that `propagate` diagonalises densely; wider Q2D
-# axes step P(hL) on the assembled L.  The eigenbasis costs O(width^3)
-# time and two dense complex width^2 matrices per axis.  Measured up to this
-# width (rk4, T = 1, c = 0.01, 2-vCPU host): a Q2 alpha N=682 level (2046
-# wide) marched in 38.5 s against an estimated 68 min of Horner steps on the
-# per-axis factors, and at 1539 wide it matched those steps to 5e-14.  P(hL)
-# steps a Q2 alpha N=33 level in 0.38 s, against 4 ms on its eigenbasis; no
-# shipped config reaches this width.
-_AXIS_EIGEN_CAP = 2048
-
 # Relative spread of an axis's widths below which the axis counts as uniform,
 # so that P1D and P2D can be diagonalised by Bloch symbols built on the mean width.
 _UNIFORM_RTOL = 1e-12
@@ -175,14 +165,12 @@ class SpatialOperator:
 
     @property
     def spectral_route(self) -> str | None:
-        """How `propagate` diagonalises L: "axes", "bloch", or None where it does not."""
-        widest = max(axis.num_cells for axis in self.mesh.axes) * (self.space.degree + 1)
-        if self.space.kind == "Q2D" and widest <= _AXIS_EIGEN_CAP:
-            return "axes"  # L = Lx (+) Ly is diagonal on a product of per-axis eigenbases
+        """How `propagate` diagonalises L, with no basis built: "axes" for Q2D at any width (L = Lx (+) Ly is diagonal
+        on a product of per-axis eigenbases), "bloch" for P1D and P2D on uniform axes (a symbol per wavenumber), else None."""
+        if self.space.kind == "Q2D":
+            return "axes"
         uniform = all(np.ptp(axis.widths) <= _UNIFORM_RTOL * axis.widths.mean() for axis in self.mesh.axes)
-        if self.space.kind != "Q2D" and uniform:
-            return "bloch"  # translation-invariant: one small symbol per wavenumber
-        return None
+        return "bloch" if uniform else None
 
     @cached_property
     def _axis_bases(self) -> tuple:
@@ -190,7 +178,8 @@ class SpatialOperator:
 
         L_a and its mass depend on an axis only through k and its widths, so
         axes of equal widths share one basis object: each distinct axis is
-        diagonalised once.
+        diagonalised once, in O(width^3) time and two dense complex width^2
+        arrays (width = cells x (k+1)).
         """
         space, bases = SpaceKind("P1D", self.space.degree), {}
         for axis in self.mesh.axes:

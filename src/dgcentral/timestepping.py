@@ -440,8 +440,11 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
 
 
 def energy_drift(energy_series) -> float:
-    """Largest relative deviation of the squared-norm series from its start."""
+    """Largest relative deviation of the squared-norm series from its start; 0 for a series of zeros (a zero field)."""
     series = np.asarray(list(energy_series), dtype=float)
     if series.size == 0:
         raise ValueError("energy series is empty")
-    return float(np.max(np.abs(series - series[0])) / series[0])
+    deviation = float(np.max(np.abs(series - series[0])))
+    if series[0] == 0.0 and deviation != 0.0:
+        raise ValueError("energy series starts at zero but does not stay zero: no relative drift")
+    return deviation / series[0] if deviation else 0.0

@@ -477,9 +477,9 @@ def test_bloch_blocks_do_not_change_the_result(monkeypatch):
     np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-15 * np.max(np.abs(whole)))
 
 
-def test_spectral_route_follows_from_space_and_mesh(monkeypatch):
-    def route(kind, x, y):
-        return SpatialOperator(tensor_mesh(x, y), SpaceKind(kind, 2)).spectral_route
+def test_spectral_route_follows_from_space_and_mesh():
+    def route(kind, x, y, k=2):
+        return SpatialOperator(tensor_mesh(x, y), SpaceKind(kind, k)).spectral_route
 
     fine = uniform_mesh(256, (0.0, TWO_PI))  # its widths spread by ~4e-14 relative
     assert np.ptp(fine.widths) > 0
@@ -493,8 +493,8 @@ def test_spectral_route_follows_from_space_and_mesh(monkeypatch):
     alpha = SpatialOperator(alpha_mesh(16, 0.1, (0.0, TWO_PI)), SpaceKind("P1D", 2))
     assert alpha.spectral_route is None
     assert SpatialOperator(random_mesh(16, 0.3, 3, (0.0, TWO_PI)), SpaceKind("P1D", 2)).spectral_route is None
-    monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 3 * 8 - 1)  # wider than this: stepped
-    assert route("Q2D", uniform_mesh(7, (0.0, 1.0)), uniform_mesh(7, (0.0, 1.0))) == "axes"
-    assert route("Q2D", uniform_mesh(8, (0.0, 1.0)), uniform_mesh(7, (0.0, 1.0))) is None
+    # Q2D takes its per-axis eigenbases at any width: k=8 N=256 is 2,304 coefficients wide, k=2 N=700 2,100
+    assert route("Q2D", uniform_mesh(256, (0.0, 1.0)), uniform_mesh(256, (0.0, 1.0)), k=8) == "axes"
+    assert route("Q2D", random_mesh(700, 0.3, 1, (0.0, TWO_PI)), alpha_mesh(7, 0.1, (0.0, TWO_PI))) == "axes"
     with pytest.raises(ValueError, match="diagonalising"):
         alpha.propagate(np.zeros((16, 3)), lambda lam, z: z)

@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every name the bench traces exists, README's config block names the config table's keys, and the CLI, the spectral routes, the 1D P(hL) route and the superconvergence probes run without scipy.sparse or scipy.linalg."""
+"""Package surface: every exported name resolves, no module or test file imports a name it never uses, every private module-level name is referenced, every name the bench traces exists, README's config block names the config table's keys, and the CLI, the spectral routes, the 1D P(hL) route and the superconvergence probes run without scipy.sparse or scipy.linalg."""
 
 import ast
 import functools
@@ -50,6 +50,40 @@ def test_no_unused_imports_in_the_package():
         if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (`_x`, not a dunder) that no source references, as `module:name`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    used = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name.startswith("_") and not name.endswith("__") and name not in used]
+
+
+def test_scanner_flags_an_orphaned_private_name():
+    sources = {
+        "a": "_CAP = 1\n_used, __all__ = 2, []\nclass _Gone: pass\ndef _f(): return _used\n",
+        "b": "import a\nprint(a._f())\n",
+    }
+    assert _orphans(sources) == ["a:_CAP", "a:_Gone"]
+
+
+def test_no_orphaned_private_names_in_the_package():
+    # a route deletion can leave a constant or helper that nothing reads
+    package = Path(dgcentral.__file__).parent
+    assert _orphans({path.name: path.read_text() for path in sorted(package.glob("*.py"))}) == []
 
 
 def test_bench_trace_boundaries_exist():

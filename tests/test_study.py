@@ -288,6 +288,23 @@ class TestShippedConfigs:
             assert cfg.out_dir is not None and cfg.out_dir.startswith("results/")
             assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_every_shipped_level_keeps_its_route(self):
+        # None is the tiled 1D P(hL) march; the bench's ladder1d and ladder2d run the alpha ladders
+        routes = {
+            "advect1d_alpha_p2": None,
+            "advect1d_random_p2": None,
+            "advect1d_uniform_p2": "bloch",
+            "advect2d_uniform_p3": "bloch",
+            "advect2d_alpha_q2": "axes",
+            "advect2d_random_q2": "axes",
+            "advect2d_uniform_q2": "axes",
+        }
+        assert sorted(routes) == sorted(path.stem for path in CONFIGS.glob("*.cfg"))
+        for name, route in routes.items():
+            cfg = load_config(CONFIGS / f"{name}.cfg")
+            taken = {n: SpatialOperator(build_mesh(cfg, n), cfg.space).spectral_route for n in cfg.ns}
+            assert taken == dict.fromkeys(cfg.ns, route), name
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")

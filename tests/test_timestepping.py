@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dgcentral import operators, timestepping
+from dgcentral import timestepping
 from dgcentral.fields import SpaceKind, l2_project
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.metrics import error_cell_average, error_interface_flux, error_l2
@@ -132,6 +133,18 @@ def test_energy_drift_edge_cases():
         energy_drift([])
 
 
+def test_a_zero_run_drifts_by_zero_and_a_zero_start_is_rejected():
+    # the log of a zero field is all zeros; a series that leaves a zero start has no relative drift
+    mesh, space = uniform_mesh(8, (0.0, 2.0 * np.pi)), SpaceKind("P1D", 2)
+    log = []
+    integrate(SpatialOperator(mesh, space), l2_project(np.zeros_like, mesh, space), IntegrationConfig(t_final=0.1), log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy_drift(log) == energy_drift([0.0, 0.0]) == 0.0
+        with pytest.raises(ValueError, match="starts at zero"):
+            energy_drift([0.0, 1.0])
+
+
 class TestSchemeValidation:
     def test_builtin_tableaus_are_consistent(self):
         for scheme in SCHEMES.values():
@@ -257,7 +270,7 @@ def test_a_declined_1d_operator_builds_each_step_once_per_run(monkeypatch):
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
 def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
     # a 2D Q2 would fill in: every step is Horner's rule on the vector, logged or not
-    monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)  # Q2D off its per-axis eigenbases
+    _stepped(monkeypatch)  # Q2D off its per-axis eigenbases
     formed = []
     monkeypatch.setattr(timestepping, "_step_band", lambda *args: formed.append(args))
     monkeypatch.setattr(timestepping, "_pair_band", lambda *args: formed.append(args))
@@ -664,9 +677,8 @@ def test_non_finite_terminal_time_and_step_are_rejected(kwargs):
 
 
 def _stepped(monkeypatch):
-    """Send every operator to the stepped route, P(hL) on its assembled L, for the rest of the test."""
-    monkeypatch.setattr(operators, "_AXIS_EIGEN_CAP", 0)
-    monkeypatch.setattr(operators, "_UNIFORM_RTOL", -1.0)
+    """Send every operator to the stepped route, P(hL), for the rest of the test."""
+    monkeypatch.setattr(SpatialOperator, "spectral_route", None)
 
 
 def _longdouble_march(op, u0, cfg):
