@@ -82,7 +82,7 @@ class Mesh1D:
 
     def locate(self, x: float) -> int:
         """Index of the cell owning x (left-closed cells; x == hi owns the last cell)."""
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN compares False both ways
             raise ValueError(f"point {x} outside mesh domain [{self.lo}, {self.hi}]")
         j = int(np.searchsorted(self.nodes, x, side="right")) - 1
         return min(max(j, 0), self.num_cells - 1)

@@ -22,8 +22,9 @@ routes that accepts it, a callable the stages; all keep one time grid:
   uniform axes; see `SpatialOperator.propagate`).  The whole run is one
   factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps; the power
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
-  A level where an applied factor grows, |P(h lam)| > 1, is stepped below
-  instead, reporting the growth as any stepped run does; L is built only then.
+  It computes only the final state.  A run that logs its energy, or a level
+  where an applied factor grows, |P(h lam)| > 1, is stepped below instead,
+  reporting per step as any stepped run does; L is built only then.
 * P(hL): every operator that the spectral march declines.  In 1D, Q1 = P(hL) - I
   and Q2 = P(dt L)^2 - I = 2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and
   the cell widths as per-cell row blocks and applied as dense row tiles; full
@@ -33,13 +34,12 @@ routes that accepts it, a callable the stages; all keep one time grid:
 * stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
   call per stage of the tableau.
 
-All routes keep the same non-finite check and energy log; the spectral
-route checks the final state and writes the log in closed form, and paired
-1D P(hL) steps check after each pair (u . 0, NaN exactly when u holds an inf
-or a NaN).  For field states, a final discrete energy above the initial one by
-more than `ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`:
-the central-flux operator is skew in the mass inner product, so a stable
-step never raises the energy.
+All routes keep the same non-finite check; the spectral route checks the
+final state, and paired 1D P(hL) steps check after each pair (u . 0, NaN
+exactly when u holds an inf or a NaN).  For field states, a final discrete
+energy above the initial one by more than `ENERGY_GROWTH_TOL` (relative)
+raises `IntegrationDivergedError`: the central-flux operator is skew in the
+mass inner product, so a stable step never raises the energy.
 
 Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 
@@ -77,9 +77,6 @@ ENERGY_GROWTH_TOL = 1e-8
 # |P(dt lam)| of a mode above 1 by more than this hands the run from the
 # spectral march to the steps, which then report the growth as they always did.
 _GAIN_ROUNDOFF = 1e-13
-
-# Entries (steps x modes) in a block of the closed-form energy log.
-_LOG_ENTRIES = 1 << 16
 
 _TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: fastest measured at P2 and P4 (3 to 10 within ~10%)
 
@@ -320,20 +317,18 @@ def _power(base: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last: float, scheme: RKScheme, log):
+def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
     """P(h_last L) P(dt L)^(nsteps-1) coeffs, one factor per mode of `SpatialOperator.propagate`.
 
     Returns None, and the run is stepped instead, where L has no
     diagonalising basis or a factor the run applies (P(dt lam) only if
     nsteps > 1) grows a mode beyond roundoff.  The power is `_power`'s, in
-    reused buffers.  If `log` is a list, the energy after each step is
-    appended to it in closed form, E_n = sum |P(dt lam)|^(2n) |z|^2 over the
-    modes' mass-unitary coordinates z (|P(h_last lam)|^2 for the last factor).
+    reused buffers.  Only the final state is computed: a run that logs its
+    energy is stepped (`integrate`).
     """
     if op.spectral_route is None:
         return None
     gammas = stability_coefficients(scheme)
-    energies = np.zeros(nsteps) if log is not None else None
 
     def gain(lam, z):
         # P(dt lam) and P(h_last lam) by Horner's rule in one stacked buffer; z is overwritten, and x holds the power
@@ -345,23 +340,10 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
         applied = p if nsteps > 1 else last  # P(dt lam) is raised to nsteps - 1
         if np.max(np.abs(applied)) > 1.0 + _GAIN_ROUNDOFF:
             return None
-        if log is not None:  # a cumulative product over blocks of steps, each within _LOG_ENTRIES entries
-            weight, ratio = (np.abs(a).ravel() ** 2 for a in (z, full))
-            block = np.empty((max(1, min(nsteps - 1, _LOG_ENTRIES // weight.size)), weight.size))
-            for start in range(0, nsteps - 1, len(block)):
-                powers = block[: nsteps - 1 - start]
-                powers[0] = weight * ratio  # before the next line overwrites the last block's final row
-                powers[1:] = ratio
-                energies[start : start + len(powers)] += np.cumprod(powers, axis=0, out=powers).sum(axis=1)
-                weight = powers[-1]
-            energies[-1] += (weight * np.abs(last).ravel() ** 2).sum()
         z *= np.multiply(_power(full, nsteps - 1, out=x[0]), last, out=x[0])
         return z
 
-    out = op.propagate(coeffs, gain)
-    if out is not None and log is not None:
-        log.extend(energies.tolist())
-    return out
+    return op.propagate(coeffs, gain)
 
 
 def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
@@ -373,8 +355,10 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     or any ndarray-like state; an operator needs a field on its own space and
     mesh, or an array of its coefficients' shape (cells..., dof), and the
     dt rule reads the operator's mesh.  If
-    `energy_log` is given and the state is a field, the squared L2 norm is
-    appended at every step boundary, including t = 0.  For a field state a
+    `energy_log` is given and the state is a field, the run is stepped (never
+    marched spectrally) and the squared L2 norm is appended at every step
+    boundary, including t = 0; its last entry is the returned field's
+    `norm_l2_squared()`.  For a field state a
     run whose final energy exceeds the initial energy by more than
     ENERGY_GROWTH_TOL (relative) raises IntegrationDivergedError.
     """
@@ -402,7 +386,8 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
         shape = tuple(axis.num_cells for axis in rhs.mesh.axes) + (rhs.space.dof,)
         if state.shape != shape:
             raise ValueError(f"state of shape {state.shape} does not match the operator's coefficients {shape}")
-        marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme, log)
+        if log is None:  # a logged run is stepped, so its log is the energy of each state the steps reach
+            marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme)
     if marched is not None:
         state, t = marched, t_last + h_last
         if not np.isfinite(state).all():

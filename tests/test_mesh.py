@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgcentral.fields import ModalField, SpaceKind
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 
 
@@ -77,6 +78,19 @@ def test_locate():
         mesh.locate(-0.01)
     with pytest.raises(ValueError):
         mesh.locate(1.01)
+
+
+def test_a_nan_point_is_outside_every_mesh():
+    # NaN fails every comparison, so only a check that x satisfies lo <= x <= hi rejects it
+    mesh = uniform_mesh(4, (0.0, 1.0))
+    with pytest.raises(ValueError, match="outside mesh domain"):
+        mesh.locate(float("nan"))
+    field = ModalField(SpaceKind("P1D", 1), mesh, np.ones((4, 2)))
+    with pytest.raises(ValueError, match="outside mesh domain"):
+        field.eval_at(np.nan)
+    square = ModalField(SpaceKind("Q2D", 1), tensor_mesh(mesh, mesh), np.ones((4, 4, 4)))
+    with pytest.raises(ValueError, match="outside mesh domain"):
+        square.eval_at(0.5, np.nan)
 
 
 def test_mesh_is_immutable():

@@ -1,6 +1,7 @@
 """Config parsing, study runner, output files, and the CLI front end."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -63,6 +64,7 @@ def _with(base: str, **kv: str) -> str:
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # float64 and int extremes, and non-ASCII text (Unicode digits parse as numbers)
 _EXTREMES = ["nan", "inf", "-inf", "0", "-0.0", "1e308", "-1e308", "5e-324", "-5e-324"]
 _EXTREMES += [str(2**64), str(-(10**30)), "é", "１２"]
@@ -304,6 +306,24 @@ class TestShippedConfigs:
             cfg = load_config(CONFIGS / f"{name}.cfg")
             taken = {n: SpatialOperator(build_mesh(cfg, n), cfg.space).spectral_route for n in cfg.ns}
             assert taken == dict.fromkeys(cfg.ns, route), name
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+    def test_every_shipped_table_matches_its_golden(self, name):
+        # tests/golden holds each config's desk-scale table; nothing is written under results/.  The .md
+        # (3 significant digits) matches byte for byte, each CSV cell within the bench's reference tolerance
+        table = run_study(dataclasses.replace(load_config(CONFIGS / f"{name}.cfg"), out_dir=None))
+        assert table.to_markdown_text() == (GOLDEN / f"{name}.md").read_text()
+        rows = [line.split(",") for line in table.to_csv_text().splitlines()]
+        golden = [line.split(",") for line in (GOLDEN / f"{name}.csv").read_text().splitlines()]
+        assert [len(row) for row in rows] == [len(row) for row in golden]
+        for row, want in zip(rows, golden):
+            for cell, ref in zip(row, want):
+                try:
+                    r = float(ref)
+                except ValueError:  # the header, the LS label and empty rate cells
+                    assert cell == ref
+                    continue
+                assert abs(float(cell) - r) <= 1e-10 * abs(r) + 1e-13, (name, row[0], cell, ref)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -1,5 +1,8 @@
 """Executable verification suites: all pass, the report format is stable, and the batched sampled checks match one linear map per sample."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from dgcentral.verify import (
     _boundedness_ratio_1d,
     _skew_configs,
     _skew_ratio,
+    run_checks,
     run_suite,
 )
 
@@ -30,6 +34,14 @@ def test_all_runs_every_suite():
         assert f"[{name}]" in report
     assert "FAIL" not in report
     assert report.rstrip().endswith("all checks passed")
+
+
+def test_every_check_the_bench_reference_names_passes():
+    # the bench matches `verify all` against these names: a renamed check would show there only as failed operations
+    reference = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
+    passed = {r.name for results in run_checks("all").values() for r in results if r.passed}
+    assert reference["verify"]
+    assert [name for name in reference["verify"] if name not in passed] == []
 
 
 def test_report_lines_are_pass_or_fail():
