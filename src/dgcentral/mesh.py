@@ -147,7 +147,8 @@ def random_mesh(n: int, fraction: float, seed: int, domain: tuple[float, float])
     h = (hi - lo) / n
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = np.linspace(lo, hi, n + 1)
-    nodes[1:-1] += rng.uniform(-0.5 * fraction * h, 0.5 * fraction * h, size=n - 1)
+    half = 0.5 * abs(fraction) * h  # abs: -0.0 passes the check above and must give the fraction-0 mesh
+    nodes[1:-1] += rng.uniform(-half, half, size=n - 1)
     return Mesh1D(nodes)
 
 

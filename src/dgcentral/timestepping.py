@@ -22,15 +22,15 @@ routes that accepts it, a callable the stages; all keep one time grid:
   uniform axes; see `SpatialOperator.propagate`).  The whole run is one
   factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps; the power
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
-  It computes only the final state.  A run that logs its energy, or a level
-  where an applied factor grows, |P(h lam)| > 1, is stepped below instead,
-  reporting per step as any stepped run does; L is built only then.
+  It computes only the final state.  A level where an applied factor grows,
+  |P(h lam)| > 1, is stepped below instead, and the steps report the growth;
+  L is built only then.
 * P(hL): every operator that the spectral march declines.  In 1D, Q1 = P(hL) - I
   and Q2 = P(dt L)^2 - I = 2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and
   the cell widths as per-cell row blocks and applied as dense row tiles; full
-  steps but the odd one go in pairs by Q2 unless the run logs its energy.  In
-  2D a step is Horner's rule on the vector with the CSR L (a 2D Q2 would fill
-  in), the one march route that imports ``scipy.sparse``.
+  steps but the odd one go in pairs by Q2.  In 2D a step is Horner's rule on
+  the vector with the CSR L (a 2D Q2 would fill in), the one march route that
+  imports ``scipy.sparse``.
 * stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
   call per stage of the tableau.
 
@@ -323,8 +323,7 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
     Returns None, and the run is stepped instead, where L has no
     diagonalising basis or a factor the run applies (P(dt lam) only if
     nsteps > 1) grows a mode beyond roundoff.  The power is `_power`'s, in
-    reused buffers.  Only the final state is computed: a run that logs its
-    energy is stepped (`integrate`).
+    reused buffers.  Only the final state is computed.
     """
     if op.spectral_route is None:
         return None
@@ -346,7 +345,7 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
     return op.propagate(coeffs, gain)
 
 
-def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
+def integrate(rhs, u0, cfg: IntegrationConfig):
     """March u' = rhs(u) from 0 to cfg.t_final; returns the final state.
 
     `rhs` is a `SpatialOperator` (u' = L u, marched spectrally, else by
@@ -354,13 +353,9 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     routes.  `u0` may be a ModalField (a callable rhs maps fields to fields)
     or any ndarray-like state; an operator needs a field on its own space and
     mesh, or an array of its coefficients' shape (cells..., dof), and the
-    dt rule reads the operator's mesh.  If
-    `energy_log` is given and the state is a field, the run is stepped (never
-    marched spectrally) and the squared L2 norm is appended at every step
-    boundary, including t = 0; its last entry is the returned field's
-    `norm_l2_squared()`.  For a field state a
-    run whose final energy exceeds the initial energy by more than
-    ENERGY_GROWTH_TOL (relative) raises IntegrationDivergedError.
+    dt rule reads the operator's mesh.  For a field state a run whose final
+    energy exceeds the initial energy by more than ENERGY_GROWTH_TOL
+    (relative) raises IntegrationDivergedError.
     """
     is_field = isinstance(u0, ModalField)
     state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
@@ -370,13 +365,10 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
     t_last = (nsteps - 1) * dt  # where the last step starts
     h_last = cfg.t_final - t_last
     scheme = SCHEMES[cfg.scheme]
-    log = energy_log if is_field else None
     if is_field:
         weights = mass_weights(u0.space, u0.mesh).ravel()
         energy = lambda arr: float((arr * arr).ravel() @ weights)  # `ModalField.norm_l2_squared` of arr
         energy0 = energy(state)
-        if log is not None:
-            log.append(energy0)
     marched = None
     if isinstance(rhs, SpatialOperator):
         if is_field and u0.space != rhs.space:
@@ -386,8 +378,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
         shape = tuple(axis.num_cells for axis in rhs.mesh.axes) + (rhs.space.dof,)
         if state.shape != shape:
             raise ValueError(f"state of shape {state.shape} does not match the operator's coefficients {shape}")
-        if log is None:  # a logged run is stepped, so its log is the energy of each state the steps reach
-            marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme)
+        marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme)
     if marched is not None:
         state, t = marched, t_last + h_last
         if not np.isfinite(state).all():
@@ -396,7 +387,7 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
         if not isinstance(rhs, SpatialOperator):
             advance, pairs = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 0
         elif rhs.space.dimension == 1:
-            advance, pairs = _tiled_step(rhs, scheme), (nsteps - 1) // 2 if log is None else 0
+            advance, pairs = _tiled_step(rhs, scheme), (nsteps - 1) // 2
         else:  # Horner's rule on the vector with the CSR L, assembled only once the spectral march declined
             mat, gammas, pairs = rhs.matrix, stability_coefficients(scheme), 0
             advance = lambda u, h, n: u + _horner_increment(lambda w: h * (mat @ w.ravel()).reshape(w.shape), u, gammas)
@@ -412,8 +403,6 @@ def integrate(rhs, u0, cfg: IntegrationConfig, energy_log: list | None = None):
                 step, t = step + 1, t + h
                 if not np.isfinite(state).all():
                     raise IntegrationDivergedError(step, t)
-                if log is not None:
-                    log.append(energy(state))
     if not is_field:
         return state
     with np.errstate(over="ignore"):  # a finite but huge state has an infinite energy, reported as growth

@@ -5,12 +5,14 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgcentral import cli, verify
@@ -730,6 +732,19 @@ class TestInputHoles:
         assert err == f"config error: space.degree: must be at most {MAX_DEGREE}, got {degree}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "dump-mesh"])
+    def test_a_negative_zero_fraction_gives_the_fraction_0_mesh(self, tmp_path, command):
+        # -0.0 passes 0 <= fraction, and numpy's uniform(0.0, -0.0) raised "high - low < 0"
+        box = (0.0, 2.0 * np.pi)
+        assert np.array_equal(random_mesh(8, -0.0, 42, box).nodes, random_mesh(8, 0.0, 42, box).nodes)
+        written = []
+        for fraction in ("0", "-0.0"):
+            out = tmp_path / fraction
+            args = [command, str(CONFIGS / "advect1d_random_p2.cfg"), "--set", f"mesh.fraction={fraction}"]
+            assert cli.main(args + ["--set", "study.ns=4,8", "--set", f"output.dir={out}"]) == 0
+            written.append([path.read_bytes() for path in sorted(out.glob("*.csv"))])
+        assert len(written[0]) >= 2 and written[0] == written[1]  # the .md title holds the label, f0 or f-0
+
     def test_the_highest_degree_parses(self):
         assert parse_config(BASE_1D, overrides=(f"space.degree={MAX_DEGREE}",)).degree == MAX_DEGREE
 
@@ -784,6 +799,18 @@ class TestInputHoles:
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(args + ["--out", out]) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    @given(config=st.sampled_from(sorted(CONFIGS.glob("*.cfg"))), overrides=st.sampled_from(_field_overrides()))
+    @example(config=CONFIGS / "advect1d_random_p2.cfg", overrides=("mesh.fraction=-0.0",))
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    def test_run_exits_cleanly_on_extreme_overrides(self, config, overrides):
+        # the last override cuts every ladder to 4,8; a relative output.dir lands under the output root
+        args = ["run", str(config), *(arg for ov in overrides for arg in ("--set", ov)), "--set", "study.ns=4,8"]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(args) in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
 
     def test_2d_random_mesh_rejects_negative_seed(self):

@@ -114,18 +114,6 @@ def test_field_roundtrip_preserves_mesh_and_space():
     assert u.mesh is mesh
 
 
-def test_energy_log_records_every_step_boundary():
-    mesh = uniform_mesh(8, (0.0, 2.0 * np.pi))
-    space = SpaceKind("P1D", 2)
-    op = SpatialOperator(mesh, space)
-    u0 = l2_project(np.sin, mesh, space)
-    log = []
-    integrate(op.apply_rhs, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
-    assert len(log) == 21  # t = 0 plus twenty steps
-    # dt here is coarse, so only rk4's own O(dt^4) energy error shows up
-    assert energy_drift(log) < 1e-8
-
-
 def test_energy_drift_edge_cases():
     assert energy_drift([2.0, 2.0, 2.0]) == 0.0
     assert energy_drift([1.0, 1.1]) == pytest.approx(0.1)
@@ -134,13 +122,13 @@ def test_energy_drift_edge_cases():
 
 
 def test_a_zero_run_drifts_by_zero_and_a_zero_start_is_rejected():
-    # the log of a zero field is all zeros; a series that leaves a zero start has no relative drift
+    # a zero field keeps zero energy; a series that leaves a zero start has no relative drift
     mesh, space = uniform_mesh(8, (0.0, 2.0 * np.pi)), SpaceKind("P1D", 2)
-    log = []
-    integrate(SpatialOperator(mesh, space), l2_project(np.zeros_like, mesh, space), IntegrationConfig(t_final=0.1), log)
+    u0 = l2_project(np.zeros_like, mesh, space)
+    u = integrate(SpatialOperator(mesh, space), u0, IntegrationConfig(t_final=0.1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert energy_drift(log) == energy_drift([0.0, 0.0]) == 0.0
+        assert energy_drift([u0.norm_l2_squared(), u.norm_l2_squared()]) == energy_drift([0.0, 0.0]) == 0.0
         with pytest.raises(ValueError, match="starts at zero"):
             energy_drift([0.0, 1.0])
 
@@ -262,14 +250,11 @@ def test_a_declined_1d_operator_builds_each_step_once_per_run(monkeypatch):
     integrate(op, u0, cfg)  # three pairs, the odd full step, and the shortened last step
     assert steps == [dt, h_last]
     assert len(pairs) == 1
-    # a run that logs every step takes them all alone: it builds Q1 at each h, and no pair increment
-    integrate(op, u0, cfg, energy_log=[])
-    assert steps == [dt, h_last] * 2 and len(pairs) == 1
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
 def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
-    # a 2D Q2 would fill in: every step is Horner's rule on the vector, logged or not
+    # a 2D Q2 would fill in: every step is Horner's rule on the vector
     _stepped(monkeypatch)  # Q2D off its per-axis eigenbases
     formed = []
     monkeypatch.setattr(timestepping, "_step_band", lambda *args: formed.append(args))
@@ -277,9 +262,19 @@ def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
     op, u0 = _operator_2d(kind)
     assert op.spectral_route is None
     cfg = IntegrationConfig(t_final=7.37 * 0.01 * u0.mesh.min_width)
-    for log in (None, []):
-        integrate(op, u0, cfg, energy_log=log)
+    integrate(op, u0, cfg)
     assert formed == []
+
+
+def _single_steps(op, u0, cfg):
+    """The run's coefficients after every step taken alone by Q1's tiles, as the march takes the odd one."""
+    advance = timestepping._tiled_step(op, SCHEMES[cfg.scheme])
+    dt = cfg.resolve_dt(op.mesh.min_width)
+    nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    state = u0.coeffs.copy()
+    for step in range(nsteps):
+        state = advance(state, dt if step < nsteps - 1 else cfg.t_final - (nsteps - 1) * dt, 1)
+    return state
 
 
 def _dense(band):
@@ -367,17 +362,14 @@ def test_the_row_tiles_hold_the_pair_increment_exactly(k, mesh):
 
 @pytest.mark.parametrize("k", [0, 2, 4])
 @pytest.mark.parametrize("family", ["alpha", "random"])
-def test_paired_march_equals_the_single_steps_of_a_logged_run(k, family):
-    # an energy log needs an entry per step, so the logged run takes every step alone
+def test_paired_march_equals_its_single_steps(k, family):
     mesh = alpha_mesh(40, 0.1, (0.0, 2.0 * np.pi)) if family == "alpha" else random_mesh(40, 0.3, 11, (0.0, 2.0 * np.pi))
     space = SpaceKind("P1D", k)
     op, u0 = SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
     assert op.spectral_route is None
     cfg = IntegrationConfig(t_final=1.0)
-    log = []
-    single = integrate(op, u0, cfg, energy_log=log).coeffs
+    single = _single_steps(op, u0, cfg)
     paired = integrate(op, u0, cfg).coeffs
-    assert len(log) == math.ceil(1.0 / (0.01 * mesh.min_width)) + 1
     assert np.max(np.abs(paired - single)) <= 1e-13 * np.max(np.abs(single))
 
 
@@ -430,10 +422,10 @@ def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("k", range(5))
-@pytest.mark.parametrize("logged", [False, True])
+@pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
-def test_the_tiled_march_matches_horner_steps_on_the_assembled_matrix(mesh, logged, k):
-    # the pairs (unlogged) and the single steps (logged) against s products with the CSR L per step
+def test_the_tiled_march_matches_horner_steps_on_the_assembled_matrix(mesh, single, k):
+    # the pairs (the march) or the single steps against s products with the CSR L per step
     mesh = _WRAPPING_MESHES[mesh]
     space = SpaceKind("P1D", k)
     op, u0 = SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(2.0 * np.pi * x)), mesh, space)
@@ -448,7 +440,7 @@ def test_the_tiled_march_matches_horner_steps_on_the_assembled_matrix(mesh, logg
         for gamma in gammas[-2:0:-1]:
             q = h * (mat @ q) + gamma * expected
         expected = expected + h * (mat @ q)
-    tiled = integrate(op, u0, cfg, energy_log=[] if logged else None).coeffs.ravel()
+    tiled = (_single_steps(op, u0, cfg) if single else integrate(op, u0, cfg).coeffs).ravel()
     assert np.max(np.abs(tiled - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -477,33 +469,12 @@ def test_matrix_path_is_bitwise_deterministic():
     assert np.array_equal(a.coeffs, integrate(op, u0.coeffs, cfg))  # a field and its coefficient array alike
 
 
-def test_matrix_path_keeps_field_and_energy_log_semantics():
+def test_matrix_path_keeps_field_semantics_and_energy():
     op, u0 = _alpha_operator()
-    log = []
-    u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
+    u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025))  # twenty steps
     assert u.space == u0.space and u.mesh is u0.mesh
-    assert len(log) == 21  # t = 0 plus twenty steps
-    assert energy_drift(log) < 1e-8
-
-
-@pytest.mark.parametrize("route", ["P(hL)", "stepped-2d", "bloch", "axes"])
-def test_energy_log_runs_from_the_initial_to_the_final_norm(route):
-    # the log's mass-weighted dot products are the fields' own squared norms, so both ends are exact on
-    # every route; "bloch" is verify's drift level (P2, N = 40, T = 1: 637 steps)
-    levels = {
-        "P(hL)": (_alpha_operator, 0.2),
-        "stepped-2d": (lambda: _operator_2d("P2D"), 0.2),
-        "bloch": (lambda: _uniform_operator_1d(40), 1.0),
-        "axes": (_operator_2d, 0.2),
-    }
-    build, t_final = levels[route]
-    op, u0 = build()
-    assert op.spectral_route == {"bloch": "bloch", "axes": "axes"}.get(route)
-    log = []
-    u = integrate(op, u0, IntegrationConfig(t_final=t_final), energy_log=log)
-    assert len(log) > 10
-    assert log[0] == u0.norm_l2_squared()
-    assert log[-1] == u.norm_l2_squared()
+    # dt here is coarse, so only rk4's own O(dt^4) energy error shows up; |P| <= 1, so the change at T is the largest
+    assert energy_drift([u0.norm_l2_squared(), u.norm_l2_squared()]) < 1e-8
 
 
 def test_matrix_path_divergence_reports_step_and_time():
@@ -592,15 +563,13 @@ def test_stepped_2d_route_equals_one_stage_loop_step(name, kind, monkeypatch):
         assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
 
 
-def test_stepped_2d_route_keeps_field_and_energy_log_semantics():
+def test_stepped_2d_route_keeps_field_semantics_and_energy():
     op, u0 = _operator_2d("P2D")
     assert op.spectral_route is None
     before = u0.coeffs.copy()
-    log = []
-    u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025), energy_log=log)
+    u = integrate(op, u0, IntegrationConfig(t_final=0.5, dt=0.025))  # twenty steps
     assert u.space == u0.space and u.mesh is u0.mesh
-    assert len(log) == 21  # t = 0 plus twenty steps
-    assert energy_drift(log) < 1e-8
+    assert energy_drift([u0.norm_l2_squared(), u.norm_l2_squared()]) < 1e-8
     np.testing.assert_array_equal(u0.coeffs, before)  # the march works on its own copy
 
 
@@ -753,9 +722,7 @@ def test_a_billion_step_level_marches_in_closed_form():
     assert e2[0] == pytest.approx(e2[1], rel=1e-6)
 
 
-def test_a_logged_run_is_the_forced_stepped_run(monkeypatch):
-    # the spectral march returns only the final state, so a run that logs its energy is stepped: it
-    # returns the state and log of the run forced stepped, bit for bit, and the unlogged march's state.
+def test_the_spectral_march_is_the_forced_stepped_run(monkeypatch):
     # At c = 0.1 rk4 visibly damps the fast modes of random data, and T = 0.5 is 5.68 (Q2D), 5.57
     # (P1D, N = 7) and 4.77 (P2D, N = 6) steps, the shortened last one included
     p2d = tensor_mesh(uniform_mesh(6, _BOX), uniform_mesh(5, _BOX))
@@ -765,19 +732,13 @@ def test_a_logged_run_is_the_forced_stepped_run(monkeypatch):
     shapes = [tuple(axis.num_cells for axis in op.mesh.axes) + (op.space.dof,) for op in ops]
     fields = [ModalField(op.space, op.mesh, rng.standard_normal(shape)) for op, shape in zip(ops, shapes)]
     cfg = IntegrationConfig(t_final=0.5, c=0.1)
-    runs = []
-    for op, u0 in zip(ops, fields):
-        log = []
-        runs.append((integrate(op, u0, cfg, energy_log=log), log, integrate(op, u0, cfg)))
+    marched = [integrate(op, u0, cfg) for op, u0 in zip(ops, fields)]
     _stepped(monkeypatch)
-    for u0, (logged, log, marched) in zip(fields, runs):
-        stepped = []
-        u = integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg, energy_log=stepped)
-        assert np.array_equal(logged.coeffs, u.coeffs)
-        assert log == stepped and len(log) in (6, 7)
-        assert log[-1] == logged.norm_l2_squared()
-        assert stepped[-2] - stepped[-1] > 1e-5 * stepped[-1]
-        assert np.max(np.abs(logged.coeffs - marched.coeffs)) <= 1e-12 * np.max(np.abs(marched.coeffs))
+    for u0, m in zip(fields, marched):
+        u = integrate(SpatialOperator(u0.mesh, u0.space), u0, cfg)
+        assert np.max(np.abs(u.coeffs - m.coeffs)) <= 1e-12 * np.max(np.abs(m.coeffs))
+        energy0, energy = u0.norm_l2_squared(), u.norm_l2_squared()
+        assert energy0 - energy > 1e-5 * energy
 
 
 @pytest.mark.parametrize("kind", ["Q2D", "P2D", "P1D"])
