@@ -477,6 +477,25 @@ def test_matrix_path_keeps_field_semantics_and_energy():
     assert energy_drift([u0.norm_l2_squared(), u.norm_l2_squared()]) < 1e-8
 
 
+@pytest.mark.parametrize("route", ["P(hL)", "stepped-2d", "bloch", "axes"])
+def test_every_route_loses_only_rk4s_damping_of_the_energy(route):
+    # the central flux conserves the energy, and rk4 at c = 0.01 damps it by O(dt^4) (here 1e-14 to 3e-12
+    # relative); "bloch" is verify's drift level (P2, N = 40, T = 1: 637 steps)
+    levels = {
+        "P(hL)": (_alpha_operator, 0.2),
+        "stepped-2d": (lambda: _operator_2d("P2D"), 0.2),
+        "bloch": (lambda: _uniform_operator_1d(40), 1.0),
+        "axes": (_operator_2d, 0.2),
+    }
+    build, t_final = levels[route]
+    op, u0 = build()
+    assert op.spectral_route == {"bloch": "bloch", "axes": "axes"}.get(route)
+    u = integrate(op, u0, IntegrationConfig(t_final=t_final))
+    assert u.space == u0.space and u.mesh is u0.mesh
+    energy0, energy = u0.norm_l2_squared(), u.norm_l2_squared()
+    assert 0.0 < energy0 - energy <= 1e-10 * energy0
+
+
 def test_matrix_path_divergence_reports_step_and_time():
     # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps, taken in pairs
     op, u0 = _alpha_operator()
