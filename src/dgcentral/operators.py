@@ -191,14 +191,13 @@ class SpatialOperator:
                 bases[axis.widths.tobytes()] = _skew_eigh(mat, scale) + (scale,)
         return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
-    def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray | None:
+    def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray:
         """f(L) applied to coefficients (cells..., dof), given f mode by mode.
 
         In a basis that diagonalises L, with coordinates z that are unitary
         in the mass inner product (sum |z|^2 is the discrete energy), every z
         becomes gain(lam, z) for its eigenvalue lam.  `gain` is called on
-        arrays of modes, possibly several times, and may overwrite both; if
-        it returns None the propagation is abandoned and None returned.
+        arrays of modes, possibly several times, and may overwrite both.
         """
         if self.spectral_route == "axes":
             (lx, vx, dx), (ly, vy, dy) = self._axis_bases
@@ -208,8 +207,6 @@ class SpatialOperator:
             # V_x^H W conj(V_y) = conj(V_x^T W V_y) for a real W, with no conjugated copy of V
             z = vx.T @ (dx[:, None] * w * dy) @ vy
             z = gain(lx[:, None] + ly, np.conjugate(z, out=z))
-            if z is None:
-                return None
             w = (vx @ z @ vy.T).real / dx[:, None] / dy
             return w.reshape(nx, k1, ny, k1).transpose(0, 2, 1, 3).reshape(coeffs.shape)
         if self.spectral_route != "bloch":
@@ -238,8 +235,6 @@ class SpatialOperator:
             lam, vecs = _skew_eigh(sum(terms[1:], terms[0][block]), mass)
             z = (vecs.conj().swapaxes(-1, -2) @ (scale[block] * u_hat[block])[..., None])[..., 0]
             z = gain(lam, z)
-            if z is None:
-                return None
             u_hat[block] = (vecs @ z[..., None])[..., 0] / scale[block]
         return np.fft.irfftn(u_hat, s=[cells[a] for a in axes], axes=axes, norm="ortho")
 

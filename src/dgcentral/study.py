@@ -167,7 +167,8 @@ class _Key:
     check: object = lambda value: None  # value -> why it is rejected, or None to accept it
 
 
-_TEXT, _INT, _FLOAT = (str, "text"), (int, "an integer"), (float, "a number")
+_TEXT, _INT = (str, "text"), (int, "an integer")
+_FLOAT = (lambda text: float(text) + 0.0, "a number")  # -0.0 + 0.0 is 0.0: "-0.0" labels and serializes as "0" does
 _NS = (lambda text: tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok), "comma-separated integers")
 
 

@@ -15,22 +15,24 @@ for every dt.
 
 For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
 gamma_0 = 1 and gamma_j = b^T A^(j-1) 1, so a run of n steps computes
-P(h_last L) P(dt L)^(n-1) u0.  A `SpatialOperator` takes the first of two
-routes that accepts it, a callable the stages; all keep one time grid:
+P(h_last L) P(dt L)^(n-1) u0.  A `SpatialOperator` takes the one route its
+space and mesh pick, a callable the stages; all keep one time grid:
 
 * spectral: an operator with a diagonalising basis (Q2D; P1D and P2D on
   uniform axes; see `SpatialOperator.propagate`).  The whole run is one
   factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps; the power
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
-  It computes only the final state.  A level where an applied factor grows,
-  |P(h lam)| > 1, is stepped below instead, and the steps report the growth;
-  L is built only then.
-* P(hL): every operator that the spectral march declines.  In 1D, Q1 = P(hL) - I
-  and Q2 = P(dt L)^2 - I = 2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and
-  the cell widths as per-cell row blocks and applied as dense row tiles; full
-  steps but the odd one go in pairs by Q2.  In 2D a step is Horner's rule on
-  the vector with the CSR L (a 2D Q2 would fill in), the one march route that
-  imports ``scipy.sparse``.
+  It computes only the final state and never builds L.  L is skew in the
+  mass inner product, so on this basis the steps are exactly these factors,
+  a growing one too (the Fourier view of DG: Zhong & Shu, CMAME 2011): an
+  unstable level grows or overflows as its steps would, and raises below.
+* P(hL): every operator with no diagonalising basis (non-uniform P1D, P2D
+  off uniform axes).  In 1D, Q1 = P(hL) - I and Q2 = P(dt L)^2 - I =
+  2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and the cell widths as
+  per-cell row blocks and applied as dense row tiles; full steps but the odd
+  one go in pairs by Q2.  In 2D a step is Horner's rule on the vector with
+  the CSR L (a 2D Q2 would fill in), the one march route that imports
+  ``scipy.sparse``.
 * stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
   call per stage of the tableau.
 
@@ -73,10 +75,6 @@ __all__ = [
 
 # Relative growth of the discrete energy over a run above which it is unstable.
 ENERGY_GROWTH_TOL = 1e-8
-
-# |P(dt lam)| of a mode above 1 by more than this hands the run from the
-# spectral march to the steps, which then report the growth as they always did.
-_GAIN_ROUNDOFF = 1e-13
 
 _TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: fastest measured at P2 and P4 (3 to 10 within ~10%)
 
@@ -320,13 +318,9 @@ def _power(base: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
     """P(h_last L) P(dt L)^(nsteps-1) coeffs, one factor per mode of `SpatialOperator.propagate`.
 
-    Returns None, and the run is stepped instead, where L has no
-    diagonalising basis or a factor the run applies (P(dt lam) only if
-    nsteps > 1) grows a mode beyond roundoff.  The power is `_power`'s, in
-    reused buffers.  Only the final state is computed.
+    A factor is applied as it is, a growing one too.  The power is `_power`'s,
+    in reused buffers.  Only the final state is computed.
     """
-    if op.spectral_route is None:
-        return None
     gammas = stability_coefficients(scheme)
 
     def gain(lam, z):
@@ -336,9 +330,6 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
         _horner_increment(lambda q: np.multiply(q, x, out=p), 1.0, gammas)
         p += 1.0
         full, last = p
-        applied = p if nsteps > 1 else last  # P(dt lam) is raised to nsteps - 1
-        if np.max(np.abs(applied)) > 1.0 + _GAIN_ROUNDOFF:
-            return None
         z *= np.multiply(_power(full, nsteps - 1, out=x[0]), last, out=x[0])
         return z
 
@@ -348,14 +339,15 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
 def integrate(rhs, u0, cfg: IntegrationConfig):
     """March u' = rhs(u) from 0 to cfg.t_final; returns the final state.
 
-    `rhs` is a `SpatialOperator` (u' = L u, marched spectrally, else by
-    P(hL)) or a callable (the stages); the module docstring gives the
-    routes.  `u0` may be a ModalField (a callable rhs maps fields to fields)
-    or any ndarray-like state; an operator needs a field on its own space and
-    mesh, or an array of its coefficients' shape (cells..., dof), and the
-    dt rule reads the operator's mesh.  For a field state a run whose final
-    energy exceeds the initial energy by more than ENERGY_GROWTH_TOL
-    (relative) raises IntegrationDivergedError.
+    `rhs` is a `SpatialOperator` (u' = L u, marched spectrally where L has a
+    diagonalising basis, else by P(hL)) or a callable (the stages); the
+    module docstring gives the routes.  `u0` may be a ModalField (a callable
+    rhs maps fields to fields) or any ndarray-like state; an operator needs a
+    field on its own space and mesh, or an array of its coefficients' shape
+    (cells..., dof), and the dt rule reads the operator's mesh.  A run whose
+    state turns non-finite raises IntegrationDivergedError, as does, for a
+    field state, a run whose final energy exceeds the initial energy by more
+    than ENERGY_GROWTH_TOL (relative).
     """
     is_field = isinstance(u0, ModalField)
     state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
@@ -369,7 +361,6 @@ def integrate(rhs, u0, cfg: IntegrationConfig):
         weights = mass_weights(u0.space, u0.mesh).ravel()
         energy = lambda arr: float((arr * arr).ravel() @ weights)  # `ModalField.norm_l2_squared` of arr
         energy0 = energy(state)
-    marched = None
     if isinstance(rhs, SpatialOperator):
         if is_field and u0.space != rhs.space:
             raise ValueError("field space does not match operator space")
@@ -378,22 +369,22 @@ def integrate(rhs, u0, cfg: IntegrationConfig):
         shape = tuple(axis.num_cells for axis in rhs.mesh.axes) + (rhs.space.dof,)
         if state.shape != shape:
             raise ValueError(f"state of shape {state.shape} does not match the operator's coefficients {shape}")
-        marched = _spectral_march(rhs, state, dt, nsteps, h_last, scheme)
-    if marched is not None:
-        state, t = marched, t_last + h_last
-        if not np.isfinite(state).all():
-            raise IntegrationDivergedError(nsteps, t)
-    else:
-        if not isinstance(rhs, SpatialOperator):
-            advance, pairs = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 0
-        elif rhs.space.dimension == 1:
-            advance, pairs = _tiled_step(rhs, scheme), (nsteps - 1) // 2
-        else:  # Horner's rule on the vector with the CSR L, assembled only once the spectral march declined
-            mat, gammas, pairs = rhs.matrix, stability_coefficients(scheme), 0
-            advance = lambda u, h, n: u + _horner_increment(lambda w: h * (mat @ w.ravel()).reshape(w.shape), u, gammas)
-        t, step = 0.0, 0
-        # overflow in a blowing-up state is reported via IntegrationDivergedError, not as a numpy warning mid-stage
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow in a blowing-up state is reported via IntegrationDivergedError, not as a numpy warning mid-run;
+    # a finite but huge state has an infinite energy, reported as growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(rhs, SpatialOperator) and rhs.spectral_route is not None:
+            state, t = _spectral_march(rhs, state, dt, nsteps, h_last, scheme), t_last + h_last
+            if not np.isfinite(state).all():
+                raise IntegrationDivergedError(nsteps, t)
+        else:
+            if not isinstance(rhs, SpatialOperator):
+                advance, pairs = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 0
+            elif rhs.space.dimension == 1:
+                advance, pairs = _tiled_step(rhs, scheme), (nsteps - 1) // 2
+            else:  # Horner's rule on the vector with the CSR L
+                mat, gammas, pairs = rhs.matrix, stability_coefficients(scheme), 0
+                advance = lambda u, h, n: u + _horner_increment(lambda w: h * (mat @ w.ravel()).reshape(w.shape), u, gammas)
+            t, step = 0.0, 0
             if pairs:  # every full step but the odd one, from t = 0, in one call that checks each pair
                 step = 2 * pairs
                 state, t = advance(state, dt, step), step * dt
@@ -403,9 +394,8 @@ def integrate(rhs, u0, cfg: IntegrationConfig):
                 step, t = step + 1, t + h
                 if not np.isfinite(state).all():
                     raise IntegrationDivergedError(step, t)
-    if not is_field:
-        return state
-    with np.errstate(over="ignore"):  # a finite but huge state has an infinite energy, reported as growth
+        if not is_field:
+            return state
         growth = energy(state) - energy0
     if growth > ENERGY_GROWTH_TOL * energy0:
         reason = f"discrete energy grew by {growth / energy0:.3e} relative (unstable step; reduce time.c)"

@@ -456,14 +456,13 @@ def test_axes_of_equal_widths_share_one_eigenbasis(mesh, shared, monkeypatch):
     + [("P1D", lambda n=n: uniform_mesh(n, (0.0, TWO_PI))) for n in (1, 2, 9, 16)],
     ids=["axes", "bloch", "bloch-5x6", "bloch-N1", "bloch-N2", "bloch-N9", "bloch-N16"],
 )
-def test_propagate_coordinates_carry_the_energy_and_can_be_abandoned(kind, mesh):
+def test_propagate_coordinates_carry_the_energy(kind, mesh):
     space = SpaceKind(kind, 2)
     u = l2_project(lambda *x: np.exp(np.sin(x[0]) + np.cos(x[-1])), mesh(), space)
     op = SpatialOperator(u.mesh, space)
     seen = []
     op.propagate(u.coeffs, lambda lam, z: seen.append(np.sum(np.abs(z) ** 2)) or z)
     assert sum(seen) == pytest.approx(u.norm_l2_squared(), rel=1e-13)
-    assert op.propagate(u.coeffs, lambda lam, z: None) is None
 
 
 def test_bloch_blocks_do_not_change_the_result(monkeypatch):

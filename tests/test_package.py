@@ -148,6 +148,14 @@ def test_spectral_studies_run_without_scipy_sparse():
     assert _fresh_python(code) == ["6", "5", "False", "False"]
 
 
+def test_an_unstable_spectral_level_exits_2_without_scipy_sparse(tmp_path):
+    # Q2 at c = 0.5 grows on the per-axis eigenbases, which report it without assembling L
+    config = Path(__file__).resolve().parents[1] / "configs" / "advect2d_uniform_q2.cfg"
+    args = ["run", str(config), "--set", "time.c=0.5", "--set", f"output.dir={tmp_path / 'res'}"]
+    code = f"import sys\nfrom dgcentral import cli\nprint(cli.main({args!r}))\n{_LOADED}\n"
+    assert _fresh_python(code)[-3:] == ["2", "False", "False"]  # after the N=4 line: N=8 grows
+
+
 def test_superconvergence_probes_run_without_scipy_sparse():
     # the probes lay L's blocks over one cell; they build no CSR matrix
     code = (

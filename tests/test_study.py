@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -734,16 +735,18 @@ class TestInputHoles:
 
     @pytest.mark.parametrize("command", ["run", "dump-mesh"])
     def test_a_negative_zero_fraction_gives_the_fraction_0_mesh(self, tmp_path, command):
-        # -0.0 passes 0 <= fraction, and numpy's uniform(0.0, -0.0) raised "high - low < 0"
+        # -0.0 passes 0 <= fraction, and numpy's uniform(0.0, -0.0) raised "high - low < 0"; as a label,
+        # -0.0 named the files and the .md title f-0 (or a-0), not f0
         box = (0.0, 2.0 * np.pi)
         assert np.array_equal(random_mesh(8, -0.0, 42, box).nodes, random_mesh(8, 0.0, 42, box).nodes)
-        written = []
-        for fraction in ("0", "-0.0"):
-            out = tmp_path / fraction
-            args = [command, str(CONFIGS / "advect1d_random_p2.cfg"), "--set", f"mesh.fraction={fraction}"]
-            assert cli.main(args + ["--set", "study.ns=4,8", "--set", f"output.dir={out}"]) == 0
-            written.append([path.read_bytes() for path in sorted(out.glob("*.csv"))])
-        assert len(written[0]) >= 2 and written[0] == written[1]  # the .md title holds the label, f0 or f-0
+        for config, key in (("advect1d_random_p2.cfg", "mesh.fraction"), ("advect1d_alpha_p2.cfg", "mesh.alpha")):
+            written = []
+            for value in ("0", "-0.0"):
+                out = tmp_path / key / value
+                args = [command, str(CONFIGS / config), "--set", f"{key}={value}"]
+                assert cli.main(args + ["--set", "study.ns=4,8", "--set", f"output.dir={out}"]) == 0
+                written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            assert len(written[0]) >= 2 and written[0] == written[1]
 
     def test_the_highest_degree_parses(self):
         assert parse_config(BASE_1D, overrides=(f"space.degree={MAX_DEGREE}",)).degree == MAX_DEGREE
@@ -803,15 +806,20 @@ class TestInputHoles:
 
     @given(config=st.sampled_from(sorted(CONFIGS.glob("*.cfg"))), overrides=st.sampled_from(_field_overrides()))
     @example(config=CONFIGS / "advect1d_random_p2.cfg", overrides=("mesh.fraction=-0.0",))
+    @example(config=CONFIGS / "advect1d_uniform_p2.cfg", overrides=("time.c=1e308",))
     @settings(derandomize=True, database=None, max_examples=250, deadline=None)
     def test_run_exits_cleanly_on_extreme_overrides(self, config, overrides):
-        # the last override cuts every ladder to 4,8; a relative output.dir lands under the output root
+        # the last override cuts every ladder to 4,8; a relative output.dir lands under the output root.
+        # A warning would print to stderr outside pytest, which records it instead: it is shown as stderr shows it
         args = ["run", str(config), *(arg for ov in overrides for arg in ("--set", ov)), "--set", "study.ns=4,8"]
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(args) in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert cli.main(args) in (0, 1, 2)
+        lines = err.getvalue().splitlines() + [warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught]
+        assert not [line for line in lines if "Traceback" in line or "Warning" in line]
 
     def test_2d_random_mesh_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="mesh.seed"):

@@ -451,7 +451,7 @@ def test_matrix_path_conserves_mass_to_roundoff(monkeypatch):
     space = SpaceKind("P1D", 4)
     u0 = l2_project(lambda x: np.exp(np.sin(x)), mesh, space)
     op = SpatialOperator(mesh, space)
-    for route in ("bloch", None):  # the Bloch route, then P(hL) once the spectral march declines
+    for route in ("bloch", None):  # the Bloch route, then P(hL) on the same level
         if route is None:
             _stepped(monkeypatch)
         assert op.spectral_route == route
@@ -761,8 +761,8 @@ def test_the_spectral_march_is_the_forced_stepped_run(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["Q2D", "P2D", "P1D"])
-def test_growing_spectral_level_is_stepped_and_raises_as_before(kind, monkeypatch):
-    # rk4 at c = 0.5 is unstable for k = 2: the march hands the level to P(hL) on the assembled L
+def test_a_growing_spectral_level_raises_as_its_steps_do(kind, monkeypatch):
+    # rk4 at c = 0.5 is unstable for k = 2: the march applies the growing factors, which the steps apply too
     space = SpaceKind(kind, 2)
     if kind == "P1D":
         u0 = _uniform_operator_1d(8)[1]
@@ -800,14 +800,20 @@ def test_p2d_on_a_random_mesh_steps_horner_on_its_matrix():
 
 
 @pytest.mark.parametrize(
-    "kind, axis", [("Q2D", alpha_mesh(7, 0.3, _BOX)), ("P2D", uniform_mesh(6, _BOX))], ids=["Q2D-alpha", "P2D-uniform"]
+    "kind, axis",
+    [("Q2D", alpha_mesh(7, 0.3, _BOX)), ("P2D", uniform_mesh(6, _BOX)), ("P1D", uniform_mesh(8, _BOX))],
+    ids=["Q2D-alpha", "P2D-uniform", "P1D-uniform"],
 )
-def test_spectral_route_does_not_assemble_the_matrix(kind, axis):
-    # the 2D L is built only for a level the spectral march declines
+def test_spectral_route_does_not_assemble_the_matrix(kind, axis, monkeypatch):
+    # a level with a diagonalising basis builds neither L nor 1D row blocks, stable (c = 0.01) or not (c = 0.5)
+    monkeypatch.setattr(timestepping, "_step_band", lambda *args: pytest.fail("1D row blocks were built"))
     space = SpaceKind(kind, 2)
-    op = SpatialOperator(tensor_mesh(axis, axis), space)
-    integrate(op, l2_project(PROBLEMS["advect2d_sin"].initial, op.mesh, space), IntegrationConfig(t_final=0.1))
+    op = SpatialOperator(axis if kind == "P1D" else tensor_mesh(axis, axis), space)
     assert op.spectral_route is not None
+    u0 = l2_project(PROBLEMS["advect1d_expsin" if kind == "P1D" else "advect2d_sin"].initial, op.mesh, space)
+    integrate(op, u0, IntegrationConfig(t_final=0.1))
+    with pytest.raises(IntegrationDivergedError, match="energy grew"):
+        integrate(op, u0, IntegrationConfig(t_final=1.0, c=0.5))
     assert "matrix" not in op.__dict__
 
 
@@ -835,33 +841,3 @@ def test_power_by_squaring_matches_a_longdouble_reference(n):
     assert np.all(err[scale == 0] == 0)  # 0 ** n = 0 exactly for n >= 1
     rel = (err[scale > 0] / scale[scale > 0]).astype(float)
     assert np.max(rel) <= 4 * (n + 1) * np.finfo(float).eps
-
-
-def test_a_mode_just_past_gain_roundoff_hands_the_level_to_p_hl(monkeypatch):
-    # a step 0.1% past rk4's limit |dt lam| <= 2 sqrt(2) on the imaginary axis: the fastest mode
-    # grows by a factor 1 + growth per step, and the march declines once growth > _GAIN_ROUNDOFF
-    mesh = tensor_mesh(uniform_mesh(8, _BOX), uniform_mesh(8, _BOX))
-    space = SpaceKind("Q2D", 2)
-    u0 = l2_project(PROBLEMS["advect2d_sin"].initial, mesh, space)
-    lams = []
-    SpatialOperator(mesh, space).propagate(u0.coeffs, lambda lam, z: lams.append(lam.copy()) or z)
-    lam = np.concatenate([block.ravel() for block in lams])
-    dt = 1.001 * 2.0 * np.sqrt(2.0) / np.max(np.abs(lam))
-    growth = np.max(np.abs(np.polyval(stability_coefficients(SCHEMES["rk4"])[::-1], dt * lam))) - 1.0
-    assert 0 < growth < 1e-2
-    args = (u0.coeffs, dt, 3, dt, SCHEMES["rk4"])
-    monkeypatch.setattr(timestepping, "_GAIN_ROUNDOFF", 2.0 * growth)
-    assert timestepping._spectral_march(SpatialOperator(mesh, space), *args) is not None
-    monkeypatch.setattr(timestepping, "_GAIN_ROUNDOFF", 0.5 * growth)
-    assert timestepping._spectral_march(SpatialOperator(mesh, space), *args) is None
-    # only the factors the run applies are tested: P(dt lam) is raised to nsteps - 1
-    for nsteps, declined in ((2, True), (1, False)):
-        args = (u0.coeffs, dt, nsteps, 0.5 * dt, SCHEMES["rk4"])
-        assert (timestepping._spectral_march(SpatialOperator(mesh, space), *args) is None) == declined
-    # integrate then steps P(hL) on the assembled L, exactly as a level with no diagonalising basis
-    cfg = IntegrationConfig(t_final=3 * dt, dt=dt)
-    op = SpatialOperator(mesh, space)
-    stepped = integrate(op, u0, cfg)
-    assert "matrix" in op.__dict__
-    _stepped(monkeypatch)
-    np.testing.assert_array_equal(stepped.coeffs, integrate(SpatialOperator(mesh, space), u0, cfg).coeffs)
