@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Problem, SpaceKind, l2_project
+from .fields import _KINDS, Problem, SpaceKind, l2_project
 from .mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from .metrics import ConvergenceTable, error_cell_average, error_interface_flux, error_l2, error_samples
 from .operators import SpatialOperator
@@ -181,9 +181,11 @@ def _positive_finite(x: float) -> str | None:
 _KEYS = (
     _Key("problem", "problem", _TEXT, "missing (choose from " + ", ".join(sorted(PROBLEMS)) + ")",
          lambda v: None if v in PROBLEMS else f"unknown id {v!r}; choose from {sorted(PROBLEMS)}"),
-    _Key("space.kind", "space_kind", _TEXT, "missing"),
+    _Key("space.kind", "space_kind", _TEXT, "missing",
+         lambda v: None if v in _KINDS else f"expected one of {_KINDS}, got {v!r}"),
     _Key("space.degree", "degree", _INT, "missing",
-         lambda v: None if v <= MAX_DEGREE else f"must be at most {MAX_DEGREE}, got {v}"),
+         lambda v: None if 0 <= v <= MAX_DEGREE
+         else f"must be non-negative, got {v}" if v < 0 else f"must be at most {MAX_DEGREE}, got {v}"),
     _Key("mesh.family", "family", _TEXT, f"expected one of {tuple(_FAMILIES)}, got None",
          lambda v: None if v in _FAMILIES else f"expected one of {tuple(_FAMILIES)}, got {v!r}"),
     _Key("mesh.alpha", "alpha", _FLOAT, "required for the alpha family",
@@ -248,10 +250,7 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()) -> StudyConfig:
         given[key.name] = value
 
     problem, kind, ns = given["problem"], given["space.kind"], given["study.ns"]
-    try:
-        space = SpaceKind(kind, given["space.degree"])
-    except ValueError as exc:
-        raise ConfigError(f"space: {exc}") from None
+    space = SpaceKind(kind, given["space.degree"])
     if space.dimension != (dimension := PROBLEMS[problem].dimension):
         raise ConfigError(f"space.kind: {kind} is {space.dimension}D but problem {problem!r} is {dimension}D")
     if any(a >= b for a, b in zip(ns, ns[1:])):

@@ -15,33 +15,34 @@ for every dt.
 
 For u' = L u a step of size h is u <- P(hL) u, P(z) = sum_j gamma_j z^j with
 gamma_0 = 1 and gamma_j = b^T A^(j-1) 1, so a run of n steps computes
-P(h_last L) P(dt L)^(n-1) u0.  A `SpatialOperator` takes the one route its
-space and mesh pick, a callable the stages; all keep one time grid:
+P(h_last L) P(dt L)^(n-1) u0.  `integrate` hands the whole run to one march,
+(rhs, state, dt, nsteps, h_last, scheme) -> state, that an operator's space
+and mesh pick; all keep one time grid:
 
-* spectral: an operator with a diagonalising basis (Q2D; P1D and P2D on
-  uniform axes; see `SpatialOperator.propagate`).  The whole run is one
+* `_spectral_march`: an operator with a diagonalising basis (Q2D; P1D and P2D
+  on uniform axes; see `SpatialOperator.propagate`).  The whole run is one
   factor P(h_last lam) P(dt lam)^(n-1) per mode, with no steps; the power
   takes ~log2(n) complex products by squaring, relative error < 4 (n+1) eps.
-  It computes only the final state and never builds L.  L is skew in the
-  mass inner product, so on this basis the steps are exactly these factors,
-  a growing one too (the Fourier view of DG: Zhong & Shu, CMAME 2011): an
+  It computes only the final state and never builds L.  L is skew in the mass
+  inner product, so on this basis the steps are exactly these factors, a
+  growing one too (the Fourier view of DG: Zhong & Shu, CMAME 2011): an
   unstable level grows or overflows as its steps would, and raises below.
-* P(hL): every operator with no diagonalising basis (non-uniform P1D, P2D
-  off uniform axes).  In 1D, Q1 = P(hL) - I and Q2 = P(dt L)^2 - I =
+* `_tiled_march`: non-uniform P1D.  Q1 = P(hL) - I and Q2 = P(dt L)^2 - I =
   2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and the cell widths as
-  per-cell row blocks and applied as dense row tiles; full steps but the odd
-  one go in pairs by Q2.  In 2D a step is Horner's rule on the vector with
-  the CSR L (a 2D Q2 would fill in), the one march route that imports
-  ``scipy.sparse``.
-* stages: a callable ``rhs`` (any field, scalar or custom state), one RHS
-  call per stage of the tableau.
+  per-cell row blocks and applied as dense row tiles: the full steps in pairs
+  by Q2, then the odd full step and the last one by Q1.
+* `_stepped_march`: one step at a time.  For P2D off uniform axes a step is
+  Horner's rule on the vector with the CSR L (a 2D Q2 would fill in), the one
+  march route that imports ``scipy.sparse``; for a callable ``rhs`` (any
+  field, scalar or custom state) it is one RHS call per stage of the tableau.
 
-All routes keep the same non-finite check; the spectral route checks the
-final state, and paired 1D P(hL) steps check after each pair (u . 0, NaN
-exactly when u holds an inf or a NaN).  For field states, a final discrete
-energy above the initial one by more than `ENERGY_GROWTH_TOL` (relative)
-raises `IntegrationDivergedError`: the central-flux operator is skew in the
-mass inner product, so a stable step never raises the energy.
+The tiled and stepped marches raise at the first product or step that leaves
+the state non-finite (u . 0 is NaN exactly when u holds an inf or a NaN), and
+`integrate` checks the final state once.  For field states, a final discrete
+energy (`ModalField.norm_l2_squared`) above the initial one by more than
+`ENERGY_GROWTH_TOL` (relative) raises `IntegrationDivergedError`: the
+central-flux operator is skew in the mass inner product, so a stable step
+never raises the energy.
 
 Stability limit of rk4 on uniform meshes (largest stable c in dt = c*h):
 
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import ModalField, mass_weights
+from .fields import ModalField
 from .operators import SpatialOperator, _axis_blocks
 
 __all__ = [
@@ -204,20 +205,35 @@ def _horner_increment(apply, x, gammas):
     return q
 
 
-def _stage_step(f, scheme: RKScheme):
-    """One explicit RK step of size h of u' = f(u) through the tableau's stages (`n` is 1: only P(hL) pairs steps)."""
+def _stage_step(f, scheme: RKScheme, state, h):
+    """One explicit RK step of size h of u' = f(u) through the tableau's stages."""
+    stages = []
+    for s in range(scheme.stages):
+        y = state
+        for m in range(s):
+            if scheme.a[s, m] != 0.0:
+                y = y + (h * scheme.a[s, m]) * stages[m]
+        stages.append(np.asarray(f(y), dtype=float))
+    return state + h * sum(w * ks for w, ks in zip(scheme.b, stages))
 
-    def step(state, h, n):
-        stages = []
-        for s in range(scheme.stages):
-            y = state
-            for m in range(s):
-                if scheme.a[s, m] != 0.0:
-                    y = y + (h * scheme.a[s, m]) * stages[m]
-            stages.append(np.asarray(f(y), dtype=float))
-        return state + h * sum(w * ks for w, ks in zip(scheme.b, stages))
 
-    return step
+def _stepped_march(rhs, state, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
+    """`nsteps` single steps, the last of h_last: the stages of a callable `rhs`, or Horner's rule on an operator's CSR L.
+
+    The first step that leaves the state non-finite raises `IntegrationDivergedError` with its step and time.
+    """
+    if isinstance(rhs, SpatialOperator):
+        mat, gammas = rhs.matrix, stability_coefficients(scheme)
+        step = lambda u, h: u + _horner_increment(lambda w: h * (mat @ w.ravel()).reshape(w.shape), u, gammas)
+    else:
+        step = functools.partial(_stage_step, rhs, scheme)
+    t = 0.0
+    for n in range(1, nsteps + 1):
+        h = dt if n < nsteps else h_last
+        state, t = step(state, h), t + h
+        if not np.isfinite(state).all():
+            raise IntegrationDivergedError(n, t)
+    return state
 
 
 def _step_band(op: SpatialOperator, h: float, gammas) -> np.ndarray:
@@ -279,26 +295,27 @@ def _row_tiles(band: np.ndarray):
     return tiles, index, apply
 
 
-def _tiled_step(op: SpatialOperator, scheme: RKScheme):
-    """`n` steps of size h of u' = L u in 1D, u in place: Q1 if n = 1, else n/2 pairs by Q2 (`_row_tiles`).
+def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
+    """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place by `_row_tiles`.
 
-    Q1 is built once per distinct h, Q2 and the tiles of each once.  The first pair that leaves u non-finite
-    raises `IntegrationDivergedError`, the steps and time counted from the call's start.
+    The full steps go in pairs by Q2, then the odd full step and the last one by Q1.  Q1 is built once per
+    distinct h, Q2 once from Q1 at dt.  The first product that leaves the state non-finite raises
+    `IntegrationDivergedError` with its step and time.
     """
-    gammas, size = stability_coefficients(scheme), op.mesh.num_cells * op.space.dof
+    gammas, u, (pairs, odd) = stability_coefficients(scheme), state.reshape(-1), divmod(nsteps - 1, 2)
     band = functools.cache(lambda h: _step_band(op, h, gammas))
-    kernel = functools.cache(lambda h, paired: _row_tiles(_pair_band(band(h)) if paired else band(h))[2])
-
-    def step(state, h, n):
-        if state.dtype != np.float64 or not state.flags.c_contiguous or state.size != size:
-            raise ValueError(f"P(hL) steps a C-contiguous float64 state of {size} entries")  # it is stepped in place
-        apply, u = kernel(h, n > 1), state.reshape(-1)
-        for pair in range(1, max(1, n // 2) + 1):  # Q1 once, or Q2 n/2 times
-            if apply(u) and n > 1:  # a single step is checked by its caller, which knows its step
-                raise IntegrationDivergedError(2 * pair, 2 * pair * h)
-        return state
-
-    return step
+    single = functools.cache(lambda h: _row_tiles(band(h))[2])
+    if pairs:
+        apply = _row_tiles(_pair_band(band(dt)))[2]
+        for pair in range(1, pairs + 1):
+            if apply(u):
+                raise IntegrationDivergedError(2 * pair, 2 * pair * dt)
+    step, t = 2 * pairs, 2 * pairs * dt
+    for h in (dt,) * odd + (h_last,):
+        step, t = step + 1, t + h
+        if single(h)(u):
+            raise IntegrationDivergedError(step, t)
+    return state
 
 
 def _power(base: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
@@ -350,17 +367,13 @@ def integrate(rhs, u0, cfg: IntegrationConfig):
     than ENERGY_GROWTH_TOL (relative).
     """
     is_field = isinstance(u0, ModalField)
-    state = np.array(u0.coeffs if is_field else u0, dtype=float, copy=True)
+    state = np.array(u0.coeffs if is_field else u0, dtype=float, order="C")  # a copy the marches may step in place
     mesh = rhs.mesh if isinstance(rhs, SpatialOperator) else getattr(u0, "mesh", None)  # a field's mesh is checked to be L's
     dt = cfg.resolve_dt(None if mesh is None else mesh.min_width)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     t_last = (nsteps - 1) * dt  # where the last step starts
     h_last = cfg.t_final - t_last
-    scheme = SCHEMES[cfg.scheme]
-    if is_field:
-        weights = mass_weights(u0.space, u0.mesh).ravel()
-        energy = lambda arr: float((arr * arr).ravel() @ weights)  # `ModalField.norm_l2_squared` of arr
-        energy0 = energy(state)
+    energy0 = u0.norm_l2_squared() if is_field else None
     if isinstance(rhs, SpatialOperator):
         if is_field and u0.space != rhs.space:
             raise ValueError("field space does not match operator space")
@@ -369,38 +382,25 @@ def integrate(rhs, u0, cfg: IntegrationConfig):
         shape = tuple(axis.num_cells for axis in rhs.mesh.axes) + (rhs.space.dof,)
         if state.shape != shape:
             raise ValueError(f"state of shape {state.shape} does not match the operator's coefficients {shape}")
+        one_d = rhs.space.dimension == 1
+        march = _spectral_march if rhs.spectral_route is not None else _tiled_march if one_d else _stepped_march
+    else:
+        march, f = _stepped_march, rhs
+        rhs = (lambda arr: f(u0.like(arr)).coeffs) if is_field else f  # a callable maps fields to fields
     # overflow in a blowing-up state is reported via IntegrationDivergedError, not as a numpy warning mid-run;
     # a finite but huge state has an infinite energy, reported as growth
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(rhs, SpatialOperator) and rhs.spectral_route is not None:
-            state, t = _spectral_march(rhs, state, dt, nsteps, h_last, scheme), t_last + h_last
-            if not np.isfinite(state).all():
-                raise IntegrationDivergedError(nsteps, t)
-        else:
-            if not isinstance(rhs, SpatialOperator):
-                advance, pairs = _stage_step((lambda arr: rhs(u0.like(arr)).coeffs) if is_field else rhs, scheme), 0
-            elif rhs.space.dimension == 1:
-                advance, pairs = _tiled_step(rhs, scheme), (nsteps - 1) // 2
-            else:  # Horner's rule on the vector with the CSR L
-                mat, gammas, pairs = rhs.matrix, stability_coefficients(scheme), 0
-                advance = lambda u, h, n: u + _horner_increment(lambda w: h * (mat @ w.ravel()).reshape(w.shape), u, gammas)
-            t, step = 0.0, 0
-            if pairs:  # every full step but the odd one, from t = 0, in one call that checks each pair
-                step = 2 * pairs
-                state, t = advance(state, dt, step), step * dt
-            while step < nsteps:  # the odd full step and the last one, of h_last, or every step of the run
-                h = dt if step < nsteps - 1 else h_last
-                state = advance(state, h, 1)
-                step, t = step + 1, t + h
-                if not np.isfinite(state).all():
-                    raise IntegrationDivergedError(step, t)
+        state = march(rhs, state, dt, nsteps, h_last, SCHEMES[cfg.scheme])
+        if not np.isfinite(state).all():
+            raise IntegrationDivergedError(nsteps, t_last + h_last)
         if not is_field:
             return state
-        growth = energy(state) - energy0
+        u = u0.like(state)
+        growth = u.norm_l2_squared() - energy0
     if growth > ENERGY_GROWTH_TOL * energy0:
         reason = f"discrete energy grew by {growth / energy0:.3e} relative (unstable step; reduce time.c)"
-        raise IntegrationDivergedError(nsteps, t, reason)
-    return u0.like(state)
+        raise IntegrationDivergedError(nsteps, t_last + h_last, reason)
+    return u
 
 
 def energy_drift(energy_series) -> float:

@@ -148,7 +148,8 @@ class TestParseConfig:
             (BASE_1D.replace("space.kind = P1D\n", ""), "space.kind: missing"),
             (BASE_1D.replace("space.degree = 1\n", ""), "space.degree: missing"),
             (BASE_1D.replace("space.degree = 1", "space.degree = two"), "expected an integer"),
-            (BASE_1D.replace("space.degree = 1", "space.degree = -1"), "space:"),
+            (BASE_1D.replace("space.degree = 1", "space.degree = -1"), "space.degree:"),
+            (BASE_1D.replace("space.kind = P1D", "space.kind = p1d"), "space.kind: expected one of"),
             (BASE_1D.replace("P1D", "Q2D"), "is 2D but problem"),
             (BASE_1D.replace("mesh.family = uniform", "mesh.family = chebyshev"), "mesh.family"),
             (_with(BASE_1D.replace("uniform", "alpha")), "mesh.alpha: required"),

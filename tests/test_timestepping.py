@@ -187,7 +187,7 @@ class TestConfig:
             IntegrationConfig(t_final=1.0, scheme="nope")
 
 
-# -- the linear route: u <- P(hL) u on the assembled L of a declined operator ----
+# -- the P(hL) routes: u <- P(hL) u for an operator with no diagonalising basis --
 
 
 def _alpha_operator(k=2, n=12):
@@ -236,24 +236,34 @@ def test_matrix_step_equals_one_stage_loop_step(name):
         assert np.max(np.abs(fast - stages)) <= 1e-14 * np.max(np.abs(stages))
 
 
-def test_a_declined_1d_operator_builds_each_step_once_per_run(monkeypatch):
-    # Q1 = P(hL) - I is built once per distinct h of the run, and the pair increment once, from Q1 at dt
+@pytest.mark.parametrize(
+    "steps, dt",
+    [(0.37, None), (1.37, None), (6.37, None), (7.37, None), (8, 2.0**-10)],
+    ids=["one-step", "odd-step", "pairs", "pairs-odd-step", "exact-divisor"],
+)
+def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, monkeypatch):
+    # Q1 = P(hL) - I is built once per distinct h of the run, the pair increment once from Q1 at dt, and the
+    # kernel runs once per pair, once for the odd full step if there is one, and once for the last step
     op, u0 = _alpha_operator()
     assert op.spectral_route is None
-    dt = 0.01 * u0.mesh.min_width
-    cfg = IntegrationConfig(t_final=7.37 * dt)
-    h_last = cfg.t_final - 7 * dt
-    steps, pairs = [], []
+    dt = dt or 0.01 * u0.mesh.min_width
+    cfg = IntegrationConfig(t_final=steps * dt, dt=dt)
+    nsteps = math.ceil(steps)
+    (pairs, odd), h_last = divmod(nsteps - 1, 2), cfg.t_final - (nsteps - 1) * dt
+    assert (h_last == dt) == (steps == 8)  # the exact divisor's last step is a full one
+    built, paired = [], []
     step_band, pair_band = timestepping._step_band, timestepping._pair_band
-    monkeypatch.setattr(timestepping, "_step_band", lambda op, h, gammas: steps.append(h) or step_band(op, h, gammas))
-    monkeypatch.setattr(timestepping, "_pair_band", lambda q: pairs.append(q) or pair_band(q))
-    integrate(op, u0, cfg)  # three pairs, the odd full step, and the shortened last step
-    assert steps == [dt, h_last]
-    assert len(pairs) == 1
+    monkeypatch.setattr(timestepping, "_step_band", lambda op, h, gammas: built.append(h) or step_band(op, h, gammas))
+    monkeypatch.setattr(timestepping, "_pair_band", lambda q: paired.append(q) or pair_band(q))
+    products = _counted_products(monkeypatch)
+    integrate(op, u0, cfg)
+    assert built == [dt] * (nsteps > 1) + [h_last] * (h_last != dt)
+    assert len(paired) == (pairs > 0)
+    assert len(products) == pairs + odd + 1
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
-def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
+def test_a_stepped_2d_operator_forms_no_increment(kind, monkeypatch):
     # a 2D Q2 would fill in: every step is Horner's rule on the vector
     _stepped(monkeypatch)  # Q2D off its per-axis eigenbases
     formed = []
@@ -267,13 +277,15 @@ def test_a_declined_2d_operator_forms_no_increment(kind, monkeypatch):
 
 
 def _single_steps(op, u0, cfg):
-    """The run's coefficients after every step taken alone by Q1's tiles, as the march takes the odd one."""
-    advance = timestepping._tiled_step(op, SCHEMES[cfg.scheme])
+    """The run's coefficients after every step taken alone by Q1's tiles, as the march takes the odd one and the last."""
+    gammas = stability_coefficients(SCHEMES[cfg.scheme])
     dt = cfg.resolve_dt(op.mesh.min_width)
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    h_last = cfg.t_final - (nsteps - 1) * dt
+    full, last = (timestepping._row_tiles(timestepping._step_band(op, h, gammas))[2] for h in (dt, h_last))
     state = u0.coeffs.copy()
     for step in range(nsteps):
-        state = advance(state, dt if step < nsteps - 1 else cfg.t_final - (nsteps - 1) * dt, 1)
+        (full if step < nsteps - 1 else last)(state.reshape(-1))
     return state
 
 
@@ -380,13 +392,13 @@ def test_a_paired_advance_is_the_pair_product_added_to_the_state(k, mesh):
     mesh = _WRAPPING_MESHES[mesh]
     op = SpatialOperator(mesh, SpaceKind("P1D", k))
     dt = 0.01 * mesh.min_width
-    q2 = _dense(timestepping._pair_band(timestepping._step_band(op, dt, stability_coefficients(SCHEMES["rk4"]))))
-    advance = timestepping._tiled_step(op, SCHEMES["rk4"])
-    x = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1))
+    pair = timestepping._pair_band(timestepping._step_band(op, dt, stability_coefficients(SCHEMES["rk4"])))
+    q2, advance = _dense(pair), timestepping._row_tiles(pair)[2]
+    x = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1)).ravel()
     for _ in range(3):
-        before = x.ravel().copy()
-        assert advance(x, dt, 2) is x
-        assert np.max(np.abs(x.ravel() - (before + q2 @ before))) <= 1e-14 * np.max(np.abs(before))
+        before = x.copy()
+        assert not advance(x)  # in place, and still finite
+        assert np.max(np.abs(x - (before + q2 @ before))) <= 1e-14 * np.max(np.abs(before))
 
 
 def _counted_products(monkeypatch, seed=None):
@@ -403,22 +415,6 @@ def _counted_products(monkeypatch, seed=None):
 
     monkeypatch.setattr(np, "matmul", counted)
     return calls
-
-
-def test_a_state_the_kernel_cannot_read_is_rejected_before_it_runs(monkeypatch):
-    calls = _counted_products(monkeypatch)
-    op, u0 = _alpha_operator()
-    advance = timestepping._tiled_step(op, SCHEMES["rk4"])
-    dt = 0.01 * u0.mesh.min_width
-    size = u0.coeffs.size
-    for state in (np.ones(size + 3), np.ones(size - 3), np.ones(size, dtype=np.float32), np.ones(2 * size)[::2]):
-        before = state.copy()
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            advance(state, dt, 2)
-        assert not calls
-        np.testing.assert_array_equal(state, before)
-    advance(np.ones(size), dt, 2)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -650,6 +646,35 @@ def test_operator_route_takes_dt_from_its_mesh_for_an_array(route):
     op, u0 = _ROUTE_OPERATORS[route]()
     cfg = IntegrationConfig(t_final=0.1)
     np.testing.assert_array_equal(integrate(op, u0.coeffs, cfg), integrate(op, u0, cfg).coeffs)
+
+
+_LAYOUTS = {
+    "F-ordered": np.asfortranarray,
+    "strided": lambda a: np.stack([a, -a], axis=-1)[..., 0],  # every other entry of a larger buffer
+    "float32": lambda a: a.astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("as_field", [False, True], ids=["array", "field"])
+@pytest.mark.parametrize("route", sorted(_ROUTE_OPERATORS) + ["callable"])
+def test_a_state_of_any_layout_marches_as_its_c_ordered_float64_copy(route, as_field, layout):
+    # the 1D tiles step a reshaped state in place: an F-ordered one would reshape to a copy and be left unchanged
+    op, u0 = _ROUTE_OPERATORS["P(hL)-1d" if route == "callable" else route]()
+    rhs = op
+    if route == "callable":  # the 1D alpha operator by the stages
+        rhs = op.apply_rhs if as_field else (lambda v: op.apply_rhs(u0.like(v)).coeffs)
+    state = _LAYOUTS[layout](u0.coeffs)
+    assert state.dtype != np.float64 or not state.flags.c_contiguous
+    cfg = IntegrationConfig(t_final=0.1, dt=0.01)
+
+    def run(coeffs):
+        return integrate(rhs, u0.like(coeffs), cfg).coeffs if as_field else integrate(rhs, coeffs, cfg)
+
+    expected, before = run(np.ascontiguousarray(state, dtype=float)), state.copy()
+    assert np.max(np.abs(expected - u0.coeffs)) > 1e-6  # the run moved the state
+    np.testing.assert_array_equal(run(state), expected)
+    np.testing.assert_array_equal(state, before)  # the march steps its own copy
 
 
 def test_stepped_2d_route_divergence_reports_step_and_time():
