@@ -22,10 +22,13 @@ a dense one per axis, and `SpatialOperator.propagate` reads it as the Bloch
 symbol of each wavenumber.  `propagate` diagonalises L with its mass-scaled
 skew form: Q2D by a dense eigenbasis of each axis's L (diagonal on their product),
 P1D and P2D on uniform axes by the Bloch symbols, written once for any
-number of axes.  L is real, so the symbol at -xi is the conjugate of the one
-at xi (Zhong & Shu, CMAME 2011): the Bloch route keeps the half spectrum
-xi_0 >= 0 of a real transform on cell axis 0.  The time integrator marches
-with one or the other, and in 1D builds P(hL) from the triple itself.
+number of axes.  L is real, so its modes come in conjugate pairs (Zhong &
+Shu, CMAME 2011), and both routes march one mode of each pair: the axes
+route the null block and the omega > 0 half of the first axis's eigenbasis,
+in real GEMMs on [Re V | Im V], and the Bloch route the half spectrum
+xi_0 >= 0 of a real transform on cell axis 0 (the symbol at -xi is the
+conjugate of the one at xi).  The time integrator marches with one or the
+other, and in 1D builds P(hL) from the triple itself.
 The superconvergence probes read L too: `_tested` lays the block triple over
 one cell, giving (u_t, v) for every basis v, and `_form_residual` compares
 it for a projected solution and for the exact one.  The form evaluated by
@@ -66,6 +69,12 @@ _UNIFORM_RTOL = 1e-12
 # at P3 N=256 the whole stack is 105 MB, and a march in one block raised the
 # level's peak RSS by 285 MB where blocks of rows raise it by 8 MB.
 _BLOCH_ENTRIES = 1 << 18
+
+# |omega| at or below this fraction of an axis's largest |omega| is its null block (`_axis_bases`).  On
+# the Q2 axes of k = 0..4, N = 1..65 (uniform, alpha and random), the computed null |omega| is roundoff,
+# below 1e-15 of the largest, and the smallest other |omega| is the slowest mode, above 4e-3 of it and
+# falling like 1 / (N (k+1)^2): the threshold lies six orders from both.
+_NULL_RTOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -174,12 +183,19 @@ class SpatialOperator:
 
     @cached_property
     def _axis_bases(self) -> tuple:
-        """Per axis, (lam, V, D) of `_skew_eigh` for L_a with D^2 its mass.
+        """Per axis, (lam, R, D, z): the conjugate half of `_skew_eigh` for L_a with D^2 its mass.
 
-        L_a and its mass depend on an axis only through k and its widths, so
-        axes of equal widths share one basis object: each distinct axis is
-        diagonalised once, in O(width^3) time and two dense complex width^2
-        arrays (width = cells x (k+1)).
+        L_a is real, so its modes pair up as (lam, v) and (conj lam, conj v).
+        Of the eigenvalues lam = -i omega (omega ascending) this keeps the null
+        block |omega| <= `_NULL_RTOL` max|omega| (its z modes span a real
+        space) and then the omega > 0 half, as R = [Re V | Im V] on those
+        columns, a real width x 2h array (h = (width + z) / 2): the omega < 0
+        half is the conjugate of the kept one and is never stored.  L_a and
+        its mass depend on an axis only through k and its widths, so axes of
+        equal widths share one basis object: each distinct axis is
+        diagonalised once, in O(width^3) time and, while `eigh` runs, two
+        dense complex width^2 arrays (width = cells x (k+1)); R keeps about
+        half the bytes of one.
         """
         space, bases = SpaceKind("P1D", self.space.degree), {}
         for axis in self.mesh.axes:
@@ -188,7 +204,12 @@ class SpatialOperator:
                 mat = np.zeros((scale.size,) * 2)
                 for rows, cols, vals in _axis_terms(axis, space):  # one term, summed as `_assemble` sums it
                     np.add.at(mat, (rows, cols), vals)
-                bases[axis.widths.tobytes()] = _skew_eigh(mat, scale) + (scale,)
+                lam, vecs = _skew_eigh(mat, scale)
+                tol = _NULL_RTOL * np.abs(lam).max()
+                # eigh sorts omega = -lam.imag: the m most negative first, the m most positive last
+                m = min(np.count_nonzero(lam.imag > tol), np.count_nonzero(lam.imag < -tol))
+                kept = vecs[:, m:]  # the null block, then the omega > 0 half
+                bases[axis.widths.tobytes()] = (lam[m:], np.hstack([kept.real, kept.imag]), scale, lam.size - 2 * m)
         return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
     def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray:
@@ -197,17 +218,35 @@ class SpatialOperator:
         In a basis that diagonalises L, with coordinates z that are unitary
         in the mass inner product (sum |z|^2 is the discrete energy), every z
         becomes gain(lam, z) for its eigenvalue lam.  `gain` is called on
-        arrays of modes, possibly several times, and may overwrite both.
+        arrays of modes, possibly several times, and may overwrite both.  It
+        must map conjugate inputs to conjugate outputs, gain(conj lam, conj z)
+        = conj gain(lam, z), as a real polynomial or power series does: both
+        routes march only one mode of each conjugate pair, weighted by sqrt(2)
+        in z, and take the other to be its conjugate.  The axes route keeps
+        the conjugate half of the first axis's modes (`_axis_bases`) against
+        all of the second's; the Bloch route keeps xi_0 >= 0.
         """
         if self.spectral_route == "axes":
-            (lx, vx, dx), (ly, vy, dy) = self._axis_bases
+            (lx, rx, dx, zx), (ly, ry, dy, zy) = self._axis_bases
             # the coefficients u_ij,ab as W[i(k+1)+a, j(k+1)+b], the layout of the Kronecker product of the axes' L
             (nx, ny), k1 = coeffs.shape[:-1], self.space.degree + 1
             w = coeffs.reshape(nx, ny, k1, k1).transpose(0, 2, 1, 3).reshape(nx * k1, ny * k1)
-            # V_x^H W conj(V_y) = conj(V_x^T W V_y) for a real W, with no conjugated copy of V
-            z = vx.T @ (dx[:, None] * w * dy) @ vy
-            z = gain(lx[:, None] + ly, np.conjugate(z, out=z))
-            w = (vx @ z @ vy.T).real / dx[:, None] / dy
+            # z = conj(V_x^T D_x W D_y V_y) on the kept x half, for the kept y modes V_y = B + iC and then for
+            # the conjugates of their omega > 0 part, all from real GEMMs: with A = V_x^T D_x W D_y, the rows of
+            # [Re A; Im A] [B | C] give P = Re(A) V_y and Q = Im(A) V_y, so A V_y = P + iQ, A conj(V_y) = conj(P) + i conj(Q)
+            hx, hy = len(lx), len(ly)
+            a = rx.T @ (dx[:, None] * w * dy) @ ry
+            p, q = a[:hx, :hy] + 1j * a[:hx, hy:], a[hx:, :hy] + 1j * a[hx:, hy:]
+            z = np.hstack([np.conj(p + 1j * q), (p - 1j * q)[:, zy:]])
+            z[zx:] *= np.sqrt(2.0)  # a kept x mode stands for itself and its conjugate
+            z = gain(lx[:, None] + np.concatenate([ly, ly[zy:].conj()]), z)
+            z[zx:] *= np.sqrt(2.0)
+            # W = Re(V_x Y) / D_x / D_y = [Re V_x | Im V_x] [Re Y; -Im Y] / D_x / D_y, Y = z [V_y | conj V_y]^T: each
+            # conjugate column of z folds into its kept partner's, so Y = M [B | C]^T, M = [z_k + z_c, i (z_k - z_c)]
+            m = np.hstack([z[:, :hy], 1j * z[:, :hy]])
+            m[:, zy:hy] += z[:, hy:]
+            m[:, hy + zy :] -= 1j * z[:, hy:]
+            w = rx @ (np.vstack([m.real, -m.imag]) @ ry.T) / dx[:, None] / dy
             return w.reshape(nx, k1, ny, k1).transpose(0, 2, 1, 3).reshape(coeffs.shape)
         if self.spectral_route != "bloch":
             raise ValueError("L has no diagonalising basis on this mesh and space")

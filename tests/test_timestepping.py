@@ -722,6 +722,13 @@ def _longdouble_march(op, u0, cfg):
 _SPECTRAL_LEVELS = {
     "Q2D-alpha-random": ("Q2D", 2, lambda: (alpha_mesh(6, 0.3, _BOX), random_mesh(5, 0.3, 7, _BOX))),
     "Q2D-alpha-odd": ("Q2D", 2, lambda: (alpha_mesh(7, 0.3, _BOX),) * 2),
+    # the axes route marches the first axis's null block at weight 1 and its omega > 0 half weighted: a
+    # null block of two modes at odd k (N = 7 and 5) or even N (6), of one at even k and odd N (N = 1)
+    "Q2D-alpha-odd-k1": ("Q2D", 1, lambda: (alpha_mesh(7, 0.3, _BOX), alpha_mesh(5, 0.3, _BOX))),
+    "Q2D-alpha-odd-k3": ("Q2D", 3, lambda: (alpha_mesh(5, 0.3, _BOX), alpha_mesh(3, 0.3, _BOX))),
+    "Q2D-uniform-k2-N6": ("Q2D", 2, lambda: (uniform_mesh(6, _BOX),) * 2),
+    "Q2D-k2-N1x7": ("Q2D", 2, lambda: (uniform_mesh(1, _BOX), alpha_mesh(7, 0.3, _BOX))),
+    "Q2D-k3-N2x5": ("Q2D", 3, lambda: (uniform_mesh(2, _BOX), alpha_mesh(5, 0.3, _BOX))),
     "P2D-uniform-k1": ("P2D", 1, lambda: (uniform_mesh(6, _BOX),) * 2),
     "P2D-uniform-k2": ("P2D", 2, lambda: (uniform_mesh(6, _BOX), uniform_mesh(5, _BOX))),
     "P2D-uniform-k2-N5x6": ("P2D", 2, lambda: (uniform_mesh(5, _BOX), uniform_mesh(6, _BOX))),
