@@ -12,7 +12,9 @@ Each error samples the exact solution with ``fields.sample`` on a Gauss grid
 of k+6 points per axis, two orders above the projection default, so
 measured errors are not quadrature artifacts; the same code serves 1D and
 2D fields.  E2 and EA read the same grid, so ``run_study`` samples it once
-per level (``error_samples``) and hands the array to both.
+per level (``error_samples``) and hands the array to both.  Without that
+array ``error_l2`` samples its grid in blocks of rows of the first cell axis,
+so a raised-order grid (the re-quadrature guard) never exists whole.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .basis import error_rule, reference_operators
 from .fields import ModalField, gauss_table, jacobian, sample
+from .mesh import Mesh1D, TensorMesh2D
 
 __all__ = [
     "error_samples",
@@ -34,6 +37,12 @@ __all__ = [
     "ConvergenceTable",
 ]
 
+# Entries of the error grid that `error_l2` samples at a time (512 KB) when it is not handed the samples.  The
+# re-quadrature E2 of `study.run_study` samples k + 8 points per axis: in one block it was the memory peak of the
+# Q2 alpha ladder (10.2 MB traced at N=65, 422,500 entries), in these blocks 1.6 MB at the same speed.  Every 1D
+# level of the shipped ladders and 2D levels up to N=25 at Q2 take one block.
+_SAMPLE_ENTRIES = 1 << 16
+
 
 def error_samples(exact, u: ModalField, t: float, extra_order: int = 0) -> np.ndarray:
     """exact(., t) on the error grid of u in every cell (shape cells + (Q,)), as E2 and EA read it."""
@@ -41,14 +50,36 @@ def error_samples(exact, u: ModalField, t: float, extra_order: int = 0) -> np.nd
 
 
 def error_l2(exact, u: ModalField, t: float, extra_order: int = 0, samples=None) -> float:
-    """sqrt of the integrated squared difference between exact(., t) and u; `samples` is its `error_samples`."""
+    """sqrt of the integrated squared difference between exact(., t) and u; `samples` is its `error_samples`.
+
+    Without `samples` the grid is sampled in blocks of rows of the first cell axis, `_SAMPLE_ENTRIES` at a time.
+    """
     g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
-    samples = error_samples(exact, u, t, extra_order) if samples is None else samples
+    if samples is not None:
+        return float(np.sqrt(_squared_error(u, g, samples)))
+    cells = u.coeffs.shape[:-1]
+    rows = max(1, _SAMPLE_ENTRIES // (np.prod(cells[1:], dtype=int) * g.weights.size))
+    total = 0.0
+    for start in range(0, cells[0], rows):
+        part = _rows(u, start, start + rows)
+        total += _squared_error(part, g, error_samples(exact, part, t, extra_order))
+    return float(np.sqrt(total))
+
+
+def _squared_error(u: ModalField, g, samples) -> float:
+    """The integrated squared difference between the samples on g's grid and u."""
     # in place in u's own array: `samples` is shared with `error_cell_average`
     diff = u.coeffs @ g.values
     np.subtract(samples, diff, out=diff)
     diff *= diff
-    return float(np.sqrt((diff @ g.weights).ravel() @ jacobian(u.mesh).ravel()))
+    return float((diff @ g.weights).ravel() @ jacobian(u.mesh).ravel())
+
+
+def _rows(u: ModalField, start: int, stop: int) -> ModalField:
+    """u on cells start..stop - 1 of its first axis, a mesh of their nodes (the other axis whole)."""
+    first, *rest = u.mesh.axes
+    part = Mesh1D(first.nodes[start : stop + 1])
+    return ModalField(u.space, TensorMesh2D(part, *rest) if rest else part, u.coeffs[start:stop])
 
 
 def _cell_average_errors(f, u: ModalField, samples=None) -> np.ndarray:

@@ -27,10 +27,11 @@ and mesh pick; all keep one time grid:
   inner product, so on this basis the steps are exactly these factors, a
   growing one too (the Fourier view of DG: Zhong & Shu, CMAME 2011): an
   unstable level grows or overflows as its steps would, and raises below.
-* `_tiled_march`: non-uniform P1D.  Q1 = P(hL) - I and Q2 = P(dt L)^2 - I =
-  2 Q1 + Q1 Q1 are built from L's `_axis_blocks` and the cell widths as
-  per-cell row blocks and applied as dense row tiles: the full steps in pairs
-  by Q2, then the odd full step and the last one by Q1.
+* `_tiled_march`: non-uniform P1D.  Q1 = P(hL) - I is built from L's
+  `_axis_blocks` and the cell widths as per-cell row blocks, and Q4 =
+  P(dt L)^4 - I = 2 Q2 + Q2 Q2 from Q2 = 2 Q1 + Q1 Q1 by doubling twice; both
+  are applied as dense row tiles: the full steps four at a time by Q4, then
+  the (n - 1) mod 4 full steps left and the last one by Q1.
 * `_stepped_march`: one step at a time.  For P2D off uniform axes a step is
   Horner's rule on the vector with the CSR L (a 2D Q2 would fill in), the one
   march route that imports ``scipy.sparse``; for a callable ``rhs`` (any
@@ -77,7 +78,7 @@ __all__ = [
 # Relative growth of the discrete energy over a run above which it is unstable.
 ENERGY_GROWTH_TOL = 1e-8
 
-_TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: fastest measured at P2 and P4 (3 to 10 within ~10%)
+_TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: on Q4 at P2 and P4, no count from 2 to 10 beat it beyond noise
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -261,7 +262,7 @@ def _step_band(op: SpatialOperator, h: float, gammas) -> np.ndarray:
 
 
 def _pair_band(q: np.ndarray) -> np.ndarray:
-    """Q2 = P(hL)^2 - I = 2 Q1 + Q1 Q1 from Q1's row blocks (`_step_band`), 4s + 1 cells wide."""
+    """P^{2m} - I = 2 Q + Q Q from the row blocks of Q = P^m - I (`_step_band` at m = 1), 2w - 1 cells wide from w."""
     cells, dof, width = q.shape[:3]
     halo = np.take(q.reshape(cells, dof, -1), np.arange(-(width // 2), cells + width // 2) % cells, axis=0)
     out = np.zeros((cells, dof, 2 * width - 1, dof))
@@ -298,20 +299,22 @@ def _row_tiles(band: np.ndarray):
 def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
     """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place by `_row_tiles`.
 
-    The full steps go in pairs by Q2, then the odd full step and the last one by Q1.  Q1 is built once per
-    distinct h, Q2 once from Q1 at dt.  The first product that leaves the state non-finite raises
-    `IntegrationDivergedError` with its step and time.
+    The full steps go four at a time by Q4 = P(dt L)^4 - I, then the (nsteps - 1) mod 4 left and the last one by
+    Q1.  Q1 is built once per distinct h, Q4 once from Q1 at dt by two doublings (`_pair_band`); only Q4's tiles
+    are kept.  Four steps per product is the measured optimum: eight (a 65-cell band for rk4) was slower at
+    every level of the P2 alpha ladder, its tiles spilling out of cache.  The first product that leaves the
+    state non-finite raises `IntegrationDivergedError` with its last step and that step's time.
     """
-    gammas, u, (pairs, odd) = stability_coefficients(scheme), state.reshape(-1), divmod(nsteps - 1, 2)
+    gammas, u, (quads, rest) = stability_coefficients(scheme), state.reshape(-1), divmod(nsteps - 1, 4)
     band = functools.cache(lambda h: _step_band(op, h, gammas))
     single = functools.cache(lambda h: _row_tiles(band(h))[2])
-    if pairs:
-        apply = _row_tiles(_pair_band(band(dt)))[2]
-        for pair in range(1, pairs + 1):
+    if quads:
+        apply = _row_tiles(_pair_band(_pair_band(band(dt))))[2]
+        for quad in range(1, quads + 1):
             if apply(u):
-                raise IntegrationDivergedError(2 * pair, 2 * pair * dt)
-    step, t = 2 * pairs, 2 * pairs * dt
-    for h in (dt,) * odd + (h_last,):
+                raise IntegrationDivergedError(4 * quad, 4 * quad * dt)
+    step, t = 4 * quads, 4 * quads * dt
+    for h in (dt,) * rest + (h_last,):
         step, t = step + 1, t + h
         if single(h)(u):
             raise IntegrationDivergedError(step, t)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgcentral import metrics
 from dgcentral.basis import error_rule
 from dgcentral.fields import ModalField, SpaceKind, gauss_table, jacobian, l2_project
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
@@ -156,6 +157,39 @@ def test_error_norms_equal_their_out_of_place_expressions(dimension):
     np.testing.assert_array_equal(samples, before)
     assert error_cell_average(exact, u, 0.3, samples=samples) == ea
     assert error_l2(exact, u, 0.3) == e2 and error_cell_average(exact, u, 0.3) == ea
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_error_l2_samples_its_grid_in_blocks_of_first_axis_rows(dimension, monkeypatch):
+    # without a shared sample, error_l2 samples at most _SAMPLE_ENTRIES entries at a time (whole rows of the
+    # first cell axis, at least one); a level that fits takes one block, the same sample as error_samples
+    if dimension == 1:
+        mesh, space = random_mesh(11, 0.3, 5, (0.0, TWO_PI)), SpaceKind("P1D", 3)
+        exact = lambda x, t: np.exp(np.sin(x - t))
+    else:
+        mesh = tensor_mesh(alpha_mesh(7, 0.3, (0.0, TWO_PI)), random_mesh(4, 0.3, 7, (0.0, TWO_PI)))
+        space = SpaceKind("Q2D", 2)
+        exact = lambda x, y, t: np.exp(np.sin(x + y - 2.0 * t))
+    u = l2_project(lambda *x: exact(*x, 0.0), mesh, space)
+    whole = error_l2(exact, u, 0.3, samples=error_samples(exact, u, 0.3, extra_order=2), extra_order=2)
+    shapes, sample = [], metrics.error_samples
+
+    def counted(*args, **kwargs):
+        out = sample(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(metrics, "error_samples", counted)
+    assert error_l2(exact, u, 0.3, extra_order=2) == whole
+    row = int(np.prod(u.coeffs.shape[1:-1])) * (space.degree + 8) ** dimension  # entries per row of cells
+    assert len(shapes) == 1 and np.prod(shapes[0]) <= metrics._SAMPLE_ENTRIES
+    for rows, blocks in ((3, [3, 3, 1] if dimension == 2 else [3, 3, 3, 2]), (1, [1] * mesh.axes[0].num_cells)):
+        shapes.clear()
+        monkeypatch.setattr(metrics, "_SAMPLE_ENTRIES", rows * row + row - 1)
+        assert error_l2(exact, u, 0.3, extra_order=2) == pytest.approx(whole, rel=1e-14)
+        assert [shape[0] for shape in shapes] == blocks
+    monkeypatch.setattr(metrics, "_SAMPLE_ENTRIES", 1)  # a row over the budget is still one block
+    assert error_l2(exact, u, 0.3, extra_order=2) == pytest.approx(whole, rel=1e-14)
 
 
 class TestConvergenceTable:

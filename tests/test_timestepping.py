@@ -227,9 +227,9 @@ def test_matrix_step_equals_one_stage_loop_step(name):
     # coefficient arrays, not fields: euler and heun would trip the energy guard
     op, u0 = _alpha_operator()
     dt = 0.01 * u0.mesh.min_width
-    # a full step, a full step followed by a shortened last one, then paired
-    # full steps with an odd or even count left before the last step
-    for t_final in (dt, 1.37 * dt, 5.37 * dt, 6.37 * dt, 8 * dt):
+    # a full step, a full step followed by a shortened last one, then four full
+    # steps at a time with 0, 1, 2 or 3 full steps left before the last step
+    for t_final in (dt, 1.37 * dt, 4.37 * dt, 5.37 * dt, 6.37 * dt, 8 * dt):
         cfg = IntegrationConfig(t_final=t_final, scheme=name, dt=dt)
         fast = integrate(op, u0.coeffs, cfg)
         stages = integrate(lambda v: op.apply_rhs(u0.like(v)).coeffs, u0.coeffs, cfg)
@@ -238,28 +238,28 @@ def test_matrix_step_equals_one_stage_loop_step(name):
 
 @pytest.mark.parametrize(
     "steps, dt",
-    [(0.37, None), (1.37, None), (6.37, None), (7.37, None), (8, 2.0**-10)],
-    ids=["one-step", "odd-step", "pairs", "pairs-odd-step", "exact-divisor"],
+    [(0.37, None), (1.37, None), (4.37, None), (6.37, None), (7.37, None), (8, 2.0**-10), (9.37, None)],
+    ids=["one-step", "odd-step", "quad", "quad-two-steps", "quad-three-steps", "exact-divisor", "quads-odd-step"],
 )
 def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, monkeypatch):
-    # Q1 = P(hL) - I is built once per distinct h of the run, the pair increment once from Q1 at dt, and the
-    # kernel runs once per pair, once for the odd full step if there is one, and once for the last step
+    # Q1 = P(hL) - I is built once per distinct h of the run, the quad increment once from Q1 at dt by two
+    # doublings, and the kernel runs once per quad, once per full step left over, and once for the last step
     op, u0 = _alpha_operator()
     assert op.spectral_route is None
     dt = dt or 0.01 * u0.mesh.min_width
     cfg = IntegrationConfig(t_final=steps * dt, dt=dt)
     nsteps = math.ceil(steps)
-    (pairs, odd), h_last = divmod(nsteps - 1, 2), cfg.t_final - (nsteps - 1) * dt
+    (quads, rest), h_last = divmod(nsteps - 1, 4), cfg.t_final - (nsteps - 1) * dt
     assert (h_last == dt) == (steps == 8)  # the exact divisor's last step is a full one
-    built, paired = [], []
+    built, doubled = [], []
     step_band, pair_band = timestepping._step_band, timestepping._pair_band
     monkeypatch.setattr(timestepping, "_step_band", lambda op, h, gammas: built.append(h) or step_band(op, h, gammas))
-    monkeypatch.setattr(timestepping, "_pair_band", lambda q: paired.append(q) or pair_band(q))
+    monkeypatch.setattr(timestepping, "_pair_band", lambda q: doubled.append(q.shape[2]) or pair_band(q))
     products = _counted_products(monkeypatch)
     integrate(op, u0, cfg)
     assert built == [dt] * (nsteps > 1) + [h_last] * (h_last != dt)
-    assert len(paired) == (pairs > 0)
-    assert len(products) == pairs + odd + 1
+    assert doubled == [9, 17] * (quads > 0)  # Q1 (2s + 1 = 9 cells for rk4), then Q2 (17 cells) into Q4
+    assert len(products) == quads + rest + 1
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
@@ -277,7 +277,7 @@ def test_a_stepped_2d_operator_forms_no_increment(kind, monkeypatch):
 
 
 def _single_steps(op, u0, cfg):
-    """The run's coefficients after every step taken alone by Q1's tiles, as the march takes the odd one and the last."""
+    """The run's coefficients after every step taken alone by Q1's tiles, as the march takes those after its quads."""
     gammas = stability_coefficients(SCHEMES[cfg.scheme])
     dt = cfg.resolve_dt(op.mesh.min_width)
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
@@ -320,7 +320,8 @@ def test_the_step_band_is_the_polynomial_in_hl_minus_identity():
     np.testing.assert_allclose(_dense(euler), hl, rtol=0, atol=1e-15)
 
 
-# Q2 couples 4s+1 = 17 cells (rk4): it wraps the periodic meshes of N <= 8 and sums duplicate entries; N = 40 does not
+# Q2 couples 4s+1 = 17 cells (rk4) and Q4 8s+1 = 33: they wrap the periodic meshes of N <= 8 and N <= 16 and sum
+# duplicate entries; N = 40 wraps neither
 _WRAPPING_MESHES = {
     "alpha2": alpha_mesh(2, 0.1, (0.0, 1.0)),
     "alpha4": alpha_mesh(4, 0.1, (0.0, 1.0)),
@@ -343,10 +344,13 @@ def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh):
     step = np.identity(len(q)) + q
     expected = step @ step - np.identity(len(q))
     pair = timestepping._pair_band(timestepping._step_band(op, h, stability_coefficients(scheme)))
-    assert pair.shape[2] == 4 * scheme.stages + 1
+    quad = timestepping._pair_band(pair)  # the march's doubling of the pair: P(hL)^4 - I
+    assert pair.shape[2] == 4 * scheme.stages + 1 and quad.shape[2] == 8 * scheme.stages + 1
     # relative to the size of the blocks summed: a wrapped mesh sums blocks of several offsets into one entry,
     # and at k = 0 on N = 2 they cancel (L u_j = (u_j+1 - u_j-1) / 2h_j is 0) up to the roundoff of each block
     assert np.max(np.abs(_dense(pair) - expected)) <= 1e-14 * np.max(_dense(np.abs(pair)))
+    expected = (expected + np.identity(len(q))) @ (expected + np.identity(len(q))) - np.identity(len(q))
+    assert np.max(np.abs(_dense(quad) - expected)) <= 1e-14 * np.max(_dense(np.abs(quad)))
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -356,20 +360,21 @@ def test_the_row_tiles_hold_the_pair_increment_exactly(k, mesh):
     mesh = _WRAPPING_MESHES[mesh]
     op, gammas = SpatialOperator(mesh, SpaceKind("P1D", k)), stability_coefficients(SCHEMES["rk4"])
     pair = timestepping._pair_band(timestepping._step_band(op, 0.01 * mesh.min_width, gammas))
-    tiles, index, _ = timestepping._row_tiles(pair)
-    cells, dof, width = pair.shape[:3]
-    c, w = timestepping._TILE_CELLS, width // 2
-    count = -(-cells // c)
-    assert tiles.shape == (count, c * dof, (c + 2 * w) * dof)
-    # the extended state is u periodically continued from cell -w, through the last tile's window
-    assert np.array_equal(index, np.arange(-w * dof, (count * c + w) * dof) % (cells * dof))
-    # row cell t c + i of tile t reads window cells i .. i + 2w: cells t c + i - w .. t c + i + w
-    blocks = tiles.reshape(count * c, dof, c + 2 * w, dof)
-    for row in range(count * c):
-        i = row % c
-        held = blocks[row, :, i : i + width]
-        assert np.array_equal(held, pair[row] if row < cells else np.zeros_like(held))
-        assert not np.any(blocks[row, :, :i]) and not np.any(blocks[row, :, i + width :])
+    for band in (pair, timestepping._pair_band(pair)):  # the pair, and the quad the march applies
+        tiles, index, _ = timestepping._row_tiles(band)
+        cells, dof, width = band.shape[:3]
+        c, w = timestepping._TILE_CELLS, width // 2
+        count = -(-cells // c)
+        assert tiles.shape == (count, c * dof, (c + 2 * w) * dof)
+        # the extended state is u periodically continued from cell -w, through the last tile's window
+        assert np.array_equal(index, np.arange(-w * dof, (count * c + w) * dof) % (cells * dof))
+        # row cell t c + i of tile t reads window cells i .. i + 2w: cells t c + i - w .. t c + i + w
+        blocks = tiles.reshape(count * c, dof, c + 2 * w, dof)
+        for row in range(count * c):
+            i = row % c
+            held = blocks[row, :, i : i + width]
+            assert np.array_equal(held, band[row] if row < cells else np.zeros_like(held))
+            assert not np.any(blocks[row, :, :i]) and not np.any(blocks[row, :, i + width :])
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
@@ -388,17 +393,18 @@ def test_paired_march_equals_its_single_steps(k, family):
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
 def test_a_paired_advance_is_the_pair_product_added_to_the_state(k, mesh):
-    # the product overwrites its buffer: each pair must start from none of the last one's product
+    # the product overwrites its buffer: each pair (or quad) must start from none of the last one's product
     mesh = _WRAPPING_MESHES[mesh]
     op = SpatialOperator(mesh, SpaceKind("P1D", k))
     dt = 0.01 * mesh.min_width
     pair = timestepping._pair_band(timestepping._step_band(op, dt, stability_coefficients(SCHEMES["rk4"])))
-    q2, advance = _dense(pair), timestepping._row_tiles(pair)[2]
-    x = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1)).ravel()
-    for _ in range(3):
-        before = x.copy()
-        assert not advance(x)  # in place, and still finite
-        assert np.max(np.abs(x - (before + q2 @ before))) <= 1e-14 * np.max(np.abs(before))
+    for band in (pair, timestepping._pair_band(pair)):
+        increment, advance = _dense(band), timestepping._row_tiles(band)[2]
+        x = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1)).ravel()
+        for _ in range(3):
+            before = x.copy()
+            assert not advance(x)  # in place, and still finite
+            assert np.max(np.abs(x - (before + increment @ before))) <= 1e-14 * np.max(np.abs(before))
 
 
 def _counted_products(monkeypatch, seed=None):
@@ -421,7 +427,7 @@ def _counted_products(monkeypatch, seed=None):
 @pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
 def test_the_tiled_march_matches_horner_steps_on_the_assembled_matrix(mesh, single, k):
-    # the pairs (the march) or the single steps against s products with the CSR L per step
+    # the quads (the march) or the single steps against s products with the CSR L per step
     mesh = _WRAPPING_MESHES[mesh]
     space = SpaceKind("P1D", k)
     op, u0 = SpatialOperator(mesh, space), l2_project(lambda x: np.exp(np.sin(2.0 * np.pi * x)), mesh, space)
@@ -493,16 +499,16 @@ def test_every_route_loses_only_rk4s_damping_of_the_energy(route):
 
 
 def test_matrix_path_divergence_reports_step_and_time():
-    # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps, taken in pairs
+    # |P(hL)| ~ (h|L|)^4 / 24 per step at h = 1000 overflows within a few dozen steps, taken four at a time
     op, u0 = _alpha_operator()
     with pytest.raises(IntegrationDivergedError, match="non-finite") as err:
         integrate(op, u0, IntegrationConfig(t_final=1e6, dt=1e3))
-    assert err.value.step == 22  # the 11th pair is the first whose state overflows
+    assert err.value.step == 24  # the 6th quad is the first whose state overflows
     assert err.value.time == pytest.approx(1e3 * err.value.step)
 
 
 def test_an_unstable_alpha_level_reports_the_pair_that_overflows():
-    # rk4 at k = 2 is stable up to c ~ 0.35: at c = 0.5 the paired march overflows before T = 100
+    # rk4 at k = 2 is stable up to c ~ 0.35: at c = 0.5 the march overflows before T = 100, in its 113th quad
     op, u0 = _alpha_operator(n=40)
     with pytest.raises(IntegrationDivergedError) as err:
         integrate(op, u0, IntegrationConfig(t_final=100.0, c=0.5))
@@ -522,7 +528,8 @@ def test_a_finite_state_of_infinite_energy_reports_its_growth_without_a_warning(
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("pair", [1, 5])
 def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monkeypatch):
-    # the kernel writes `value` into one entry of its product at the given pair (1-based), as an overflow would
+    # the kernel writes `value` into one entry of its product at the given product (1-based), as an overflow
+    # would; the run's 21 steps are 5 quads and the last step, so product `pair` ends at step 4 pair
 
     def seed(calls, out):
         if len(calls) == pair:
@@ -531,10 +538,10 @@ def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monk
     calls = _counted_products(monkeypatch, seed)
     op, u0 = _alpha_operator()
     dt = 0.01 * u0.mesh.min_width
-    with pytest.raises(IntegrationDivergedError, match=f"non-finite state detected at step {2 * pair} ") as err:
+    with pytest.raises(IntegrationDivergedError, match=f"non-finite state detected at step {4 * pair} ") as err:
         integrate(op, u0, IntegrationConfig(t_final=20.37 * dt))
     assert len(calls) == pair
-    assert err.value.time == pytest.approx(2 * pair * dt)
+    assert err.value.time == pytest.approx(4 * pair * dt)
 
 
 def _operator_2d(kind="Q2D", k=2):
@@ -758,6 +765,41 @@ def test_spectral_route_matches_a_longdouble_march(level):
     for norm in (error_l2, error_cell_average) + ((error_interface_flux,) if one_d else ()):
         r = norm(prob.exact, ref, 1.0)
         assert abs(norm(prob.exact, fast, 1.0) - r) <= 1e-10 * abs(r) + 1e-13
+
+
+# (family, k, N, steps): the 33-cell Q4 band of rk4 wraps N = 1, 2 and 3 many times over, and ceil(steps) - 1
+# full steps leave (n - 1) mod 4 = 0, 1, 2 or 3 of them to Q1 after the quads; N = 40 and 20 wrap no band
+_TILED_LEVELS = {
+    "alpha-k0-N1-rest0": ("alpha", 0, 1, 36.37),
+    "alpha-k1-N2-rest1": ("alpha", 1, 2, 37.37),
+    "alpha-k2-N3-rest2": ("alpha", 2, 3, 38.37),
+    "alpha-k3-N2-rest3": ("alpha", 3, 2, 39.37),
+    "alpha-k4-N3-rest0": ("alpha", 4, 3, 40.37),
+    "alpha-k2-N40": ("alpha", 2, 40, None),
+    "random-k0-N3-rest3": ("random", 0, 3, 39.37),
+    "random-k1-N1-rest2": ("random", 1, 1, 38.37),
+    "random-k2-N2-rest1": ("random", 2, 2, 37.37),
+    "random-k3-N3-rest0": ("random", 3, 3, 36.37),
+    "random-k4-N2-rest2": ("random", 4, 2, 42.37),
+    "random-k4-N20": ("random", 4, 20, None),
+}
+
+
+@pytest.mark.parametrize("level", list(_TILED_LEVELS))
+def test_tiled_route_matches_a_longdouble_march(level, monkeypatch):
+    family, k, n, steps = _TILED_LEVELS[level]
+    mesh = alpha_mesh(n, 0.1, _BOX) if family == "alpha" else random_mesh(n, 0.3, 11, _BOX)
+    if n == 1:  # one cell is a uniform mesh: sent off the Bloch route
+        _stepped(monkeypatch)
+    prob, space = PROBLEMS["advect1d_expsin"], SpaceKind("P1D", k)
+    op, u0 = SpatialOperator(mesh, space), l2_project(prob.initial, mesh, space)
+    assert op.spectral_route is None
+    dt = 0.01 * mesh.min_width
+    cfg = IntegrationConfig(t_final=1.0) if steps is None else IntegrationConfig(t_final=steps * dt, dt=dt)
+    fast, ref = integrate(op, u0, cfg), _longdouble_march(op, u0, cfg)
+    for norm in (error_l2, error_cell_average, error_interface_flux):
+        r = norm(prob.exact, ref, cfg.t_final)
+        assert abs(norm(prob.exact, fast, cfg.t_final) - r) <= 1e-10 * abs(r) + 1e-13
 
 
 def test_a_billion_step_level_marches_in_closed_form():
