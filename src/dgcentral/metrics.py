@@ -11,10 +11,10 @@ Three errors against a known exact solution at time t:
 Each error samples the exact solution with ``fields.sample`` on a Gauss grid
 of k+6 points per axis, two orders above the projection default, so
 measured errors are not quadrature artifacts; the same code serves 1D and
-2D fields.  E2 and EA read the same grid, so ``run_study`` samples it once
-per level (``error_samples``) and hands the array to both.  Without that
-array ``error_l2`` samples its grid in blocks of rows of the first cell axis,
-so a raised-order grid (the re-quadrature guard) never exists whole.
+2D fields.  Every grid is sampled in blocks of rows of the first cell axis,
+at most ``fields._SAMPLE_ENTRIES`` entries at a time (``GaussTable.row_blocks``),
+so none exists whole.  ``error_norms`` reduces each block to both E2 and EA;
+the re-quadrature E2 (``error_l2`` two orders higher) reads its blocks alone.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import numpy as np
 
 from .basis import error_rule, reference_operators
 from .fields import ModalField, gauss_table, jacobian, sample
-from .mesh import Mesh1D, TensorMesh2D
 
 __all__ = [
-    "error_samples",
+    "error_norms",
     "error_l2",
     "error_cell_average",
     "error_interface_flux",
@@ -37,61 +36,41 @@ __all__ = [
     "ConvergenceTable",
 ]
 
-# Entries of the error grid that `error_l2` samples at a time (512 KB) when it is not handed the samples.  The
-# re-quadrature E2 of `study.run_study` samples k + 8 points per axis: in one block it was the memory peak of the
-# Q2 alpha ladder (10.2 MB traced at N=65, 422,500 entries), in these blocks 1.6 MB at the same speed.  Every 1D
-# level of the shipped ladders and 2D levels up to N=25 at Q2 take one block.
-_SAMPLE_ENTRIES = 1 << 16
 
-
-def error_samples(exact, u: ModalField, t: float, extra_order: int = 0) -> np.ndarray:
-    """exact(., t) on the error grid of u in every cell (shape cells + (Q,)), as E2 and EA read it."""
-    return gauss_table(u.space, error_rule(u.space.degree, extra_order)).sample(lambda *x: exact(*x, t), u.mesh)
-
-
-def error_l2(exact, u: ModalField, t: float, extra_order: int = 0, samples=None) -> float:
-    """sqrt of the integrated squared difference between exact(., t) and u; `samples` is its `error_samples`.
-
-    Without `samples` the grid is sampled in blocks of rows of the first cell axis, `_SAMPLE_ENTRIES` at a time.
-    """
-    g = gauss_table(u.space, error_rule(u.space.degree, extra_order))
-    if samples is not None:
-        return float(np.sqrt(_squared_error(u, g, samples)))
-    cells = u.coeffs.shape[:-1]
-    rows = max(1, _SAMPLE_ENTRIES // (np.prod(cells[1:], dtype=int) * g.weights.size))
-    total = 0.0
-    for start in range(0, cells[0], rows):
-        part = _rows(u, start, start + rows)
-        total += _squared_error(part, g, error_samples(exact, part, t, extra_order))
-    return float(np.sqrt(total))
-
-
-def _squared_error(u: ModalField, g, samples) -> float:
-    """The integrated squared difference between the samples on g's grid and u."""
-    # in place in u's own array: `samples` is shared with `error_cell_average`
-    diff = u.coeffs @ g.values
+def _squared_error(coeffs: np.ndarray, mesh, g, samples: np.ndarray) -> float:
+    """The integrated squared difference between the samples on g's grid and the field of these coefficients."""
+    diff = coeffs @ g.values
     np.subtract(samples, diff, out=diff)
     diff *= diff
-    return float((diff @ g.weights).ravel() @ jacobian(u.mesh).ravel())
+    return float((diff @ g.weights).ravel() @ jacobian(mesh).ravel())
 
 
-def _rows(u: ModalField, start: int, stop: int) -> ModalField:
-    """u on cells start..stop - 1 of its first axis, a mesh of their nodes (the other axis whole)."""
-    first, *rest = u.mesh.axes
-    part = Mesh1D(first.nodes[start : stop + 1])
-    return ModalField(u.space, TensorMesh2D(part, *rest) if rest else part, u.coeffs[start:stop])
-
-
-def _cell_average_errors(f, u: ModalField, samples=None) -> np.ndarray:
-    """Per cell, the average of f (by the error rule, from `samples` if given) minus that of u."""
+def _errors(f, u: ModalField) -> tuple[float, np.ndarray]:
+    """The integrated squared difference between f and u, and per cell f's average minus u's, from one sample."""
     g = gauss_table(u.space, error_rule(u.space.degree))
-    return 0.5 ** len(g.points) * ((g.sample(f, u.mesh) if samples is None else samples) @ g.weights) - u.coeffs[..., 0]
+    total, averages = 0.0, np.empty(u.coeffs.shape[:-1])
+    for rows, mesh in g.row_blocks(u.mesh):
+        samples = g.sample(f, mesh)
+        total += _squared_error(u.coeffs[rows], mesh, g, samples)
+        averages[rows] = 0.5 ** len(g.points) * (samples @ g.weights) - u.coeffs[rows, ..., 0]
+    return total, averages
 
 
-def error_cell_average(exact, u: ModalField, t: float, samples=None) -> float:
-    """RMS of per-cell average errors (cell count normalization); `samples` as in `error_l2`."""
-    diff = _cell_average_errors(lambda *x: exact(*x, t), u, samples)
-    return float(np.sqrt(np.mean(diff**2)))
+def error_norms(exact, u: ModalField, t: float) -> tuple[float, float]:
+    """E2 and EA of u against exact(., t), from one sample of the error grid."""
+    total, averages = _errors(lambda *x: exact(*x, t), u)
+    return float(np.sqrt(total)), float(np.sqrt(np.mean(averages**2)))
+
+
+def error_l2(exact, u: ModalField, t: float, extra_order: int = 0) -> float:
+    """sqrt of the integrated squared difference between exact(., t) and u, on the error grid raised by extra_order."""
+    g, f = gauss_table(u.space, error_rule(u.space.degree, extra_order)), lambda *x: exact(*x, t)
+    return float(np.sqrt(sum(_squared_error(u.coeffs[rows], mesh, g, g.sample(f, mesh)) for rows, mesh in g.row_blocks(u.mesh))))
+
+
+def error_cell_average(exact, u: ModalField, t: float) -> float:
+    """RMS of per-cell average errors (cell count normalization)."""
+    return error_norms(exact, u, t)[1]
 
 
 def error_interface_flux(exact, u: ModalField, t: float) -> float:

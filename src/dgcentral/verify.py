@@ -36,7 +36,7 @@ from .fields import (
     shifted_projection_1d,
     shifted_projection_2d,
 )
-from .metrics import _cell_average_errors
+from .metrics import _errors
 from .mesh import Mesh1D, TensorMesh2D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from .operators import (
     SpatialOperator,
@@ -182,11 +182,11 @@ def suite_projection() -> list[CheckResult]:
     # Cell averages survive the projection on nonuniform meshes.
     for k in (0, 2, 4):
         field = shifted_projection_1d(np.exp, random_mesh(8, 0.3, 7, (0.0, 1.0)), k)
-        worst = np.max(np.abs(_cell_average_errors(np.exp, field))) / np.e
+        worst = np.max(np.abs(_errors(np.exp, field)[1])) / np.e
         results.append(_check(f"1D cell-average preservation (k={k})", worst, 1e-12))
     f2 = lambda x, y: np.sin(x + y) + 2.0
     mesh2 = tensor_mesh(alpha_mesh(4, 0.2, (0.0, 1.0)), alpha_mesh(4, 0.1, (0.0, 1.0)))
-    worst = np.max(np.abs(_cell_average_errors(f2, shifted_projection_2d(f2, mesh2, 2)))) / 3.0
+    worst = np.max(np.abs(_errors(f2, shifted_projection_2d(f2, mesh2, 2))[1])) / 3.0
     results.append(_check("2D cell-average preservation (k=2)", worst, 1e-12))
 
     # Moment form vs the defining weak form: same local solution.

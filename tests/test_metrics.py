@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcentral import metrics
+from dgcentral import fields
 from dgcentral.basis import error_rule
-from dgcentral.fields import ModalField, SpaceKind, gauss_table, jacobian, l2_project
+from dgcentral.fields import ModalField, SpaceKind, gauss_table, jacobian, l2_project, sample
 from dgcentral.mesh import alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
 from dgcentral.metrics import (
     ConvergenceTable,
@@ -15,7 +15,7 @@ from dgcentral.metrics import (
     error_cell_average,
     error_interface_flux,
     error_l2,
-    error_samples,
+    error_norms,
     ls_order,
 )
 
@@ -138,7 +138,7 @@ class TestErrorNorms2D:
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_error_norms_equal_their_out_of_place_expressions(dimension):
-    # error_l2 subtracts and squares in place; the shared sample stays as it was for error_cell_average
+    # E2 subtracts and squares in place in its own array, so the sample that EA reads is left as it was
     if dimension == 1:
         mesh, space = alpha_mesh(10, 0.1, (0.0, TWO_PI)), SpaceKind("P1D", 3)
         exact = lambda x, t: np.exp(np.sin(x - t))
@@ -147,22 +147,21 @@ def test_error_norms_equal_their_out_of_place_expressions(dimension):
         space = SpaceKind("P2D", 2)
         exact = lambda x, y, t: np.sin(x + y - 2.0 * t)
     u = l2_project(lambda *x: exact(*x, 0.0), mesh, space)
-    samples = error_samples(exact, u, 0.3)
-    before = samples.copy()
     g = gauss_table(space, error_rule(space.degree))
+    samples = sample(lambda *x: exact(*x, 0.3), mesh, *g.points).reshape(u.coeffs.shape[:-1] + (-1,))  # whole grid
     diff = samples - u.coeffs @ g.values
     e2 = float(np.sqrt((diff**2 @ g.weights).ravel() @ jacobian(mesh).ravel()))
     ea = float(np.sqrt(np.mean((0.5**dimension * (samples @ g.weights) - u.coeffs[..., 0]) ** 2)))
-    assert error_l2(exact, u, 0.3, samples=samples) == e2
-    np.testing.assert_array_equal(samples, before)
-    assert error_cell_average(exact, u, 0.3, samples=samples) == ea
+    assert error_norms(exact, u, 0.3) == (e2, ea)
     assert error_l2(exact, u, 0.3) == e2 and error_cell_average(exact, u, 0.3) == ea
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
-def test_error_l2_samples_its_grid_in_blocks_of_first_axis_rows(dimension, monkeypatch):
-    # without a shared sample, error_l2 samples at most _SAMPLE_ENTRIES entries at a time (whole rows of the
-    # first cell axis, at least one); a level that fits takes one block, the same sample as error_samples
+def test_a_level_samples_in_blocks_of_first_axis_rows(dimension, monkeypatch):
+    # the projection, E2 with EA, and the re-quadrature E2 sample at most _SAMPLE_ENTRIES entries at a time
+    # (whole rows of the first cell axis, at least one); a level that fits takes one block, on its own mesh.
+    # numpy multiplies a 2D block row by row, as it does the whole grid, so EA and the projection keep their
+    # bits; a 1D block is one BLAS product whose kernel depends on its length, so they agree to roundoff
     if dimension == 1:
         mesh, space = random_mesh(11, 0.3, 5, (0.0, TWO_PI)), SpaceKind("P1D", 3)
         exact = lambda x, t: np.exp(np.sin(x - t))
@@ -171,25 +170,36 @@ def test_error_l2_samples_its_grid_in_blocks_of_first_axis_rows(dimension, monke
         space = SpaceKind("Q2D", 2)
         exact = lambda x, y, t: np.exp(np.sin(x + y - 2.0 * t))
     u = l2_project(lambda *x: exact(*x, 0.0), mesh, space)
-    whole = error_l2(exact, u, 0.3, samples=error_samples(exact, u, 0.3, extra_order=2), extra_order=2)
-    shapes, sample = [], metrics.error_samples
 
-    def counted(*args, **kwargs):
-        out = sample(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
+    def agree(got, want):
+        if dimension == 2:
+            return np.array_equal(got, want)
+        return np.allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
-    monkeypatch.setattr(metrics, "error_samples", counted)
-    assert error_l2(exact, u, 0.3, extra_order=2) == whole
-    row = int(np.prod(u.coeffs.shape[1:-1])) * (space.degree + 8) ** dimension  # entries per row of cells
-    assert len(shapes) == 1 and np.prod(shapes[0]) <= metrics._SAMPLE_ENTRIES
-    for rows, blocks in ((3, [3, 3, 1] if dimension == 2 else [3, 3, 3, 2]), (1, [1] * mesh.axes[0].num_cells)):
-        shapes.clear()
-        monkeypatch.setattr(metrics, "_SAMPLE_ENTRIES", rows * row + row - 1)
-        assert error_l2(exact, u, 0.3, extra_order=2) == pytest.approx(whole, rel=1e-14)
-        assert [shape[0] for shape in shapes] == blocks
-    monkeypatch.setattr(metrics, "_SAMPLE_ENTRIES", 1)  # a row over the budget is still one block
-    assert error_l2(exact, u, 0.3, extra_order=2) == pytest.approx(whole, rel=1e-14)
+    meshes, sample_cells, budget = [], fields.sample, fields._SAMPLE_ENTRIES
+
+    def counted(f, part, *xi):
+        meshes.append(part)
+        return sample_cells(f, part, *xi)
+
+    monkeypatch.setattr(fields, "sample", counted)
+    n, k = mesh.axes[0].num_cells, space.degree
+    three = [3, 3, 1] if dimension == 2 else [3, 3, 3, 2]
+    for points, call, same in (
+        (k + 4, lambda: l2_project(lambda *x: exact(*x, 0.0), mesh, space).coeffs, agree),
+        (k + 6, lambda: error_norms(exact, u, 0.3), lambda a, b: a[0] == pytest.approx(b[0], rel=1e-14) and agree(a[1], b[1])),
+        (k + 8, lambda: error_l2(exact, u, 0.3, extra_order=2), lambda a, b: a == pytest.approx(b, rel=1e-14)),
+    ):
+        monkeypatch.setattr(fields, "_SAMPLE_ENTRIES", budget)
+        meshes.clear()
+        whole = call()
+        assert meshes == [mesh]  # one block, on the level's own mesh
+        row = int(np.prod(u.coeffs.shape[1:-1])) * points**dimension  # entries per row of cells
+        for entries, blocks in ((3 * row + row - 1, three), (row, [1] * n), (1, [1] * n)):  # a row over the budget is one block
+            monkeypatch.setattr(fields, "_SAMPLE_ENTRIES", entries)
+            meshes.clear()
+            assert same(call(), whole)
+            assert [part.axes[0].num_cells for part in meshes] == blocks
 
 
 class TestConvergenceTable:

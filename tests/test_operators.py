@@ -1,9 +1,11 @@
 """Semi-discrete operator: L held to the DG form evaluated by quadrature (the
 oracle, kept here), the per-cell form the probes read off L, conservation
-structure, and the uniform-patch superconvergence identities."""
+structure, the uniform-patch superconvergence identities, and the memory of a
+level's march, projection and error norms."""
 
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dgcentral import operators
 from dgcentral.basis import default_rule, gauss_rule, legendre_deriv_table, legendre_table
 from dgcentral.fields import ModalField, SpaceKind, _axis_degrees, _mass_vector, jacobian, l2_project
 from dgcentral.mesh import Mesh1D, alpha_mesh, random_mesh, tensor_mesh, uniform_mesh
+from dgcentral.metrics import error_norms
 from dgcentral.operators import (
     SpatialOperator,
     _skew_eigh,
@@ -22,6 +25,7 @@ from dgcentral.operators import (
     superconvergence_residual_1d,
     superconvergence_residual_2d,
 )
+from dgcentral.study import build_mesh, load_config
 from dgcentral.timestepping import IntegrationConfig, integrate
 
 TWO_PI = 2.0 * np.pi
@@ -481,23 +485,37 @@ def test_axes_route_marches_the_conjugate_half_of_the_first_axis(k, modes):
     assert seen == [(modes, modes)]
 
 
+def _traced_peak(call):
+    """call()'s result, and the peak of traced allocations during it above those live before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_axes_march_stays_within_its_memory():
     # a Q2 alpha N=33 level, eigenbases included: marching both conjugate halves of the first axis in
     # complex arithmetic peaks at 1.26 MB of traced allocations, its conjugate half in real GEMMs at 0.80 MB
     axis = alpha_mesh(33, 0.3, (0.0, TWO_PI))
     u0 = l2_project(lambda x, y: np.sin(x + y), tensor_mesh(axis, axis), SpaceKind("Q2D", 2))
     op = SpatialOperator(u0.mesh, u0.space)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        integrate(op, u0, IntegrationConfig(t_final=1.0))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < 1.05e6
+    assert _traced_peak(lambda: integrate(op, u0, IntegrationConfig(t_final=1.0)))[1] < 1.05e6
+
+
+def test_projection_and_error_norms_stay_within_their_memory():
+    # the P3 config's N=256 level: sampled whole, l2_project peaked at 77 MB of traced allocations and E2 with EA
+    # at 127 MB; in blocks of rows at 6.8 MB (5.2 MB of it the coefficients) and 2.6 MB
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "advect2d_uniform_p3.cfg")
+    prob, mesh = cfg.problem_def, build_mesh(cfg, 256)
+    u, projection = _traced_peak(lambda: l2_project(prob.initial, mesh, cfg.space))
+    assert projection < 10e6
+    assert _traced_peak(lambda: error_norms(prob.exact, u, 1.0))[1] < 10e6
 
 
 def test_bloch_blocks_do_not_change_the_result(monkeypatch):

@@ -795,15 +795,20 @@ class TestInputHoles:
         assert f"config error: cannot read config file {path}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["dump-mesh", "dump-field"])
     @given(config=st.sampled_from(sorted(CONFIGS.glob("*.cfg"))), overrides=st.sampled_from(_field_overrides()))
     @settings(derandomize=True, database=None, max_examples=250, deadline=None)
-    def test_dump_mesh_exits_cleanly_on_extreme_overrides(self, config, overrides):
-        # dump-mesh builds every level's mesh and marches none; an override of study.ns replaces 4,8
-        args = ["dump-mesh", str(config), "--set", "study.ns=4,8", *(arg for ov in overrides for arg in ("--set", ov))]
+    def test_dump_mesh_exits_cleanly_on_extreme_overrides(self, command, config, overrides):
+        # dump-mesh builds every level's mesh and marches none, dump-field projects the first level's initial
+        # data in blocks of rows; an override of study.ns replaces 4,8.  Warnings are shown as in the run test
+        args = [command, str(config), "--set", "study.ns=4,8", *(arg for ov in overrides for arg in ("--set", ov))]
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(args + ["--out", out]) in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(args + ["--out", out]) in (0, 1, 2)
+        lines = err.getvalue().splitlines() + [warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught]
+        assert not [line for line in lines if "Traceback" in line or "Warning" in line]
 
     @given(config=st.sampled_from(sorted(CONFIGS.glob("*.cfg"))), overrides=st.sampled_from(_field_overrides()))
     @example(config=CONFIGS / "advect1d_random_p2.cfg", overrides=("mesh.fraction=-0.0",))
