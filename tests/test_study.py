@@ -621,6 +621,27 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, overrides, nsteps",
+        [
+            ("advect1d_alpha_p2", ("study.ns=10", "time.T=200"), 708),
+            ("advect2d_random_q2", ("space.kind=P2D", "study.ns=5", "time.T=400"), 779),
+            ("advect2d_alpha_q2", ("study.ns=5", "time.T=100"), 228),
+            ("advect1d_uniform_p2", ("study.ns=10", "time.T=200"), 637),
+        ],
+        ids=["tiles", "stepped-2d", "axes", "bloch"],
+    )
+    def test_an_unstable_level_exits_2_and_writes_no_table(self, tmp_path, capsys, config, overrides, nsteps):
+        # c = 0.5 is beyond rk4's stable step at k = 2 on every route: each run overflows, and its final state,
+        # judged once at the last step, is what stops it
+        out = tmp_path / "res"
+        overrides += ("time.c=0.5", f"output.dir={out}")
+        argv = ["run", str(CONFIGS / f"{config}.cfg")] + [arg for kv in overrides for arg in ("--set", kv)]
+        assert cli.main(argv) == 2
+        cfg = load_config(CONFIGS / f"{config}.cfg", overrides)
+        assert capsys.readouterr().err == f"error: non-finite state detected at step {nsteps} (t = {cfg.t_final:g})\n"
+        assert not (out / f"{cfg.label}.csv").exists() and not (out / f"{cfg.label}.md").exists()
+
     def test_verify_suite_ok(self, capsys):
         assert cli.main(["verify", "superconvergence"]) == 0
         out = capsys.readouterr().out
