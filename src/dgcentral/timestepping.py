@@ -28,10 +28,8 @@ and mesh pick; all keep one time grid:
   growing one too (the Fourier view of DG: Zhong & Shu, CMAME 2011): an
   unstable level grows or overflows as its steps would, and raises below.
 * `_tiled_march`: non-uniform P1D.  Q1 = P(hL) - I is built from L's
-  `_axis_blocks` and the cell widths as per-cell row blocks, and Q4 =
-  P(dt L)^4 - I = 2 Q2 + Q2 Q2 from Q2 = 2 Q1 + Q1 Q1 by doubling twice; both
-  are applied as dense row tiles: the full steps four at a time by Q4, then
-  the (n - 1) mod 4 full steps left and the last one by Q1.
+  `_axis_blocks` as per-cell row blocks, QM = P(dt L)^M - I from Q1 by trimmed
+  doublings, and both are applied as dense row tiles, M full steps per product.
 * `_stepped_march`: one step at a time.  For P2D off uniform axes a step is
   Horner's rule on the vector with the CSR L (a 2D Q2 would fill in), the one
   march route that imports ``scipy.sparse``; for a callable ``rhs`` (any
@@ -58,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .fields import ModalField
 from .operators import SpatialOperator, _axis_blocks
@@ -78,7 +76,9 @@ __all__ = [
 # Relative growth of the discrete energy over a run above which it is unstable.
 ENERGY_GROWTH_TOL = 1e-8
 
-_TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: on Q4 at P2 and P4, no count from 2 to 10 beat it beyond noise
+_TRIM = 1e-20  # a doubled 1D band drops the outer cells whose entries are bounded below this fraction of its largest
+_PAIR_CELLS = 32  # cells per product of a doubling: whole at N=320, its 1 MB padded halo raised ladder1d peak RSS by 1 MB
+_TILE_CELLS = 4  # cells per row tile of the 1D P(hL) march: on Q16 at P2 and P4, no count from 2 to 10 beat it by over 10%
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -254,14 +254,39 @@ def _step_band(op: SpatialOperator, h: float, gammas) -> np.ndarray:
     return np.ascontiguousarray(_horner_increment(apply, eye, gammas).transpose(1, 0, 2, 3))
 
 
-def _pair_band(q: np.ndarray) -> np.ndarray:
-    """P^{2m} - I = 2 Q + Q Q from the row blocks of Q = P^m - I (`_step_band` at m = 1), 2w - 1 cells wide from w."""
+def _doubled_half(q: np.ndarray) -> int:
+    """Half-width in cells of P^{2m} - I = 2 Q + Q Q, trimmed, from the row blocks of Q = P^m - I, before it is built.
+
+    With m_d Q's largest |entry| at cell offset d, 2 Q + Q Q's entries at offset e are at most b_e = 2 m_e + dof sum_d
+    m_d m_(e-d); the outer offsets with b_e < `_TRIM` max b are dropped (none if b is not finite).
+    """
+    dof, width = q.shape[1:3]
+    rows, w = q.reshape(-1, width * dof), width // 2
+    m = np.maximum(rows.max(axis=0), -rows.min(axis=0)).reshape(width, dof).max(axis=1)  # |Q| would be a copy
+    bound = dof * np.convolve(m, m) + np.pad(2.0 * m, w)
+    kept = np.flatnonzero(~(bound < _TRIM * bound.max()))
+    return 2 * w - int(min(kept[0], bound.size - 1 - kept[-1], w))
+
+
+def _pair_band(q: np.ndarray, half: int) -> np.ndarray:
+    """P^{2m} - I = 2 Q + Q Q at cell offsets -half..half (half >= w) from the row blocks of Q = P^m - I.
+
+    Row block j of Q meets a strided view of Q's rows at cells j - w .. j + w (periodic), those of cell j + d sheared
+    d + w blocks right over zero padding, so block column e + half holds their blocks of offset e - d: one batched
+    matmul per `_PAIR_CELLS` cells.
+    """
     cells, dof, width = q.shape[:3]
-    halo = np.take(q.reshape(cells, dof, -1), np.arange(-(width // 2), cells + width // 2) % cells, axis=0)
-    out = np.zeros((cells, dof, 2 * width - 1, dof))
-    out[:, :, width // 2 : width // 2 + width] = 2.0 * q
-    for d in range(width):  # the blocks of offset d - s meet the row of the cell they couple to, halo[j + d]
-        out[:, :, d : d + width] += (q[:, :, d] @ halo[d : d + cells]).reshape(q.shape)
+    w, stride = width // 2, (width + half) * dof  # a row of Q and the `half` zero blocks the shear reads
+    cell = dof * (stride + 1)  # each cell's rows start one block further right than the last cell's
+    out = np.empty((cells, dof, 2 * half + 1, dof))
+    for j in range(0, cells, _PAIR_CELLS):
+        n = min(_PAIR_CELLS, cells - j)
+        flat = np.zeros(half * dof + (n + 2 * w) * cell)
+        rows = flat[half * dof :].reshape(-1, cell)[:, : dof * stride].reshape(-1, dof, stride)[:, :, : width * dof]
+        np.take(q.reshape(cells, dof, -1), np.arange(j - w, j + n + w), axis=0, mode="wrap", out=rows)
+        view = as_strided(flat[2 * w * dof :], (n, width * dof, (2 * half + 1) * dof), (cell * 8, stride * 8, 8))
+        np.matmul(q[j : j + n].reshape(n, dof, -1), view, out=out[j : j + n].reshape(n, dof, -1))
+        out[j : j + n, :, half - w : half + w + 1] += 2.0 * q[j : j + n]
     return out
 
 
@@ -291,17 +316,26 @@ def _row_tiles(band: np.ndarray):
 def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
     """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place by `_row_tiles`.
 
-    The full steps go four at a time by Q4 = P(dt L)^4 - I, then the (nsteps - 1) mod 4 left and the last one by
-    Q1.  Q1 is built once per distinct h, Q4 once from Q1 at dt by two doublings (`_pair_band`); only Q4's tiles
-    are kept.  Four steps per product is the measured optimum: eight (a 65-cell band for rk4) was slower at
-    every level of the P2 alpha ladder, its tiles spilling out of cache.
+    Q1 is built once per distinct h.  From Q1 at dt, `_pair_band` doubles QM = P(dt L)^M - I up to M = 16 while the
+    run has more than 2M steps and the next band, trimmed (`_doubled_half`), fits Q4's untrimmed 8s + 1 cells.  The
+    full steps go M at a time by QM's tiles, then the (nsteps - 1) mod M left and the last one by Q1's.  Capped
+    at 8, 16 or 32 steps without the width rule, a run took (ms; alpha 0.1, rk4, c = 0.01; best of 9, one thread):
+
+        M up to   P2 N=10    20     40     80    160    320    P4 N=80   160
+          8         0.55   0.78   1.21   2.37   6.68  17.69      6.53  16.51
+         16         0.58   0.82   1.17   2.23   4.97  11.85      6.58  15.85
+         32         0.73   0.93   1.27   2.48   4.90  12.03      7.72  17.15
     """
-    gammas, u, (quads, rest) = stability_coefficients(scheme), state.reshape(-1), divmod(nsteps - 1, 4)
+    gammas, u = stability_coefficients(scheme), state.reshape(-1)
     band = functools.cache(lambda h: _step_band(op, h, gammas))
     single = functools.cache(lambda h: _row_tiles(band(h))[2])
-    if quads:
-        apply = _row_tiles(_pair_band(_pair_band(band(dt))))[2]
-        for _ in range(quads):
+    steps, q = 1, band(dt) if nsteps > 1 else None
+    while steps < 16 and 2 * steps < nsteps and (half := _doubled_half(q)) <= 4 * scheme.stages:
+        q, steps = _pair_band(q, half), 2 * steps
+    products, rest = divmod(nsteps - 1, steps) if steps > 1 else (0, nsteps - 1)
+    if products:
+        apply, q = _row_tiles(q)[2], None  # QM's band goes once its tiles are built
+        for _ in range(products):
             apply(u)
     for h in (dt,) * rest + (h_last,):
         single(h)(u)

@@ -215,3 +215,19 @@ def test_criterion_10_paper_scale_regime_is_documented_not_reproduced():
     assert ERROR_FLOOR == 100.0 * np.finfo(float).eps
     assert "100x machine epsilon" in study.__doc__
     assert study.DESK_CAP_1D == 320 and study.DESK_CAP_2D_LOW == 128
+
+
+def _odd_degree_uniform(degree: int):
+    # the uniform P2 ladder at an odd degree, where the shifted projection P* does not exist and E2 converges at
+    # order k, not k + 1 (Bloch route; LS(E2) read 0.995 at k = 1 and 2.906 at k = 3)
+    table = _table(replace(_shipped("advect1d_uniform_p2.cfg"), degree=degree))
+    print(f"LS(E2)={table.ls2:.3f}")
+    return table.ls2
+
+
+def test_criterion_11_1d_p1_uniform_order_k():
+    assert 0.7 <= _odd_degree_uniform(1) <= 1.3
+
+
+def test_criterion_12_1d_p3_uniform_order_k():
+    assert 2.7 <= _odd_degree_uniform(3) <= 3.3

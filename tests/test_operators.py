@@ -508,6 +508,14 @@ def test_axes_march_stays_within_its_memory():
     assert _traced_peak(lambda: integrate(op, u0, IntegrationConfig(t_final=1.0)))[1] < 1.05e6
 
 
+def test_1d_p_hl_march_stays_within_its_memory():
+    # the P2 alpha N=320 level of ladder1d: Q4 by two doublings peaked at 2.63 MB of traced allocations, while the
+    # last step's Q1 was built; trimmed bands up to Q16, each doubling's temporaries freed in turn, at 2.54 MB
+    u0 = l2_project(lambda x: np.exp(np.sin(x)), alpha_mesh(320, 0.1, (0.0, TWO_PI)), SpaceKind("P1D", 2))
+    op = SpatialOperator(u0.mesh, u0.space)
+    assert _traced_peak(lambda: integrate(op, u0, IntegrationConfig(t_final=1.0)))[1] < 2.63e6
+
+
 def test_projection_and_error_norms_stay_within_their_memory():
     # the P3 config's N=256 level: sampled whole, l2_project peaked at 77 MB of traced allocations and E2 with EA
     # at 127 MB; in blocks of rows at 6.8 MB (5.2 MB of it the coefficients) and 2.6 MB

@@ -237,29 +237,57 @@ def test_matrix_step_equals_one_stage_loop_step(name):
 
 
 @pytest.mark.parametrize(
-    "steps, dt",
-    [(0.37, None), (1.37, None), (4.37, None), (6.37, None), (7.37, None), (8, 2.0**-10), (9.37, None)],
-    ids=["one-step", "odd-step", "quad", "quad-two-steps", "quad-three-steps", "exact-divisor", "quads-odd-step"],
+    "steps, dt, m",
+    [
+        (0.37, None, 1),
+        (1.37, None, 1),
+        (3.37, None, 2),
+        (6.37, None, 4),
+        (32.37, None, 16),
+        (33.37, None, 16),
+        (40.37, None, 16),
+        (47.37, None, 16),
+        (33, 2.0**-10, 16),
+    ],
+    ids=["one-step", "odd-step", "pair", "quad", "rest0", "rest1", "rest8", "rest15", "exact-divisor"],
 )
-def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, monkeypatch):
-    # Q1 = P(hL) - I is built once per distinct h of the run, the quad increment once from Q1 at dt by two
-    # doublings, and the kernel runs once per quad, once per full step left over, and once for the last step
+def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, m, monkeypatch):
+    # Q1 = P(hL) - I is built once per distinct h of the run, QM once from Q1 at dt by doublings while the run has
+    # more than 2M steps, up to M = 16 (P2 at c = 0.01); the kernel runs once per M full steps, once per full step
+    # left over ((n - 1) mod M = 0, 1, M/2 and M - 1), and once for the last step
     op, u0 = _alpha_operator()
     assert op.spectral_route is None
     dt = dt or 0.01 * u0.mesh.min_width
     cfg = IntegrationConfig(t_final=steps * dt, dt=dt)
     nsteps = math.ceil(steps)
-    (quads, rest), h_last = divmod(nsteps - 1, 4), cfg.t_final - (nsteps - 1) * dt
-    assert (h_last == dt) == (steps == 8)  # the exact divisor's last step is a full one
+    (products, rest), h_last = divmod(nsteps - 1, m), cfg.t_final - (nsteps - 1) * dt
+    assert (h_last == dt) == (steps == 33)  # the exact divisor's last step is a full one
     built, doubled = [], []
     step_band, pair_band = timestepping._step_band, timestepping._pair_band
     monkeypatch.setattr(timestepping, "_step_band", lambda op, h, gammas: built.append(h) or step_band(op, h, gammas))
-    monkeypatch.setattr(timestepping, "_pair_band", lambda q: doubled.append(q.shape[2]) or pair_band(q))
-    products = _counted_products(monkeypatch)
+    monkeypatch.setattr(timestepping, "_pair_band", lambda q, half: doubled.append(q.shape[2]) or pair_band(q, half))
+    calls = _counted_products(monkeypatch)
     integrate(op, u0, cfg)
     assert built == [dt] * (nsteps > 1) + [h_last] * (h_last != dt)
-    assert doubled == [9, 17] * (quads > 0)  # Q1 (2s + 1 = 9 cells for rk4), then Q2 (17 cells) into Q4
-    assert len(products) == quads + rest + 1
+    # Q1 (2s + 1 = 9 cells for rk4), then Q2, Q4 and Q8 trimmed: 17, 21 and 25 cells of 17, 33 and 65 at c = 0.01,
+    # and 15, 17 and 19 at the exact divisor's c = 0.0083
+    assert doubled == ([9, 15, 17, 19] if steps == 33 else [9, 17, 21, 25])[: m.bit_length() - 1]
+    assert len(calls) == (products + rest + 1 if m > 1 else nsteps)
+
+
+def test_a_large_c_run_marches_by_the_untrimmed_quad(monkeypatch):
+    # at c = 0.3 no band trims: Q8 would be 8 * 8 + 1 = 65 cells wide, so the march takes Q4 (33 cells) as it did
+    # before bands were trimmed, and builds nothing wider
+    op, u0 = _alpha_operator(n=320)
+    cfg = IntegrationConfig(t_final=10.0, c=0.3)
+    dt = cfg.resolve_dt(u0.mesh.min_width)
+    nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    doubled, pair_band = [], timestepping._pair_band
+    monkeypatch.setattr(timestepping, "_pair_band", lambda q, half: doubled.append(2 * half + 1) or pair_band(q, half))
+    calls = _counted_products(monkeypatch)
+    integrate(op, u0, cfg)
+    assert doubled == [17, 33]
+    assert len(calls) == (nsteps - 1) // 4 + (nsteps - 1) % 4 + 1
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
@@ -292,11 +320,15 @@ def _single_steps(op, u0, cfg):
 def _dense(band):
     """A band of row blocks (cells, dof, width, dof) as the square matrix it stands for, wrapped blocks summed."""
     cells, dof, width = band.shape[:3]
-    out = np.zeros((cells, dof, cells, dof))
-    for j in range(cells):
-        for d in range(width):
-            out[j, :, (j + d - width // 2) % cells] += band[j, :, d]
-    return out.reshape(cells * dof, cells * dof)
+    out = np.zeros((cells, cells, dof, dof))
+    rows = np.arange(cells)[:, None]
+    np.add.at(out, (rows, (rows + np.arange(width) - width // 2) % cells), band.transpose(0, 2, 1, 3))
+    return out.transpose(0, 2, 1, 3).reshape(cells * dof, cells * dof)
+
+
+def _doubled(band):
+    """The march's doubling of a band of QM = P^M - I: Q2M, trimmed."""
+    return timestepping._pair_band(band, timestepping._doubled_half(band))
 
 
 def _step_oracle(op, h, scheme):
@@ -320,8 +352,8 @@ def test_the_step_band_is_the_polynomial_in_hl_minus_identity():
     np.testing.assert_allclose(_dense(euler), hl, rtol=0, atol=1e-15)
 
 
-# Q2 couples 4s+1 = 17 cells (rk4) and Q4 8s+1 = 33: they wrap the periodic meshes of N <= 8 and N <= 16 and sum
-# duplicate entries; N = 40 wraps neither
+# Q2 couples 4s+1 = 17 cells (rk4) and Q4 8s+1 = 33, untrimmed: they wrap the periodic meshes of N <= 8 and N <= 16
+# and sum duplicate entries; N = 40 wraps neither
 _WRAPPING_MESHES = {
     "alpha2": alpha_mesh(2, 0.1, (0.0, 1.0)),
     "alpha4": alpha_mesh(4, 0.1, (0.0, 1.0)),
@@ -333,24 +365,27 @@ _WRAPPING_MESHES = {
 
 
 @pytest.mark.usefixtures("low_order_schemes")
+@pytest.mark.parametrize("c", [0.1, 0.01])
 @pytest.mark.parametrize("name", _ALL_NAMES)
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("mesh", list(_WRAPPING_MESHES))
-def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh):
+def test_pair_increment_is_the_square_of_the_step_minus_identity(name, k, mesh, c):
+    # the march's doublings up to 16 steps against the dense increments, E2M = 2 EM + EM EM of E1 = P(hL) - I.
+    # QM keeps at most its 2Ms + 1 cells, and every entry it drops (the dense EM beyond its cells) lies below
+    # `_TRIM` of EM's largest: at c = 0.01 a step moves about 0.01 cells, and Q4 and up drop their outer cells
     mesh = _WRAPPING_MESHES[mesh]
     op = SpatialOperator(mesh, SpaceKind("P1D", k))
-    h, scheme = 0.1 * mesh.min_width, SCHEMES[name]
-    q = _step_oracle(op, h, scheme)
-    step = np.identity(len(q)) + q
-    expected = step @ step - np.identity(len(q))
-    pair = timestepping._pair_band(timestepping._step_band(op, h, stability_coefficients(scheme)))
-    quad = timestepping._pair_band(pair)  # the march's doubling of the pair: P(hL)^4 - I
-    assert pair.shape[2] == 4 * scheme.stages + 1 and quad.shape[2] == 8 * scheme.stages + 1
-    # relative to the size of the blocks summed: a wrapped mesh sums blocks of several offsets into one entry,
-    # and at k = 0 on N = 2 they cancel (L u_j = (u_j+1 - u_j-1) / 2h_j is 0) up to the roundoff of each block
-    assert np.max(np.abs(_dense(pair) - expected)) <= 1e-14 * np.max(_dense(np.abs(pair)))
-    expected = (expected + np.identity(len(q))) @ (expected + np.identity(len(q))) - np.identity(len(q))
-    assert np.max(np.abs(_dense(quad) - expected)) <= 1e-14 * np.max(_dense(np.abs(quad)))
+    h, scheme = c * mesh.min_width, SCHEMES[name]
+    band, expected = timestepping._step_band(op, h, stability_coefficients(scheme)), _step_oracle(op, h, scheme)
+    for steps in (2, 4, 8, 16):
+        band, expected = _doubled(band), 2.0 * expected + expected @ expected
+        assert band.shape[2] <= 2 * steps * scheme.stages + 1
+        # relative to the size of the blocks summed: a wrapped mesh sums blocks of several offsets into one entry,
+        # and at k = 0 on N = 2 they cancel (L u_j = (u_j+1 - u_j-1) / 2h_j is 0) up to the roundoff of each block
+        assert np.max(np.abs(_dense(band) - expected)) <= 1e-14 * np.max(_dense(np.abs(band)))
+        if band.shape[2] <= mesh.num_cells:  # no block wraps: the entries outside the band are the ones dropped
+            dropped = expected[_dense(np.ones_like(band)) == 0]
+            assert np.max(np.abs(dropped), initial=0.0) <= timestepping._TRIM * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -359,8 +394,8 @@ def test_the_row_tiles_hold_the_pair_increment_exactly(k, mesh):
     # N = 2 and 4 wrap the band onto itself: the halo repeats the state, and each tile still holds its rows' blocks
     mesh = _WRAPPING_MESHES[mesh]
     op, gammas = SpatialOperator(mesh, SpaceKind("P1D", k)), stability_coefficients(SCHEMES["rk4"])
-    pair = timestepping._pair_band(timestepping._step_band(op, 0.01 * mesh.min_width, gammas))
-    for band in (pair, timestepping._pair_band(pair)):  # the pair, and the quad the march applies
+    pair = _doubled(timestepping._step_band(op, 0.01 * mesh.min_width, gammas))
+    for band in (pair, _doubled(pair), _doubled(_doubled(_doubled(pair)))):  # the pair, the quad and Q16
         tiles, index, _ = timestepping._row_tiles(band)
         cells, dof, width = band.shape[:3]
         c, w = timestepping._TILE_CELLS, width // 2
@@ -397,8 +432,8 @@ def test_a_paired_advance_is_the_pair_product_added_to_the_state(k, mesh):
     mesh = _WRAPPING_MESHES[mesh]
     op = SpatialOperator(mesh, SpaceKind("P1D", k))
     dt = 0.01 * mesh.min_width
-    pair = timestepping._pair_band(timestepping._step_band(op, dt, stability_coefficients(SCHEMES["rk4"])))
-    for band in (pair, timestepping._pair_band(pair)):
+    pair = _doubled(timestepping._step_band(op, dt, stability_coefficients(SCHEMES["rk4"])))
+    for band in (pair, _doubled(pair), _doubled(_doubled(_doubled(pair)))):
         increment, advance = _dense(band), timestepping._row_tiles(band)[2]
         x = np.random.default_rng(k).standard_normal((mesh.num_cells, k + 1)).ravel()
         for _ in range(3):
@@ -779,20 +814,21 @@ def test_spectral_route_matches_a_longdouble_march(level):
         assert abs(norm(prob.exact, fast, 1.0) - r) <= 1e-10 * abs(r) + 1e-13
 
 
-# (family, k, N, steps): the 33-cell Q4 band of rk4 wraps N = 1, 2 and 3 many times over, and ceil(steps) - 1
-# full steps leave (n - 1) mod 4 = 0, 1, 2 or 3 of them to Q1 after the quads; N = 40 and 20 wrap no band
+# (family, k, N, steps): the bands of rk4 at c = 0.01 wrap N = 1, 2 and 3 many times over, and ceil(steps) - 1
+# full steps leave (n - 1) mod 16 = 0, 1, 8 or 15 of them to Q1 after the products by Q16 (every band up to Q16
+# fits 33 cells here); N = 40 and 20 wrap no band
 _TILED_LEVELS = {
-    "alpha-k0-N1-rest0": ("alpha", 0, 1, 36.37),
-    "alpha-k1-N2-rest1": ("alpha", 1, 2, 37.37),
-    "alpha-k2-N3-rest2": ("alpha", 2, 3, 38.37),
-    "alpha-k3-N2-rest3": ("alpha", 3, 2, 39.37),
-    "alpha-k4-N3-rest0": ("alpha", 4, 3, 40.37),
+    "alpha-k0-N1-rest0": ("alpha", 0, 1, 32.37),
+    "alpha-k1-N2-rest1": ("alpha", 1, 2, 33.37),
+    "alpha-k2-N3-rest8": ("alpha", 2, 3, 40.37),
+    "alpha-k3-N2-rest15": ("alpha", 3, 2, 47.37),
+    "alpha-k4-N3-rest0": ("alpha", 4, 3, 48.37),
     "alpha-k2-N40": ("alpha", 2, 40, None),
-    "random-k0-N3-rest3": ("random", 0, 3, 39.37),
-    "random-k1-N1-rest2": ("random", 1, 1, 38.37),
-    "random-k2-N2-rest1": ("random", 2, 2, 37.37),
-    "random-k3-N3-rest0": ("random", 3, 3, 36.37),
-    "random-k4-N2-rest2": ("random", 4, 2, 42.37),
+    "random-k0-N3-rest15": ("random", 0, 3, 47.37),
+    "random-k1-N1-rest8": ("random", 1, 1, 40.37),
+    "random-k2-N2-rest1": ("random", 2, 2, 33.37),
+    "random-k3-N3-rest0": ("random", 3, 3, 32.37),
+    "random-k4-N2-rest8": ("random", 4, 2, 56.37),
     "random-k4-N20": ("random", 4, 20, None),
 }
 
