@@ -27,9 +27,10 @@ and mesh pick; all keep one time grid:
   inner product, so on this basis the steps are exactly these factors, a
   growing one too (the Fourier view of DG: Zhong & Shu, CMAME 2011): an
   unstable level grows or overflows as its steps would, and raises below.
-* `_tiled_march`: non-uniform P1D.  Q1 = P(hL) - I is built from L's
+* `_tiled_march`: non-uniform P1D.  Q1 = P(dt L) - I is built once from L's
   `_axis_blocks` as per-cell row blocks, QM = P(dt L)^M - I from Q1 by trimmed
-  doublings, and both are applied as dense row tiles, M full steps per product.
+  doublings, and both are applied as dense row tiles, M full steps per product;
+  the shortened last step is Horner's rule on the state with the same blocks.
 * `_stepped_march`: one step at a time.  For P2D off uniform axes a step is
   Horner's rule on the vector with the CSR L (a 2D Q2 would fill in), the one
   march route that imports ``scipy.sparse``; for a callable ``rhs`` (any
@@ -273,20 +274,23 @@ def _pair_band(q: np.ndarray, half: int) -> np.ndarray:
 
     Row block j of Q meets a strided view of Q's rows at cells j - w .. j + w (periodic), those of cell j + d sheared
     d + w blocks right over zero padding, so block column e + half holds their blocks of offset e - d: one batched
-    matmul per `_PAIR_CELLS` cells.
+    matmul per `_PAIR_CELLS` cells.  The padded halo, the contiguous buffer `np.take` fills and 2 Q's block are
+    allocated once and reused by every block; the halo's padding is never written, so it stays zero.
     """
     cells, dof, width = q.shape[:3]
     w, stride = width // 2, (width + half) * dof  # a row of Q and the `half` zero blocks the shear reads
     cell = dof * (stride + 1)  # each cell's rows start one block further right than the last cell's
-    out = np.empty((cells, dof, 2 * half + 1, dof))
+    block = min(_PAIR_CELLS, cells)
+    flat = np.zeros(half * dof + (block + 2 * w) * cell)
+    rows = flat[half * dof :].reshape(-1, cell)[:, : dof * stride].reshape(-1, dof, stride)[:, :, : width * dof]
+    taken, twice, out = np.empty(rows.shape), np.empty((block,) + q.shape[1:]), np.empty((cells, dof, 2 * half + 1, dof))
     for j in range(0, cells, _PAIR_CELLS):
         n = min(_PAIR_CELLS, cells - j)
-        flat = np.zeros(half * dof + (n + 2 * w) * cell)
-        rows = flat[half * dof :].reshape(-1, cell)[:, : dof * stride].reshape(-1, dof, stride)[:, :, : width * dof]
-        np.take(q.reshape(cells, dof, -1), np.arange(j - w, j + n + w), axis=0, mode="wrap", out=rows)
+        np.take(q.reshape(cells, dof, -1), np.arange(j - w, j + n + w), axis=0, mode="wrap", out=taken[: n + 2 * w])
+        rows[: n + 2 * w] = taken[: n + 2 * w]  # into a strided `out`, np.take would fill a buffer of its own first
         view = as_strided(flat[2 * w * dof :], (n, width * dof, (2 * half + 1) * dof), (cell * 8, stride * 8, 8))
         np.matmul(q[j : j + n].reshape(n, dof, -1), view, out=out[j : j + n].reshape(n, dof, -1))
-        out[j : j + n, :, half - w : half + w + 1] += 2.0 * q[j : j + n]
+        out[j : j + n, :, half - w : half + w + 1] += np.multiply(q[j : j + n], 2.0, out=twice[:n])
     return out
 
 
@@ -314,11 +318,13 @@ def _row_tiles(band: np.ndarray):
 
 
 def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
-    """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place by `_row_tiles`.
+    """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place: the full steps by `_row_tiles`.
 
-    Q1 is built once per distinct h.  From Q1 at dt, `_pair_band` doubles QM = P(dt L)^M - I up to M = 16 while the
-    run has more than 2M steps and the next band, trimmed (`_doubled_half`), fits Q4's untrimmed 8s + 1 cells.  The
-    full steps go M at a time by QM's tiles, then the (nsteps - 1) mod M left and the last one by Q1's.  Capped
+    Q1 is built once, at dt.  From it `_pair_band` doubles QM = P(dt L)^M - I up to M = 16 while the run has more
+    than 2M steps and the next band, trimmed (`_doubled_half`), fits Q4's untrimmed 8s + 1 cells.  The full steps go
+    M at a time by QM's tiles, then the (nsteps - 1) mod M left by Q1's, built only if any are left.  The last step
+    is the polynomial `_step_band` lays out, applied to the state: Horner's rule with the `_axis_blocks` triple
+    scaled by h_last / h_j, so no band or tiles are built for a single product.  Capped
     at 8, 16 or 32 steps without the width rule, a run took (ms; alpha 0.1, rk4, c = 0.01; best of 9, one thread):
 
         M up to   P2 N=10    20     40     80    160    320    P4 N=80   160
@@ -327,18 +333,20 @@ def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: flo
          32         0.73   0.93   1.27   2.48   4.90  12.03      7.72  17.15
     """
     gammas, u = stability_coefficients(scheme), state.reshape(-1)
-    band = functools.cache(lambda h: _step_band(op, h, gammas))
-    single = functools.cache(lambda h: _row_tiles(band(h))[2])
-    steps, q = 1, band(dt) if nsteps > 1 else None
+    steps, q = 1, _step_band(op, dt, gammas) if nsteps > 1 else None
+    q1 = q
     while steps < 16 and 2 * steps < nsteps and (half := _doubled_half(q)) <= 4 * scheme.stages:
         q, steps = _pair_band(q, half), 2 * steps
-    products, rest = divmod(nsteps - 1, steps) if steps > 1 else (0, nsteps - 1)
-    if products:
-        apply, q = _row_tiles(q)[2], None  # QM's band goes once its tiles are built
-        for _ in range(products):
-            apply(u)
-    for h in (dt,) * rest + (h_last,):
-        single(h)(u)
+    for count in divmod(nsteps - 1, steps):  # the products by QM's tiles, then the full steps left by Q1's
+        if count:
+            apply, q = _row_tiles(q)[2], None  # a band goes once its tiles are built
+            for _ in range(count):
+                apply(u)
+        q, q1 = q1, None
+    own, right, left = _axis_blocks(op.space)[0]
+    scale = (h_last / op.mesh.widths)[:, None]
+    hl = lambda v: scale * (v @ own.T + np.roll(v, -1, axis=0) @ right.T + np.roll(v, 1, axis=0) @ left.T)
+    state += _horner_increment(hl, state, gammas)
     return state
 
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_table
+from .basis import default_rule, legendre_table
 from .fields import (
     SpaceKind,
+    _shift_axis_map,
     _weak_local_system_1d,
     l2_project,
     mass_weights,
@@ -132,8 +133,7 @@ _BOUNDEDNESS_CAP_1D = {0: 0.88, 2: 1.41, 4: 1.81}
 
 
 def _boundedness_ratio_1d(k: int, samples: int = 100) -> float:
-    cell = Mesh1D(np.array([-1.0, 1.0]))
-    images = [shifted_projection_1d(lambda x, m=m: legendre_table(k + 3, x)[m], cell, k).coeffs[0] for m in range(k + 4)]
+    images = legendre_table(k + 3, np.concatenate([default_rule(k).nodes, [-1.0, 1.0]])) @ _shift_axis_map(k).T
     fine = np.linspace(-1.0, 1.0, 401)
     coef = np.random.default_rng(97 + k).standard_normal((samples, k + 4))
     f_fine, p_fine = coef @ legendre_table(k + 3, fine), coef @ images @ legendre_table(k, fine)

@@ -252,9 +252,9 @@ def test_matrix_step_equals_one_stage_loop_step(name):
     ids=["one-step", "odd-step", "pair", "quad", "rest0", "rest1", "rest8", "rest15", "exact-divisor"],
 )
 def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, m, monkeypatch):
-    # Q1 = P(hL) - I is built once per distinct h of the run, QM once from Q1 at dt by doublings while the run has
-    # more than 2M steps, up to M = 16 (P2 at c = 0.01); the kernel runs once per M full steps, once per full step
-    # left over ((n - 1) mod M = 0, 1, M/2 and M - 1), and once for the last step
+    # Q1 = P(dt L) - I is built once per run (not at all for a single step), QM once from Q1 by doublings while the
+    # run has more than 2M steps, up to M = 16 (P2 at c = 0.01); the kernel runs once per M full steps and once per
+    # full step left over ((n - 1) mod M = 0, 1, M/2 and M - 1), and the last step goes on the state with no band
     op, u0 = _alpha_operator()
     assert op.spectral_route is None
     dt = dt or 0.01 * u0.mesh.min_width
@@ -268,11 +268,11 @@ def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, m, monkeypatch
     monkeypatch.setattr(timestepping, "_pair_band", lambda q, half: doubled.append(q.shape[2]) or pair_band(q, half))
     calls = _counted_products(monkeypatch)
     integrate(op, u0, cfg)
-    assert built == [dt] * (nsteps > 1) + [h_last] * (h_last != dt)
+    assert built == [dt] * (nsteps > 1)
     # Q1 (2s + 1 = 9 cells for rk4), then Q2, Q4 and Q8 trimmed: 17, 21 and 25 cells of 17, 33 and 65 at c = 0.01,
     # and 15, 17 and 19 at the exact divisor's c = 0.0083
     assert doubled == ([9, 15, 17, 19] if steps == 33 else [9, 17, 21, 25])[: m.bit_length() - 1]
-    assert len(calls) == (products + rest + 1 if m > 1 else nsteps)
+    assert len(calls) == products + rest
 
 
 def test_a_large_c_run_marches_by_the_untrimmed_quad(monkeypatch):
@@ -287,7 +287,7 @@ def test_a_large_c_run_marches_by_the_untrimmed_quad(monkeypatch):
     calls = _counted_products(monkeypatch)
     integrate(op, u0, cfg)
     assert doubled == [17, 33]
-    assert len(calls) == (nsteps - 1) // 4 + (nsteps - 1) % 4 + 1
+    assert len(calls) == (nsteps - 1) // 4 + (nsteps - 1) % 4
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
@@ -567,8 +567,8 @@ def test_a_finite_state_of_infinite_energy_reports_its_growth_without_a_warning(
 @pytest.mark.parametrize("pair", [1, 5])
 def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monkeypatch):
     # the kernel writes `value` into one entry of its product at the given product (1-based), as an overflow
-    # would; the run's 21 steps are 5 quads and the last step, all 6 products run, and the entry, added into
-    # the state, stays non-finite to the final state, judged at step 21
+    # would; the run's 21 steps are 5 quads, all 5 products run, and the entry, added into the state, stays
+    # non-finite through the last step (taken on the state) to the final state, judged at step 21
 
     def seed(calls, out):
         if len(calls) == pair:
@@ -579,7 +579,7 @@ def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monk
     dt = 0.01 * u0.mesh.min_width
     with pytest.raises(IntegrationDivergedError, match="non-finite state detected at step 21 ") as err:
         integrate(op, u0, IntegrationConfig(t_final=20.37 * dt))
-    assert len(calls) == 6
+    assert len(calls) == 5
     assert err.value.time == pytest.approx(20.37 * dt)
 
 
