@@ -20,11 +20,11 @@ Kronecker sum L = Lx (x) I + I (x) Ly restricted to the space's degrees),
 which `SpatialOperator.matrix` sums into a CSR matrix and `_axis_bases` into
 a dense one per axis, and `SpatialOperator.propagate` reads it as the Bloch
 symbol of each wavenumber.  `propagate` diagonalises L with its mass-scaled
-skew form: Q2D by a dense eigenbasis of each axis's L (diagonal on their product),
-P1D and P2D on uniform axes by the Bloch symbols, written once for any
-number of axes.  L is real, so its modes come in conjugate pairs (Zhong &
-Shu, CMAME 2011), and both routes march one mode of each pair: the axes
-route the null block and the omega > 0 half of the first axis's eigenbasis,
+skew form S: Q2D by a dense eigenbasis of each axis's L (diagonal on their product),
+found in real arithmetic from S^T S (`_conjugate_half`), P1D and P2D on uniform
+axes by the Bloch symbols (`_skew_eigh`), written once for any number of axes.
+L is real, so its modes come in conjugate pairs (Zhong & Shu, CMAME 2011), and both routes march
+one mode of each pair: the axes route the null block and the omega > 0 half of the first axis's eigenbasis,
 in real GEMMs on [Re V | Im V], and the Bloch route the half spectrum
 xi_0 >= 0 of a real transform on cell axis 0 (the symbol at -xi is the
 conjugate of the one at xi).  The time integrator marches with one or the
@@ -70,11 +70,10 @@ _UNIFORM_RTOL = 1e-12
 # level's peak RSS by 285 MB where blocks of rows raise it by 8 MB.
 _BLOCH_ENTRIES = 1 << 18
 
-# |omega| at or below this fraction of an axis's largest |omega| is its null block (`_axis_bases`).  On
-# the Q2 axes of k = 0..4, N = 1..65 (uniform, alpha and random), the computed null |omega| is roundoff,
-# below 1e-15 of the largest, and the smallest other |omega| is the slowest mode, above 4e-3 of it and
-# falling like 1 / (N (k+1)^2): the threshold lies six orders from both.
-_NULL_RTOL = 1e-9
+# Thresholds on mu = omega^2 (`_conjugate_half`), as fractions of an axis's largest mu.  On the Q2 axes of k = 0..4, N = 1..65
+# (uniform, alpha 0.3, random 0.3) the null mu is below 1.1e-15 and the slowest mode's above 1.9e-5 (alpha N=65, k=4); the two
+# mu of a pair differ by at most 5e-15, distinct clusters by at least 1.5e-6 (uniform N=61, k=1).  A merge only makes a larger block.
+_NULL_MU, _CLUSTER_MU = 1e-10, 1e-7
 
 
 @lru_cache(maxsize=None)
@@ -151,6 +150,47 @@ def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return -1j * omega, vecs
 
 
+def _conjugate_half(mat: np.ndarray, scale: np.ndarray) -> tuple:
+    """(lam, [Re V | Im V], scale, z): the null block and the omega > 0 half of an eigenbasis of S = D L D^-1.
+
+    S is real and skew, so a real `eigh` of S^T S = -S^2 (a third of the cost of `_skew_eigh`) gives mu = omega^2
+    and a real pair of vectors per conjugate pair, accurate to eps mu_max / (mu gap), which loses the slow modes.
+    One first-order correction between clusters of equal mu (after Ogita & Aishima, JJIAM 2018) rebuilds them from
+    A = (SV)^T (SV), whose entries keep the scale omega_i omega_j of their modes.  Each cluster's skew block of
+    V^T S V then gives its modes: the null block (mu <= `_NULL_MU` mu_max, z modes) keeps its real columns, a pair
+    gives its omega > 0 column, a larger cluster (uniform, k = 0) its omega > 0 half.
+    """
+    s = mat * scale[:, None] / scale
+    a = s.T @ s
+    mu, v = np.linalg.eigh(a)
+    z = np.count_nonzero(mu <= _NULL_MU * mu[-1])
+    z += (mu.size - z) % 2  # omega != 0 pairs up, so an odd rest holds a null mode (an axis that is roundoff)
+    new = np.diff(mu, prepend=mu[0]) > _CLUSTER_MU * mu[-1]
+    new[: z + 1] = np.arange(mu.size)[: z + 1] == z  # the null block is cluster 0
+    label = np.cumsum(new)
+    sv, gap = s @ v, mu - mu[:, None]
+    gap[label[:, None] == label] = np.inf  # no correction inside a cluster
+    v += np.matmul(v, np.divide(np.matmul(sv.T, sv, out=a), gap, out=a), out=sv)  # E_ij = A_ij / (mu_j - mu_i)
+    np.matmul(s, v, out=sv)
+    del s, a, gap  # the width^2 temporaries, gone before the blocks
+    starts = np.flatnonzero(new)  # of the clusters after the null block
+    sizes = np.diff(starts, append=mu.size)
+    lam, re, im = [np.zeros(z, complex)], [v[:, :z].T], [np.zeros((z, mu.size))]
+    for size in sorted(set(sizes.tolist())):  # batched by size
+        idx = starts[sizes == size, None] + np.arange(size)
+        vt = v.T[idx]  # (clusters, size, width): each cluster's columns of V as rows
+        b = vt @ sv.T[idx].swapaxes(1, 2)
+        b = 0.5 * (b - b.swapaxes(1, 2))  # its block of V^T S V, made exactly skew
+        if size == 2:  # [[0, beta], [-beta, 0]]: omega = |beta| on (i v_0 + v_1) / sqrt 2, or (v_0 + i v_1) if beta < 0
+            omega, q = np.abs(b[:, :1, 1]), np.where(b[:, :1, 1:] > 0, [[1j], [1]], [[1], [1j]]) / np.sqrt(2)
+        else:  # the omega > 0 half of a Hermitian eigh
+            omega, q = (x[..., size // 2 :] for x in np.linalg.eigh(1j * b))
+        lam.append(-1j * omega.ravel())
+        re.append((q.real.swapaxes(1, 2) @ vt).reshape(-1, mu.size))
+        im.append((q.imag.swapaxes(1, 2) @ vt).reshape(-1, mu.size))
+    return np.concatenate(lam), np.vstack(re + im).T, scale, z
+
+
 class SpatialOperator:
     """The semi-discrete operator L with du/dt = L(u) on a periodic mesh: the sum of the terms of `_axis_terms`."""
 
@@ -183,19 +223,14 @@ class SpatialOperator:
 
     @cached_property
     def _axis_bases(self) -> tuple:
-        """Per axis, (lam, R, D, z): the conjugate half of `_skew_eigh` for L_a with D^2 its mass.
+        """Per axis, (lam, R, D, z): the conjugate half (`_conjugate_half`) of an eigenbasis of L_a, D^2 its mass.
 
-        L_a is real, so its modes pair up as (lam, v) and (conj lam, conj v).
-        Of the eigenvalues lam = -i omega (omega ascending) this keeps the null
-        block |omega| <= `_NULL_RTOL` max|omega| (its z modes span a real
-        space) and then the omega > 0 half, as R = [Re V | Im V] on those
-        columns, a real width x 2h array (h = (width + z) / 2): the omega < 0
-        half is the conjugate of the kept one and is never stored.  L_a and
-        its mass depend on an axis only through k and its widths, so axes of
-        equal widths share one basis object: each distinct axis is
-        diagonalised once, in O(width^3) time and, while `eigh` runs, two
-        dense complex width^2 arrays (width = cells x (k+1)); R keeps about
-        half the bytes of one.
+        L_a is real, so its modes pair up as (lam, v) and (conj lam, conj v).  Of the eigenvalues
+        lam = -i omega this keeps the null block (z modes spanning a real space, first) and the omega > 0
+        half, as R = [Re V | Im V] on those columns, a real width x 2h array (h = (width + z) / 2): the
+        omega < 0 half is the conjugate of the kept one and is never stored.  L_a and its mass depend on
+        an axis only through k and its widths, so axes of equal widths share one basis object: each
+        distinct axis is diagonalised once, in O(width^3) time and about six real width^2 arrays.
         """
         space, bases = SpaceKind("P1D", self.space.degree), {}
         for axis in self.mesh.axes:
@@ -204,12 +239,7 @@ class SpatialOperator:
                 mat = np.zeros((scale.size,) * 2)
                 for rows, cols, vals in _axis_terms(axis, space):  # one term, summed as `_assemble` sums it
                     np.add.at(mat, (rows, cols), vals)
-                lam, vecs = _skew_eigh(mat, scale)
-                tol = _NULL_RTOL * np.abs(lam).max()
-                # eigh sorts omega = -lam.imag: the m most negative first, the m most positive last
-                m = min(np.count_nonzero(lam.imag > tol), np.count_nonzero(lam.imag < -tol))
-                kept = vecs[:, m:]  # the null block, then the omega > 0 half
-                bases[axis.widths.tobytes()] = (lam[m:], np.hstack([kept.real, kept.imag]), scale, lam.size - 2 * m)
+                bases[axis.widths.tobytes()] = _conjugate_half(mat, scale)
         return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
     def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray:

@@ -1,18 +1,20 @@
-"""Extended-precision oracle tables for the 1D P(hL) configs.
+"""Extended-precision oracle tables for the 1D P(hL) and the Q2D configs.
 
 Every level of a config's desk ladder is marched by rk4 in `np.longdouble` on
-the operator's CSR L, each row of L times the state summed by
-`np.add.reduceat`, on the time grid `integrate` uses (n - 1 steps of dt and a
-last one of h_last).  The final state is rounded to float64 and its errors go
-through `run_study`, so E2, EA, Ef and the LS cells come from the same
-`metrics` code as the golden tables.  For each config the script writes
-`<config>.oracle.csv` next to this file and prints, per level, the largest
-|u - oracle| of the package's own march, then each LS cell's distance from the
-oracle's LS for the golden table.
+the operator's CSR L (in 2D the whole Kronecker sum), each row of L times the
+state summed by `np.add.reduceat`, on the time grid `integrate` uses (n - 1
+steps of dt and a last one of h_last).  The final state is rounded to float64
+and its errors go through `run_study`, so E2, EA, Ef (1D) and the LS cells
+come from the same `metrics` code as the golden tables.  For each config the
+script writes `<config>.oracle.csv` next to this file and prints, per level,
+the largest |u - oracle| of the package's own march, then each LS cell's
+distance from the oracle's LS for the golden table.
 
-From the root of the repository (about 3 s per config on one core):
+From the root of the repository (about 3 s per 1D config and 30 s per Q2D
+config on one core; with no names it runs all five):
 
     PYTHONPATH=src python tests/golden/oracle.py advect1d_alpha_p2 advect1d_random_p2
+    PYTHONPATH=src python tests/golden/oracle.py advect2d_alpha_q2 advect2d_random_q2 advect2d_uniform_q2
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def oracle_table(name: str, distances: list | None = None):
     def oracle(op, u0, tcfg):
         u = longdouble_march(op, u0, tcfg)
         if distances is not None:
-            distances.append((op.mesh.num_cells, float(np.max(np.abs(integrate(op, u0, tcfg).coeffs - u)))))
+            distances.append((op.mesh.axes[0].num_cells, float(np.max(np.abs(integrate(op, u0, tcfg).coeffs - u)))))
         return u0.like(u)
 
     study.integrate = oracle
@@ -89,4 +91,4 @@ def main(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ["advect1d_alpha_p2", "advect1d_random_p2"])
+    main(sys.argv[1:] or [f"advect1d_{m}_p2" for m in ("alpha", "random")] + [f"advect2d_{m}_q2" for m in ("alpha", "random", "uniform")])

@@ -134,7 +134,8 @@ def test_the_cli_imports_without_scipy_sparse():
 
 
 def test_spectral_studies_run_without_scipy_sparse():
-    # a uniform P2 ladder (the Bloch route) and an alpha Q2 ladder (the per-axis eigenbases)
+    # a uniform P2 ladder (the Bloch route) and an alpha Q2 ladder (the per-axis eigenbases); neither loads
+    # numpy.ma either, which np.unique imports on first use (+0.6 MB of peak RSS after one alpha Q2 pass)
     configs = Path(__file__).resolve().parents[1] / "configs"
     code = (
         "import sys\n"
@@ -144,8 +145,9 @@ def test_spectral_studies_run_without_scipy_sparse():
         f"    table = run_study(replace(load_config({str(configs)!r} + '/' + name), out_dir=None))\n"
         "    print(len(table.ns))\n"
         f"{_LOADED}\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
-    assert _fresh_python(code) == ["6", "5", "False", "False"]
+    assert _fresh_python(code) == ["6", "5", "False", "False", "False"]
 
 
 def test_an_unstable_spectral_level_exits_2_without_scipy_sparse(tmp_path):

@@ -329,17 +329,19 @@ class TestShippedConfigs:
                     continue
                 assert abs(float(cell) - r) <= 1e-10 * abs(r) + 1e-13, (name, row[0], cell, ref)
 
-    @pytest.mark.parametrize("name", ["advect1d_alpha_p2", "advect1d_random_p2"])
+    @pytest.mark.parametrize(
+        "name", ["advect1d_alpha_p2", "advect1d_random_p2", "advect2d_alpha_q2", "advect2d_random_q2", "advect2d_uniform_q2"]
+    )
     def test_every_golden_level_cell_lies_within_roundoff_of_its_oracle(self, name):
         # `golden/oracle.py` marches the ladder in extended precision and writes <config>.oracle.csv: each level's
-        # E2, EA and Ef must lie within the reference tolerance of it.  An LS cell is a slope over the whole ladder,
+        # E2, EA and Ef (1D only) must lie within the reference tolerance of it.  An LS cell is a slope over the whole ladder,
         # limited by the roundoff of its finest levels (golden/README.md), so its distance is only reported
         golden, oracle = ((GOLDEN / f"{name}{kind}.csv").read_text().splitlines() for kind in ("", ".oracle"))
         assert [row.split(",")[0] for row in golden] == [row.split(",")[0] for row in oracle]  # header and levels
         header = golden[0].split(",")
         for row, ref in zip(golden[1:], oracle[1:]):
             cells, refs = dict(zip(header, row.split(","))), dict(zip(header, ref.split(",")))
-            for label in ("E2", "EA", "Ef"):
+            for label in header[1::2]:  # after N, each norm and its rate: E2, EA and, in 1D, Ef
                 cell, r = float(cells[label]), float(refs[label])
                 if cells["N"] == "LS":
                     print(f"{name} LS({label}) {cell!r} is {abs(cell - r) / abs(r):.2g} relative from the oracle's")
