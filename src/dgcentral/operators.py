@@ -19,12 +19,13 @@ u' = L u per axis, on the flattened coefficients (on a 2D tensor mesh the
 Kronecker sum L = Lx (x) I + I (x) Ly restricted to the space's degrees),
 which `SpatialOperator.matrix` sums into a CSR matrix and `_axis_bases` into
 a dense one per axis, and `SpatialOperator.propagate` reads it as the Bloch
-symbol of each wavenumber.  `propagate` diagonalises L with its mass-scaled
-skew form S: Q2D by a dense eigenbasis of each axis's L (diagonal on their product),
-found in real arithmetic from S^T S (`_conjugate_half`), P1D and P2D on uniform
-axes by the Bloch symbols (`_skew_eigh`), written once for any number of axes.
+symbol of each wavenumber.  `propagate` splits L into pieces of its
+mass-scaled skew form S: Q2D into the eigenvalues of a dense eigenbasis of
+each axis's L (diagonal on their product), found in real arithmetic from
+S^T S (`_conjugate_half`, the one eigensolver), P1D and P2D on uniform axes
+into the symbol block of each wavenumber, written once for any number of axes.
 L is real, so its modes come in conjugate pairs (Zhong & Shu, CMAME 2011), and both routes march
-one mode of each pair: the axes route the null block and the omega > 0 half of the first axis's eigenbasis,
+one of each pair: the axes route the null block and the omega > 0 half of the first axis's eigenbasis,
 in real GEMMs on [Re V | Im V], and the Bloch route the half spectrum
 xi_0 >= 0 of a real transform on cell axis 0 (the symbol at -xi is the
 conjugate of the one at xi).  The time integrator marches with one or the
@@ -62,10 +63,10 @@ __all__ = [
 ]
 
 # Relative spread of an axis's widths below which the axis counts as uniform,
-# so that P1D and P2D can be diagonalised by Bloch symbols built on the mean width.
+# so that P1D and P2D split into Bloch symbols built on the mean width.
 _UNIFORM_RTOL = 1e-12
 
-# Entries of the stack of Bloch symbols built and diagonalised at a time (4 MB):
+# Entries of the stack of Bloch symbols built and marched at a time (4 MB):
 # at P3 N=256 the whole stack is 105 MB, and a march in one block raised the
 # level's peak RSS by 285 MB where blocks of rows raise it by 8 MB.
 _BLOCH_ENTRIES = 1 << 18
@@ -139,21 +140,10 @@ def _assemble(mesh: Mesh1D | TensorMesh2D, space: SpaceKind):
     return sum(terms[1:], terms[0])
 
 
-def _skew_eigh(mat: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam and unitary V with D L D^-1 = V diag(lam) V^H, D = diag(scale).
-
-    D L D^-1 is skew (L is skew in the mass inner product, D^2 the mass), so
-    1j D L D^-1 is Hermitian and `eigh` applies; lam is purely imaginary.
-    `mat` may be a stack (..., n, n) with `scale` shaped (..., n).
-    """
-    omega, vecs = np.linalg.eigh(1j * (scale[..., :, None] * mat / scale[..., None, :]))
-    return -1j * omega, vecs
-
-
 def _conjugate_half(mat: np.ndarray, scale: np.ndarray) -> tuple:
     """(lam, [Re V | Im V], scale, z): the null block and the omega > 0 half of an eigenbasis of S = D L D^-1.
 
-    S is real and skew, so a real `eigh` of S^T S = -S^2 (a third of the cost of `_skew_eigh`) gives mu = omega^2
+    S is real and skew, so a real `eigh` of S^T S = -S^2 (a third of the cost of a complex `eigh`) gives mu = omega^2
     and a real pair of vectors per conjugate pair, accurate to eps mu_max / (mu gap), which loses the slow modes.
     One first-order correction between clusters of equal mu (after Ogita & Aishima, JJIAM 2018) rebuilds them from
     A = (SV)^T (SV), whose entries keep the scale omega_i omega_j of their modes.  Each cluster's skew block of
@@ -210,12 +200,13 @@ class SpatialOperator:
             raise ValueError("field space does not match operator space")
         return u.like((self.matrix @ u.coeffs.ravel()).reshape(u.coeffs.shape))
 
-    # -- a basis that diagonalises L --------------------------------------------
+    # -- L split into pieces: eigenvalues or Bloch symbol blocks ----------------
 
     @property
     def spectral_route(self) -> str | None:
-        """How `propagate` diagonalises L, with no basis built: "axes" for Q2D at any width (L = Lx (+) Ly is diagonal
-        on a product of per-axis eigenbases), "bloch" for P1D and P2D on uniform axes (a symbol per wavenumber), else None."""
+        """How `propagate` splits L, with no basis built: "axes" for Q2D at any width (L = Lx (+) Ly is diagonal
+        on a product of per-axis eigenbases), "bloch" for P1D and P2D on uniform axes (a symbol block per wavenumber),
+        else None."""
         if self.space.kind == "Q2D":
             return "axes"
         uniform = all(np.ptp(axis.widths) <= _UNIFORM_RTOL * axis.widths.mean() for axis in self.mesh.axes)
@@ -243,18 +234,17 @@ class SpatialOperator:
         return tuple(bases[axis.widths.tobytes()] for axis in self.mesh.axes)
 
     def propagate(self, coeffs: np.ndarray, gain) -> np.ndarray:
-        """f(L) applied to coefficients (cells..., dof), given f mode by mode.
+        """f(L) applied to coefficients (cells..., dof), given f piece by piece of L.
 
-        In a basis that diagonalises L, with coordinates z that are unitary
-        in the mass inner product (sum |z|^2 is the discrete energy), every z
-        becomes gain(lam, z) for its eigenvalue lam.  `gain` is called on
-        arrays of modes, possibly several times, and may overwrite both.  It
-        must map conjugate inputs to conjugate outputs, gain(conj lam, conj z)
-        = conj gain(lam, z), as a real polynomial or power series does: both
-        routes march only one mode of each conjugate pair, weighted by sqrt(2)
-        in z, and take the other to be its conjugate.  The axes route keeps
-        the conjugate half of the first axis's modes (`_axis_bases`) against
-        all of the second's; the Bloch route keeps xi_0 >= 0.
+        In coordinates z that are unitary in the mass inner product (sum |z|^2 is the discrete energy), L splits
+        into pieces and every z becomes gain(piece, z): on the axes route an eigenvalue and its mode, shaped
+        alike; on the Bloch route a wavenumber's mass-scaled symbol block D S(xi) D^-1, stacked (..., dof, dof),
+        and its coefficients as columns (..., dof, 1).  `gain` is called on arrays of pieces, possibly several
+        times, and may overwrite both.  It must map conjugate inputs to conjugate outputs, gain(conj piece,
+        conj z) = conj gain(piece, z), as a real polynomial or power series does: both routes march one of each
+        conjugate pair, weighted by sqrt(2) in z, and take the other to be its conjugate.  The axes route keeps
+        the conjugate half of the first axis's modes (`_axis_bases`) against all of the second's; the Bloch
+        route keeps xi_0 >= 0.
         """
         if self.spectral_route == "axes":
             (lx, rx, dx, zx), (ly, ry, dy, zy) = self._axis_bases
@@ -286,14 +276,14 @@ class SpatialOperator:
         # the real transform on cell axis 0 keeps xi_0 >= 0 only.
         widths = [axis.widths.mean() for axis in self.mesh.axes]
         cells, d = coeffs.shape[:-1], len(widths)
+        mass = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 2**d)
         terms = []
         for a, (n, width, (own, right, left)) in enumerate(zip(cells, widths, _axis_blocks(self.space))):
             phase = np.exp(2j * np.pi * (np.fft.rfftfreq(n) if a == 0 else np.fft.fftfreq(n)))[:, None, None]
-            symbol = (own + right * phase + left * phase.conj()) / width
+            symbol = mass[:, None] * (own + right * phase + left * phase.conj()) / width / mass  # D S D^-1
             terms.append(np.expand_dims(symbol, tuple(b for b in range(d) if b != a)))
         axes = (*range(1, d), 0)  # rfftn takes the real transform on its last axis
         u_hat = np.fft.rfftn(coeffs, axes=axes, norm="ortho")
-        mass = np.sqrt(_mass_vector(self.space.kind, self.space.degree) * np.prod(widths) / 2**d)
         # a row 0 < xi_0 < N_0/2 stands for itself and its conjugate partner: weighting it
         # by sqrt(2) in z keeps sum |z|^2 the discrete energy
         xi0 = np.arange(len(u_hat)).reshape((-1,) + (1,) * d)
@@ -301,10 +291,9 @@ class SpatialOperator:
         rows = max(1, _BLOCH_ENTRIES // (np.prod(cells[1:], dtype=int) * self.space.dof**2))
         for start in range(0, len(u_hat), rows):
             block = slice(start, start + rows)
-            lam, vecs = _skew_eigh(sum(terms[1:], terms[0][block]), mass)
-            z = (vecs.conj().swapaxes(-1, -2) @ (scale[block] * u_hat[block])[..., None])[..., 0]
-            z = gain(lam, z)
-            u_hat[block] = (vecs @ z[..., None])[..., 0] / scale[block]
+            # in 1D the piece is a view of the symbols, each row of which is read once
+            z = gain(sum(terms[1:], terms[0][block]), (scale[block] * u_hat[block])[..., None])
+            u_hat[block] = z[..., 0] / scale[block]
         return np.fft.irfftn(u_hat, s=[cells[a] for a in axes], axes=axes, norm="ortho")
 
 

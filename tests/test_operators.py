@@ -19,7 +19,6 @@ from dgcentral.metrics import error_norms
 from dgcentral.operators import (
     SpatialOperator,
     _conjugate_half,
-    _skew_eigh,
     _stencil_1d,
     _tested,
     flux_cancellation_residual_2d,
@@ -344,8 +343,8 @@ def test_dense_axis_matrix_equals_the_csr_one(family, n, k, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
 @pytest.mark.parametrize("k", range(5))
 def test_real_axis_basis_matches_the_complex_eigh(family, n, k):
-    # the conjugate half from eigh(S^T S) and its first-order correction, against `_skew_eigh` of the same
-    # S = D L D^-1.  Measured worst cases, in eps max|omega|: omega 8.7; the residual on the modes with
+    # the conjugate half from eigh(S^T S) and its first-order correction, against a complex Hermitian eigh of
+    # i S, S = D L D^-1.  Measured worst cases, in eps max|omega|: omega 8.7; the residual on the modes with
     # |omega| <= max/4 7.6 (4.3e3 over all modes, from the dense fast end at k = 4; without the correction
     # the slow residual reaches 174); |X^H X - I| 10.5 eps
     axis, eps = _AXES[family](n), np.finfo(float).eps
@@ -356,7 +355,7 @@ def test_real_axis_basis_matches_the_complex_eigh(family, n, k):
     if np.abs(s).max() < 1e-15:  # N = 1 at k <= 1 and N = 2 at k = 0: the blocks cancel, and L is roundoff
         assert z == len(s)
         return
-    omega = np.sort(-_skew_eigh(s, np.ones(len(s)))[0].imag)
+    omega = np.linalg.eigh(1j * s)[0]
     top = omega[-1]
     assert z == np.count_nonzero(np.abs(omega) <= 1e-9 * top)  # the null block of the complex eigh
     np.testing.assert_allclose(np.sort(-lam.imag)[z:], omega[omega > 1e-9 * top], rtol=0, atol=16 * eps * top)
@@ -457,13 +456,14 @@ def _shifted_domains_mesh_2d():
 )
 @pytest.mark.parametrize("k", range(5))
 def test_propagate_diagonalises_l(kind, mesh, route, k):
-    # f(L) = L and f(L) = I, given mode by mode, against the dense L
+    # f(L) = L and f(L) = I, given piece by piece (an eigenvalue on the axes route, a symbol block on the Bloch
+    # route), against the dense L
     mesh, space = mesh(), SpaceKind(kind, k)
     op = SpatialOperator(mesh, space)
     assert op.spectral_route == route
     c = np.random.default_rng(k).standard_normal((*mesh.num_cells, space.dof))
     expected = (_kron_on_index_set(mesh, space) @ c.ravel()).reshape(c.shape)
-    got = op.propagate(c, lambda lam, z: lam * z)
+    got = op.propagate(c, lambda piece, z: piece * z if route == "axes" else piece @ z)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
     np.testing.assert_allclose(op.propagate(c, lambda lam, z: z), c, rtol=0, atol=1e-14 * np.max(np.abs(c)))
 
@@ -559,11 +559,12 @@ def test_projection_and_error_norms_stay_within_their_memory():
 def test_bloch_blocks_do_not_change_the_result(monkeypatch):
     mesh, space = _uniform_mesh_2d(), SpaceKind("P2D", 3)
     c = np.random.default_rng(0).standard_normal((*mesh.num_cells, space.dof))
-    whole = SpatialOperator(mesh, space).propagate(c, lambda lam, z: np.exp(lam) * z)
+    cubic = lambda b, z: z + b @ (z + b @ (z / 2 + b @ z / 6))  # a real polynomial of each block
+    whole = SpatialOperator(mesh, space).propagate(c, cubic)
     monkeypatch.setattr(operators, "_BLOCH_ENTRIES", 1)  # one xi row per block
     blocks = []
-    rows = SpatialOperator(mesh, space).propagate(c, lambda lam, z: blocks.append(lam.shape) or np.exp(lam) * z)
-    assert blocks == [(1, 5, space.dof)] * 4  # xi_0 = 0..3 of N_0 = 6
+    rows = SpatialOperator(mesh, space).propagate(c, lambda b, z: blocks.append(b.shape) or cubic(b, z))
+    assert blocks == [(1, 5, space.dof, space.dof)] * 4  # xi_0 = 0..3 of N_0 = 6
     np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-15 * np.max(np.abs(whole)))
 
 
