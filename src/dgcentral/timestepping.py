@@ -26,10 +26,10 @@ and mesh pick; all keep one time grid:
   P - I in ~log2(n) products, an absolute error growing like n |P - I| eps,
   not the n eps of a rounded P.  The steps are exactly these factors, a
   growing one too: an unstable level grows or overflows as its steps would.
-* `_tiled_march`: non-uniform P1D.  Q1 = P(dt L) - I is built once from L's
-  `_axis_blocks` as per-cell row blocks, QM = P(dt L)^M - I from Q1 by trimmed
-  doublings, and both are applied as dense row tiles, M full steps per product;
-  the shortened last step is Horner's rule on the state with the same blocks.
+* `_tiled_march`: non-uniform P1D.  The same power on dense row tiles of Q1 =
+  P(dt L) - I, built from L's `_axis_blocks`; its trimmed doublings decline at 16
+  steps or a width cap, leaving the bits left to the last rung's products.  The
+  shortened last step is Horner's rule on the state with the same blocks.
 * `_stepped_march`: one step at a time.  For P2D off uniform axes a step is
   Horner's rule on the vector with the CSR L (a 2D Q2 would fill in), the one
   march route that imports ``scipy.sparse``; for a callable ``rhs`` (any
@@ -317,31 +317,24 @@ def _row_tiles(band: np.ndarray):
 
 
 def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
-    """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place: the full steps by `_row_tiles`.
+    """P(h_last L) P(dt L)^(nsteps-1) state of a 1D operator, in place: the full steps `_power` of Q1's row blocks.
 
-    Q1 is built once, at dt.  From it `_pair_band` doubles QM = P(dt L)^M - I up to M = 16 while the run has more
-    than 2M steps and the next band, trimmed (`_doubled_half`), fits Q4's untrimmed 8s + 1 cells.  The full steps go
-    M at a time by QM's tiles, then the (nsteps - 1) mod M left by Q1's, built only if any are left.  The last step
-    is the polynomial `_step_band` lays out, applied to the state: Horner's rule with the `_axis_blocks` triple
-    scaled by h_last / h_j, so no band or tiles are built for a single product.  Capped
-    at 8, 16 or 32 steps without the width rule, a run took (ms; alpha 0.1, rk4, c = 0.01; best of 9, one thread):
+    Q1 = P(dt L) - I is built once, at dt; a rung QM = P(dt L)^M - I steps by its `_row_tiles` and `_pair_band`
+    doubles it, but declines at M = 16 or if the next band, trimmed (`_doubled_half`), is wider than Q4's untrimmed
+    8s + 1 cells: the bits of nsteps - 1 below the last rung take a product each, the rest M steps each.  The last
+    step, the polynomial `_step_band` lays out, is Horner's rule on the state with the `_axis_blocks` triple scaled
+    by h_last / h_j: no band or tiles for one product.  Capped at 8, 16 or 32 steps without the width rule, a run
+    took (ms; alpha 0.1, rk4, c = 0.01; best of 9, one thread):
 
         M up to   P2 N=10    20     40     80    160    320    P4 N=80   160
           8         0.55   0.78   1.21   2.37   6.68  17.69      6.53  16.51
          16         0.58   0.82   1.17   2.23   4.97  11.85      6.58  15.85
          32         0.73   0.93   1.27   2.48   4.90  12.03      7.72  17.15
     """
-    gammas, u = stability_coefficients(scheme), state.reshape(-1)
-    steps, q = 1, _step_band(op, dt, gammas) if nsteps > 1 else None
-    q1 = q
-    while steps < 16 and 2 * steps < nsteps and (half := _doubled_half(q)) <= 4 * scheme.stages:
-        q, steps = _pair_band(q, half), 2 * steps
-    for count in divmod(nsteps - 1, steps):  # the products by QM's tiles, then the full steps left by Q1's
-        if count:
-            apply, q = _row_tiles(q)[2], None  # a band goes once its tiles are built
-            for _ in range(count):
-                apply(u)
-        q, q1 = q1, None
+    gammas = stability_coefficients(scheme)
+    double = lambda q, m: None if m == 16 or (half := _doubled_half(q)) > 4 * scheme.stages else _pair_band(q, half)
+    if nsteps > 1:
+        _power(_step_band(op, dt, gammas), nsteps - 1, state.reshape(-1), lambda q: _row_tiles(q)[2], double)
     own, right, left = _axis_blocks(op.space)[0]
     scale = (h_last / op.mesh.widths)[:, None]
     hl = lambda v: scale * (v @ own.T + np.roll(v, -1, axis=0) @ right.T + np.roll(v, 1, axis=0) @ left.T)
@@ -349,31 +342,41 @@ def _tiled_march(op: SpatialOperator, state, dt: float, nsteps: int, h_last: flo
     return state
 
 
-def _increment_power(b: np.ndarray, n: int, z: np.ndarray) -> np.ndarray:
-    """(I + b)^n z (n >= 0) over z: z += b z for each set bit of n, b <- 2 b + b b between them (b is overwritten).
+def _power(b, n: int, z, step, double):
+    """(I + b)^n z (n >= 0) over z, b = Q1 the rung of one step: step(b) is the in-place map z <- z + b z.
 
-    The product is elementwise where b is shaped like z, else b is a stack of blocks (..., m, m) and z their
-    columns (..., m, 1).  A rounded I + b would bias each factor by about eps, n eps in all; on increments the
-    absolute error stays below (4 + 2 n max|b|) eps max|z| (measured on rk4 increments of stable modes).
+    Each set bit of n takes one step(b) by its rung Q_m = (I + b)^m - I, dropped before double(b, m) makes the next
+    rung (I + b)^2 - I; where double declines (None), the bits left go as repeated products by the last rung, its
+    step built once.  A rounded I + b would bias each factor by about eps, n eps in all; on increments the absolute
+    error stays below (4 + 2 n max|b|) eps max|z| (measured on rk4 increments of stable modes).
     """
-    times = np.multiply if b.shape == z.shape else np.matmul
-    bz, bb = np.empty_like(z), np.empty_like(b)
-    while n:
+    m = 1
+    while True:
         if n & 1:
-            z += times(b, z, out=bz)
+            step(b)(z)
         n >>= 1
-        if n:
-            times(b, b, out=bb)
-            b *= 2.0
-            b += bb
-    return z
+        if not n:
+            return z
+        if (doubled := double(b, m)) is None:  # the bits left are 2n products by this rung
+            apply = step(b)
+            for _ in range(2 * n):
+                apply(z)
+            return z
+        b, m = doubled, 2 * m
+
+
+def _in_place(times, b, z):
+    """`_power`'s step z += b z and double b <- 2 b + b b on a spectral piece, in place; times multiplies or matmuls."""
+    bz, bb = np.empty_like(z), np.empty_like(b)
+    double = lambda b, m: np.add(times(b, b, out=bb), np.multiply(b, 2.0, out=b), out=b)
+    return lambda b: lambda z: np.add(z, times(b, z, out=bz), out=z), double
 
 
 def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last: float, scheme: RKScheme):
     """P(h_last L) P(dt L)^(nsteps-1) coeffs, per piece of L (`SpatialOperator.propagate`), growing or not.
 
-    The last step is Horner's rule on z, then the full steps `_increment_power` of P(dt piece) - I, built by
-    Horner's rule on the piece: the factors commute.
+    The last step is Horner's rule on z, then the full steps `_power` of P(dt piece) - I, built by Horner's rule
+    on the piece and doubled in place: the factors commute.
     """
     gammas = stability_coefficients(scheme)
 
@@ -382,7 +385,8 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
         z += _horner_increment(lambda q: np.multiply(times(piece, q, out=q), h_last, out=q), z, gammas)  # over q
         piece *= dt
         one = 1.0 if times is np.multiply else np.identity(piece.shape[-1])
-        return _increment_power(_horner_increment(lambda q: times(piece, q), one, gammas), nsteps - 1, z)
+        b = _horner_increment(lambda q: times(piece, q), one, gammas)
+        return _power(b, nsteps - 1, z, *_in_place(times, b, z))
 
     return op.propagate(coeffs, gain)
 
@@ -390,15 +394,11 @@ def _spectral_march(op: SpatialOperator, coeffs, dt: float, nsteps: int, h_last:
 def integrate(rhs, u0, cfg: IntegrationConfig):
     """March u' = rhs(u) from 0 to cfg.t_final; returns the final state.
 
-    `rhs` is a `SpatialOperator` (u' = L u, marched spectrally where L has a
-    diagonalising basis, else by P(hL)) or a callable (the stages); the
-    module docstring gives the routes.  `u0` may be a ModalField (a callable
-    rhs maps fields to fields) or any ndarray-like state; an operator needs a
-    field on its own space and mesh, or an array of its coefficients' shape
-    (cells..., dof), and the dt rule reads the operator's mesh.  A run whose
-    final state is non-finite raises IntegrationDivergedError at its last step,
-    as does, for a field state, a run whose final energy exceeds the initial
-    energy by more than ENERGY_GROWTH_TOL (relative).
+    `rhs` is a `SpatialOperator` (u' = L u, marched spectrally where L has a diagonalising basis, else by
+    P(hL)) or a callable (the stages); the module docstring gives the routes and when a run raises
+    IntegrationDivergedError.  `u0` may be a ModalField (a callable rhs maps fields to fields) or any
+    ndarray-like state; an operator needs a field on its own space and mesh, or an array of its
+    coefficients' shape (cells..., dof), and the dt rule reads the operator's mesh.
     """
     is_field = isinstance(u0, ModalField)
     state = np.array(u0.coeffs if is_field else u0, dtype=float, order="C")  # a copy the marches may step in place

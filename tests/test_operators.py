@@ -442,6 +442,25 @@ def _shifted_domains_mesh_2d():
     return tensor_mesh(alpha_mesh(8, 0.25, (0.0, 8.0)), alpha_mesh(8, 0.25, (-4.0, 4.0)))
 
 
+@pytest.mark.parametrize("kind, k", [("P1D", k) for k in range(5)] + [("P2D", k) for k in (1, 2, 3)])
+def test_every_bloch_symbol_block_is_skew_hermitian(kind, k):
+    # the Bloch march raises each block D S(xi) D^-1 that `propagate` builds from `_axis_blocks` as a normal matrix
+    # with imaginary eigenvalues: |P| <= 1 below the rk4 limit, and z keeps the energy.  Both hold if the block is
+    # skew-Hermitian.  The blocks at xi_0 >= 0 cover every xi: S(-xi) is the conjugate of S(xi)
+    axis = uniform_mesh(8, (0.0, TWO_PI))
+    mesh = axis if kind == "P1D" else tensor_mesh(uniform_mesh(6, (0.0, TWO_PI)), uniform_mesh(5, (0.0, TWO_PI)))
+    op, cells = SpatialOperator(mesh, SpaceKind(kind, k)), tuple(a.num_cells for a in mesh.axes)
+    assert op.spectral_route == "bloch"
+    dof, pieces = op.space.dof, []
+    op.propagate(np.zeros((*cells, dof)), lambda piece, z: pieces.append(piece.copy()) or z)
+    blocks = np.concatenate([piece.reshape(-1, dof, dof) for piece in pieces])
+    assert len(blocks) == (cells[0] // 2 + 1) * np.prod(cells[1:], dtype=int)  # xi_0 = 0..N_0/2, every other xi
+    # relative to the largest entry of all blocks: at xi = 0 the block's own entries are the roundoff of summing
+    # the triple (about 1e-15 at k = 1).  Measured: at most 4.1 eps (P1D k = 2)
+    bound = 8 * np.finfo(float).eps * np.max(np.abs(blocks))
+    assert np.max(np.abs(blocks + blocks.conj().swapaxes(1, 2))) <= bound
+
+
 @pytest.mark.parametrize(
     "kind, mesh, route",
     [
@@ -538,9 +557,10 @@ def test_axes_march_stays_within_its_memory():
 
 @pytest.mark.parametrize("k, n, bound", [(2, 320, 2.0e6), (4, 160, 3.55e6)], ids=["p2-n320", "p4-n160"])
 def test_1d_p_hl_march_stays_within_its_memory(k, n, bound):
-    # alpha levels of ladder1d (P2 N=320) and criterion 3 (P4 N=160) peak at 1.91 and 3.50 MB of traced allocations,
-    # with the last step taken on the state and each doubling's halo, np.take buffer and 2 Q buffer reused by its
-    # blocks; building Q1 and its tiles at h_last (2.54 MB at P2) or those buffers per block (3.72 MB at P4) fails
+    # alpha levels of ladder1d (P2 N=320) and criterion 3 (P4 N=160) peak at 1.70 and 3.21 MB of traced allocations,
+    # with the last step taken on the state, each doubling's halo, np.take buffer and 2 Q buffer reused by its
+    # blocks, and a rung's tiles dropped before its doubling; building Q1 and its tiles at h_last (2.54 MB at P2),
+    # those buffers per block (3.72 MB at P4) or keeping a set bit's tiles through the doubling (2.36 MB at P2) fails
     u0 = l2_project(lambda x: np.exp(np.sin(x)), alpha_mesh(n, 0.1, (0.0, TWO_PI)), SpaceKind("P1D", k))
     op = SpatialOperator(u0.mesh, u0.space)
     assert _traced_peak(lambda: integrate(op, u0, IntegrationConfig(t_final=1.0)))[1] < bound

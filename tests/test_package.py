@@ -150,6 +150,23 @@ def test_spectral_studies_run_without_scipy_sparse():
     assert _fresh_python(code) == ["6", "5", "False", "False", "False"]
 
 
+def test_the_1d_p_hl_studies_run_without_scipy_sparse():
+    # alpha and random P2 ladders march P(hL) on row tiles built from L's blocks, with no CSR matrix, and load
+    # no numpy.ma either
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from dgcentral.study import load_config, run_study\n"
+        "for name in ('advect1d_alpha_p2.cfg', 'advect1d_random_p2.cfg'):\n"
+        f"    table = run_study(replace(load_config({str(configs)!r} + '/' + name), out_dir=None))\n"
+        "    print(len(table.ns))\n"
+        f"{_LOADED}\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == ["6", "6", "False", "False", "False"]
+
+
 def test_an_unstable_spectral_level_exits_2_without_scipy_sparse(tmp_path):
     # Q2 at c = 0.5 grows on the per-axis eigenbases, which report it without assembling L
     config = Path(__file__).resolve().parents[1] / "configs" / "advect2d_uniform_q2.cfg"
@@ -167,18 +184,3 @@ def test_superconvergence_probes_run_without_scipy_sparse():
         f"{_LOADED}\n"
     )
     assert _fresh_python(code) == ["True", "True", "True", "False", "False"]
-
-
-def test_the_1d_p_hl_studies_run_without_scipy_sparse():
-    # alpha and random P2 ladders march P(hL) on row tiles built from L's blocks, with no CSR matrix
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    code = (
-        "import sys\n"
-        "from dataclasses import replace\n"
-        "from dgcentral.study import load_config, run_study\n"
-        "for name in ('advect1d_alpha_p2.cfg', 'advect1d_random_p2.cfg'):\n"
-        f"    table = run_study(replace(load_config({str(configs)!r} + '/' + name), out_dir=None))\n"
-        "    print(len(table.ns))\n"
-        f"{_LOADED}\n"
-    )
-    assert _fresh_python(code) == ["6", "6", "False", "False"]

@@ -246,16 +246,18 @@ def test_matrix_step_equals_one_stage_loop_step(name):
         (6.37, None, 4),
         (32.37, None, 16),
         (33.37, None, 16),
+        (39.37, None, 16),
         (40.37, None, 16),
         (47.37, None, 16),
         (33, 2.0**-10, 16),
     ],
-    ids=["one-step", "odd-step", "pair", "quad", "rest0", "rest1", "rest8", "rest15", "exact-divisor"],
+    ids=["one-step", "odd-step", "pair", "quad", "rest0", "rest1", "rest7", "rest8", "rest15", "exact-divisor"],
 )
 def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, m, monkeypatch):
     # Q1 = P(dt L) - I is built once per run (not at all for a single step), QM once from Q1 by doublings while the
     # run has more than 2M steps, up to M = 16 (P2 at c = 0.01); the kernel runs once per M full steps and once per
-    # full step left over ((n - 1) mod M = 0, 1, M/2 and M - 1), and the last step goes on the state with no band
+    # set bit of the full steps left over ((n - 1) mod M = 0, 1, 7, M/2 and M - 1), and the last step goes on the
+    # state with no band
     op, u0 = _alpha_operator()
     assert op.spectral_route is None
     dt = dt or 0.01 * u0.mesh.min_width
@@ -273,7 +275,34 @@ def test_a_1d_p_hl_march_builds_each_step_once_per_run(steps, dt, m, monkeypatch
     # Q1 (2s + 1 = 9 cells for rk4), then Q2, Q4 and Q8 trimmed: 17, 21 and 25 cells of 17, 33 and 65 at c = 0.01,
     # and 15, 17 and 19 at the exact divisor's c = 0.0083
     assert doubled == ([9, 15, 17, 19] if steps == 33 else [9, 17, 21, 25])[: m.bit_length() - 1]
-    assert len(calls) == products + rest
+    assert len(calls) == products + rest.bit_count()
+
+
+@pytest.mark.parametrize(
+    "steps, rungs", [(39.37, [1, 2, 4, 16, 16]), (47.37, [1, 2, 4, 8, 16, 16])], ids=["rest7", "rest15"]
+)
+def test_a_1d_p_hl_march_takes_its_leftover_steps_on_its_doubling_rungs(steps, rungs, monkeypatch):
+    # n - 1 = 2 * 16 + rest full steps: each set bit of rest takes one product by the rung that reaches it, lowest
+    # first, before the band doubles past it; Q16's doubling declines, so its tiles take the two 16-step products
+    op, u0 = _alpha_operator()
+    dt = 0.01 * u0.mesh.min_width
+    cfg = IntegrationConfig(t_final=steps * dt, dt=dt)
+    bands, used = [], []  # every band in the order built, Q1 first; the rung of each product's tiles
+    step_band, pair_band, row_tiles = timestepping._step_band, timestepping._pair_band, timestepping._row_tiles
+
+    def tiles(band):
+        rung = 2 ** next(i for i, q in enumerate(bands) if q is band)
+        apply = row_tiles(band)[2]
+        return None, None, lambda u: used.append(rung) or apply(u)
+
+    monkeypatch.setattr(timestepping, "_step_band", lambda *args: bands.append(step_band(*args)) or bands[-1])
+    monkeypatch.setattr(timestepping, "_pair_band", lambda *args: bands.append(pair_band(*args)) or bands[-1])
+    monkeypatch.setattr(timestepping, "_row_tiles", tiles)
+    fast = integrate(op, u0, cfg).coeffs
+    assert used == rungs
+    monkeypatch.undo()
+    single = _single_steps(op, u0, cfg)
+    assert np.max(np.abs(fast - single)) <= 1e-13 * np.max(np.abs(single))
 
 
 def test_a_large_c_run_marches_by_the_untrimmed_quad(monkeypatch):
@@ -288,7 +317,7 @@ def test_a_large_c_run_marches_by_the_untrimmed_quad(monkeypatch):
     calls = _counted_products(monkeypatch)
     integrate(op, u0, cfg)
     assert doubled == [17, 33]
-    assert len(calls) == (nsteps - 1) // 4 + (nsteps - 1) % 4
+    assert len(calls) == (nsteps - 1) // 4 + ((nsteps - 1) % 4).bit_count()
 
 
 @pytest.mark.parametrize("kind", ["P2D", "Q2D"])
@@ -306,7 +335,7 @@ def test_a_stepped_2d_operator_forms_no_increment(kind, monkeypatch):
 
 
 def _single_steps(op, u0, cfg):
-    """The run's coefficients after every step taken alone by Q1's tiles, as the march takes those after its quads."""
+    """The run's coefficients after every step taken alone by Q1's tiles."""
     gammas = stability_coefficients(SCHEMES[cfg.scheme])
     dt = cfg.resolve_dt(op.mesh.min_width)
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
@@ -570,11 +599,12 @@ def test_a_finite_state_of_infinite_energy_reports_its_growth_without_a_warning(
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("pair", [1, 5])
+@pytest.mark.parametrize("pair", [1, 2])
 def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monkeypatch):
     # the kernel writes `value` into one entry of its product at the given product (1-based), as an overflow
-    # would; the run's 21 steps are 5 quads, all 5 products run, and the entry, added into the state, stays
-    # non-finite through the last step (taken on the state) to the final state, judged at step 21
+    # would; the run's 20 full steps are 4 + 16, one product by Q4 and one by Q16, both run, and the entry, added
+    # into the state, stays non-finite through the last step (taken on the state) to the final state, judged at
+    # step 21
 
     def seed(calls, out):
         if len(calls) == pair:
@@ -585,7 +615,7 @@ def test_a_non_finite_kernel_product_stops_the_run_at_its_pair(value, pair, monk
     dt = 0.01 * u0.mesh.min_width
     with pytest.raises(IntegrationDivergedError, match="non-finite state detected at step 21 ") as err:
         integrate(op, u0, IntegrationConfig(t_final=20.37 * dt))
-    assert len(calls) == 5
+    assert len(calls) == 2
     assert err.value.time == pytest.approx(20.37 * dt)
 
 
@@ -1002,9 +1032,24 @@ def _increments():
     return cases
 
 
+def test_the_docstring_rk4_limits_follow_from_the_bloch_symbols():
+    # rk4's stability region meets the imaginary axis at +-sqrt(8) i and the symbol blocks' eigenvalues are
+    # imaginary, so the largest stable c of dt = c h is sqrt(8) / (h max|lambda|) over xi: at N = 512 it gives the
+    # module docstring's table to its printed digits
+    table = timestepping.__doc__.split("Stability limit", 1)[1].splitlines()[1:]
+    rows = {line.split()[0]: line.split()[1:] for line in table if line.strip()}
+    assert len(rows["k"]) == len(rows["c"]) == 5
+    for k, printed in zip(rows["k"], rows["c"]):
+        op, radii = SpatialOperator(uniform_mesh(512, _BOX), SpaceKind("P1D", int(k))), []
+        op.propagate(np.zeros((512, int(k) + 1)), lambda piece, z: radii.append(np.abs(np.linalg.eigvalsh(1j * piece)).max()) or z)
+        c = math.sqrt(8.0) / (op.mesh.widths[0] * max(radii))
+        assert round(c, len(printed.split(".")[1])) == float(printed), (k, c)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 1477, 4097])
 def test_increment_power_matches_a_clongdouble_reference(n):
-    # (I + b)^n z against n steps z + b z in clongdouble.  The bound is on the absolute error, as a damped
+    # (I + b)^n z by `_power` with the spectral march's in-place step and doubling (`_in_place`), against n
+    # steps z + b z in clongdouble.  The bound is on the absolute error, as a damped
     # mode may lose its relative accuracy: measured over eight seeds, at most 0.75 of it; here 55 eps at
     # n = 4097 on |b| <= 0.01, where the power of a rounded 1 + b was bounded by 4 (n + 1) eps = 16392 eps
     eps = np.finfo(float).eps
@@ -1013,7 +1058,8 @@ def test_increment_power_matches_a_clongdouble_reference(n):
         wide, ref = b.astype(np.clongdouble), z.astype(np.clongdouble)
         for _ in range(n):
             ref = ref + times(wide, ref)
-        got = timestepping._increment_power(b.copy(), n, z.copy())
+        b_n = b.copy()
+        got = timestepping._power(b_n, n, z.copy(), *timestepping._in_place(times, b_n, z))
         assert np.max(np.abs(got - ref)) <= (4 + 2 * n * np.max(np.abs(b))) * eps
         if not b.any():
             assert np.array_equal(got, z)  # a zero increment leaves z exactly
